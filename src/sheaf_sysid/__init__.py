@@ -9,7 +9,6 @@ cohomological and spectral diagnostics that decide when recovery is possible.
 from .dynamics import (
     SimConfig,
     Trajectory,
-    edge_states,
     equilibrium_projection,
     integrate,
     laplacian_apply,
@@ -42,18 +41,14 @@ from .potentials import (
     BoundedConfidence,
     ConstantEdgeForce,
     EdgePotential,
-    GradientField,
     LinearBasisPotential,
     NodeField,
     Quadratic,
     RadialMonomialForce,
     ShiftedQuadratic,
     ZeroField,
-    force_param_jacobian,
     monomial_basis,
     monomial_potential,
-    potential_force,
-    potential_value,
 )
 from .sheaf import (
     RANK_TOL,
@@ -83,7 +78,6 @@ from .sysid import (
     design_matrix,
     fit_linear,
     fit_threshold,
-    gram_and_lambda_min,
     information_scalar,
     integrated_residual_objective,
     merge_datasets,

@@ -127,7 +127,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_cohomology(config: dict, out_dir: Path, quiet: bool) -> int:
-    _require_keys(config, {"command", "sheaf", "rank_tol"}, "config")
+    _require_keys(config, {"command", "sheaf"}, "config")
     sheaf = _build_sheaf(config.get("sheaf", {}))
     op = build_coboundary(sheaf)
     harm = harmonic_basis(op)

@@ -70,11 +70,6 @@ def laplacian_apply(
     return model.force(x @ op.B.T) @ op.delta_star_matrix.T
 
 
-def edge_states(op: CoboundaryOperator, traj: Trajectory) -> np.ndarray:
-    """Edge disagreements delta x_k along a trajectory, shape (K+1, d1)."""
-    return traj.states @ op.B.T
-
-
 def integrate(
     op: CoboundaryOperator,
     model: EdgePotential,

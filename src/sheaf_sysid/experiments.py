@@ -235,13 +235,7 @@ def force_mse(
         if eval_states.shape[0] == 0:
             raise UsageError(f"evaluation set '{name}' is empty")
         diff = model_fitted.force(eval_states) - model_true.force(eval_states)
-        total = 0.0
-        for e, sl in enumerate(sheaf.edge_slices):
-            block = diff[..., sl]
-            total = total + np.einsum(
-                "...i,ij,...j->...", block, sheaf.edge_grams[e], block
-            )
-        out[name] = float(np.mean(total))
+        out[name] = float(np.mean(sheaf.edge_sq_norms(diff).sum(-1)))
     return out
 
 
@@ -268,6 +262,8 @@ def _localized_initial_conditions(op, rng, count: int) -> list[np.ndarray]:
     ics = []
     for _ in range(count):
         y = np.zeros(op.d1)
+        # Per edge on purpose: the draws interleave edge by edge, and this
+        # scalar normalisation keeps the bits of the localized starts.
         for e, sl in enumerate(sheaf.edge_slices):
             direction = rng.standard_normal(sl.stop - sl.start)
             gram = sheaf.edge_grams[e]
@@ -279,16 +275,10 @@ def _localized_initial_conditions(op, rng, count: int) -> list[np.ndarray]:
 
 def _limited_ray(op, rng) -> np.ndarray:
     """Unit ray direction: no global-section part, max initial edge radius 1."""
-    sheaf = op.sheaf
     v = rng.standard_normal(op.d0)
     sections = global_section_basis(op)
     v = v - sections.basis @ (sections.basis.T @ (op.M1 @ v))
-    y = op.B @ v
-    radii = [
-        math.sqrt(float(y[sl] @ sheaf.edge_grams[e] @ y[sl]))
-        for e, sl in enumerate(sheaf.edge_slices)
-    ]
-    return v / max(radii)
+    return v / np.sqrt(op.sheaf.edge_sq_norms(op.B @ v)).max()
 
 
 def _limited_initial_conditions(ray: np.ndarray, count: int, offset: float = 0.0):
@@ -340,12 +330,7 @@ def run_formation_transfer(cfg: ExperimentConfig) -> ExperimentOutput:
 
             eval_states = rollout_true.states @ op.B.T
             diff = perturbed_law.force(eval_states) - true_law.force(eval_states)
-            total = 0.0
-            for e, sl in enumerate(sheaf.edge_slices):
-                total = total + np.einsum(
-                    "ni,ij,nj->n", diff[:, sl], sheaf.edge_grams[e], diff[:, sl]
-                )
-            mse = float(np.mean(total))
+            mse = float(np.mean(sheaf.edge_sq_norms(diff).sum(-1)))
 
             label = f"{n}-cycle, Sheaf {'A' if variant == 'identity' else 'B'}"
             rows.append(

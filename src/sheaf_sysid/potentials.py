@@ -7,14 +7,14 @@ Gram weights.  Radial laws are written in u = |y_e|^2 (edge-Gram squared norm)
 so their forces take the form y_e * g(u).
 
 All evaluators accept batches: a trailing axis of length d1, arbitrary leading
-axes.  When every edge stalk has the same dimension and an identity Gram (the
-common case) the radial laws use a reshaped vectorized path; otherwise they
-fall back to a per-edge loop.  Models are immutable and thread-safe.
+axes.  Per-edge norms come from ``Sheaf.edge_sq_norms`` and per-edge factors
+are spread back over the stalks with ``Sheaf.spread``, one code path for every
+stalk layout.  Models are immutable and thread-safe.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -22,24 +22,11 @@ from .errors import ParameterError, UsageError
 from .sheaf import Sheaf
 
 
-def _uniform_identity_layout(sheaf: Sheaf) -> tuple[int, int] | None:
-    """(edge_count, dim) when all edge stalks match with identity Grams."""
-    dims = set(sheaf.edge_stalk_dims)
-    if len(dims) != 1:
-        return None
-    d = dims.pop()
-    eye = np.eye(d)
-    if all(np.array_equal(g, eye) for g in sheaf.edge_grams):
-        return (sheaf.graph.edge_count, d)
-    return None
-
-
 class EdgePotential:
     """Base class: value U(y), force Phi(y) = grad U(y)."""
 
     def __init__(self, sheaf: Sheaf):
         self.sheaf = sheaf
-        self._layout = _uniform_identity_layout(sheaf)
 
     def value(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -51,30 +38,12 @@ class EdgePotential:
         """Columns d Phi / d theta_m, shape (..., d1, p)."""
         raise UsageError(f"{type(self).__name__} has no parameters")
 
-    # block helpers -------------------------------------------------------
-
-    def _blocks(self, y: np.ndarray):
-        for e, sl in enumerate(self.sheaf.edge_slices):
-            yield e, sl, y[..., sl], self.sheaf.edge_grams[e]
-
-    def _squared_radius(self, block: np.ndarray, gram: np.ndarray) -> np.ndarray:
-        return np.einsum("...i,ij,...j->...", block, gram, block)
-
-    def _fast_blocks(self, y: np.ndarray) -> np.ndarray | None:
-        if self._layout is None:
-            return None
-        y = np.asarray(y, dtype=float)
-        return y.reshape(y.shape[:-1] + self._layout)
-
 
 class Quadratic(EdgePotential):
     """U_e = |y_e|^2 / 2, force y (the linear-Laplacian law)."""
 
     def value(self, y):
-        total = 0.0
-        for _, _, yb, gram in self._blocks(y):
-            total = total + 0.5 * self._squared_radius(yb, gram)
-        return total
+        return 0.5 * self.sheaf.edge_sq_norms(y).sum(-1)
 
     def force(self, y):
         return np.array(y, dtype=float, copy=True)
@@ -90,11 +59,7 @@ class ShiftedQuadratic(EdgePotential):
             raise ParameterError("target must be a 1-cochain")
 
     def value(self, y):
-        diff = y - self.target
-        total = 0.0
-        for _, _, db, gram in self._blocks(diff):
-            total = total + 0.5 * self._squared_radius(db, gram)
-        return total
+        return 0.5 * self.sheaf.edge_sq_norms(y - self.target).sum(-1)
 
     def force(self, y):
         return y - self.target
@@ -114,20 +79,16 @@ class Antagonistic(EdgePotential):
         for e in self.negative_edges:
             if not 0 <= e < sheaf.graph.edge_count:
                 raise ParameterError(f"no edge with index {e}")
+        negative = np.zeros(sheaf.graph.edge_count, dtype=bool)
+        negative[list(self.negative_edges)] = True
+        self._value_weights = np.where(negative, -1.0, 0.5)
+        self._force_factor = sheaf.spread(np.where(negative, -2.0, 1.0))
 
     def value(self, y):
-        total = 0.0
-        for e, _, yb, gram in self._blocks(y):
-            u = self._squared_radius(yb, gram)
-            total = total + (-u if e in self.negative_edges else 0.5 * u)
-        return total
+        return (self.sheaf.edge_sq_norms(y) * self._value_weights).sum(-1)
 
     def force(self, y):
-        out = np.array(y, dtype=float, copy=True)
-        for e, sl, _, _ in self._blocks(y):
-            if e in self.negative_edges:
-                out[..., sl] *= -2.0
-        return out
+        return np.asarray(y, dtype=float) * self._force_factor
 
 
 class BoundedConfidence(EdgePotential):
@@ -149,50 +110,28 @@ class BoundedConfidence(EdgePotential):
             raise ParameterError(f"epsilon must be positive, got {epsilon}")
         self.epsilon = float(epsilon)
 
-    def _psi(self, u):
+    def value(self, y):
+        u = self.sheaf.edge_sq_norms(y)
         e2 = self.epsilon**2
-        return np.where(
+        psi = np.where(
             u <= e2, 0.5 * u - u**2 / (2 * e2) + u**3 / (6 * e2 * e2), e2 / 6.0
         )
-
-    def value(self, y):
-        yb = self._fast_blocks(y)
-        if yb is not None:
-            return self._psi((yb * yb).sum(-1)).sum(-1)
-        total = 0.0
-        for _, _, block, gram in self._blocks(y):
-            total = total + self._psi(self._squared_radius(block, gram))
-        return total
+        return psi.sum(-1)
 
     def force(self, y):
+        y = np.asarray(y, dtype=float)
+        u = self.sheaf.edge_sq_norms(y)
         e2 = self.epsilon**2
-        yb = self._fast_blocks(y)
-        if yb is not None:
-            u = (yb * yb).sum(-1)
-            factor = np.where(u <= e2, (1.0 - u / e2) ** 2, 0.0)
-            return (yb * factor[..., None]).reshape(np.shape(y))
-        out = np.zeros_like(np.asarray(y, dtype=float))
-        for _, sl, block, gram in self._blocks(y):
-            u = self._squared_radius(block, gram)
-            factor = np.where(u <= e2, (1.0 - u / e2) ** 2, 0.0)
-            out[..., sl] = block * factor[..., None]
-        return out
+        factor = np.where(u <= e2, (1.0 - u / e2) ** 2, 0.0)
+        return y * self.sheaf.spread(factor)
 
     def param_jacobian(self, y):
+        y = np.asarray(y, dtype=float)
+        u = self.sheaf.edge_sq_norms(y)
         eps = self.epsilon
         e2 = eps**2
-        y = np.asarray(y, dtype=float)
-        yb = self._fast_blocks(y)
-        if yb is not None:
-            u = (yb * yb).sum(-1)
-            factor = np.where(u <= e2, 4.0 * (1.0 - u / e2) * u / eps**3, 0.0)
-            return (yb * factor[..., None]).reshape(y.shape)[..., None]
-        out = np.zeros(y.shape + (1,))
-        for _, sl, block, gram in self._blocks(y):
-            u = self._squared_radius(block, gram)
-            factor = np.where(u <= e2, 4.0 * (1.0 - u / e2) * u / eps**3, 0.0)
-            out[..., sl, 0] = block * factor[..., None]
-        return out
+        factor = np.where(u <= e2, 4.0 * (1.0 - u / e2) * u / eps**3, 0.0)
+        return (y * self.sheaf.spread(factor))[..., None]
 
 
 class BasisForce:
@@ -200,7 +139,6 @@ class BasisForce:
 
     def __init__(self, sheaf: Sheaf):
         self.sheaf = sheaf
-        self._layout = _uniform_identity_layout(sheaf)
 
     def value(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -218,39 +156,15 @@ class RadialMonomialForce(BasisForce):
             raise ParameterError("degree must be nonnegative")
         self.degree = int(degree)
 
-    def _radii(self, y):
-        """Per-edge squared radii, shape (..., edge_count)."""
-        if self._layout is not None:
-            yb = np.asarray(y, dtype=float).reshape(np.shape(y)[:-1] + self._layout)
-            return (yb * yb).sum(-1)
-        cols = []
-        for e, sl in enumerate(self.sheaf.edge_slices):
-            cols.append(
-                np.einsum(
-                    "...i,ij,...j->...",
-                    y[..., sl],
-                    self.sheaf.edge_grams[e],
-                    y[..., sl],
-                )
-            )
-        return np.stack(cols, axis=-1)
-
     def value(self, y):
         m = self.degree
-        return (self._radii(y) ** (m + 1)).sum(-1) / (2 * m + 2)
+        return (self.sheaf.edge_sq_norms(y) ** (m + 1)).sum(-1) / (2 * m + 2)
 
     def force(self, y):
         y = np.asarray(y, dtype=float)
         if self.degree == 0:
             return y.copy()
-        u = self._radii(y)
-        if self._layout is not None:
-            yb = y.reshape(y.shape[:-1] + self._layout)
-            return (yb * (u**self.degree)[..., None]).reshape(y.shape)
-        out = np.empty_like(y)
-        for e, sl in enumerate(self.sheaf.edge_slices):
-            out[..., sl] = y[..., sl] * (u[..., e] ** self.degree)[..., None]
-        return out
+        return y * self.sheaf.spread(self.sheaf.edge_sq_norms(y) ** self.degree)
 
 
 class ConstantEdgeForce(BasisForce):
@@ -261,17 +175,10 @@ class ConstantEdgeForce(BasisForce):
         self.cochain = np.asarray(cochain, dtype=float)
         if self.cochain.shape != (sheaf.d1,):
             raise ParameterError("constant force must be a 1-cochain")
+        self._weighted = sheaf.M2 @ self.cochain
 
     def value(self, y):
-        total = 0.0
-        for e, sl in enumerate(self.sheaf.edge_slices):
-            total = total + np.einsum(
-                "i,ij,...j->...",
-                self.cochain[sl],
-                self.sheaf.edge_grams[e],
-                y[..., sl],
-            )
-        return total
+        return np.asarray(y, dtype=float) @ self._weighted
 
     def force(self, y):
         y = np.asarray(y, dtype=float)
@@ -279,10 +186,10 @@ class ConstantEdgeForce(BasisForce):
 
 
 class LinearBasisPotential(EdgePotential):
-    """theta-weighted combination of basis forces; linear in theta.
+    """theta-weighted combination of radial monomial and constant forces.
 
-    When the basis is radial monomials plus constant forces (the usual case)
-    the force is evaluated in one fused radial pass.
+    Linear in theta.  The force is one radial pass: the gain sum_i theta_i u^m_i
+    on every edge, plus the theta-weighted sum of the constant cochains.
     """
 
     def __init__(self, sheaf: Sheaf, basis: Sequence[BasisForce], theta: Sequence[float]):
@@ -293,20 +200,18 @@ class LinearBasisPotential(EdgePotential):
             raise ParameterError(
                 f"theta has length {self.theta.size}, basis has {len(self.basis)}"
             )
-        self._fused = self._layout is not None and all(
-            isinstance(bf, (RadialMonomialForce, ConstantEdgeForce)) for bf in basis
-        )
-        if self._fused:
-            self._degrees = [
-                (i, bf.degree)
-                for i, bf in enumerate(basis)
-                if isinstance(bf, RadialMonomialForce)
-            ]
-            constant = np.zeros(sheaf.d1)
-            for i, bf in enumerate(basis):
-                if isinstance(bf, ConstantEdgeForce):
-                    constant = constant + self.theta[i] * bf.cochain
-            self._constant = constant
+        self._degrees = []
+        self._constant = np.zeros(sheaf.d1)
+        for coef, bf in zip(self.theta, self.basis):
+            if isinstance(bf, RadialMonomialForce):
+                self._degrees.append((coef, bf.degree))
+            elif isinstance(bf, ConstantEdgeForce):
+                self._constant = self._constant + coef * bf.cochain
+            else:
+                raise ParameterError(
+                    f"unsupported basis force {type(bf).__name__}: expected "
+                    "RadialMonomialForce or ConstantEdgeForce"
+                )
 
     def value(self, y):
         total = 0.0
@@ -316,20 +221,13 @@ class LinearBasisPotential(EdgePotential):
 
     def force(self, y):
         y = np.asarray(y, dtype=float)
-        if self._fused:
-            yb = y.reshape(y.shape[:-1] + self._layout)
-            u = (yb * yb).sum(-1)
-            gain = np.zeros_like(u)
-            for i, degree in self._degrees:
-                gain = gain + self.theta[i] * u**degree
-            out = (yb * gain[..., None]).reshape(y.shape)
-            if self._constant.any():
-                out = out + self._constant
-            return out
-        out = np.zeros_like(y)
-        for coef, bf in zip(self.theta, self.basis):
-            if coef != 0.0:
-                out += coef * bf.force(y)
+        u = self.sheaf.edge_sq_norms(y)
+        gain = np.zeros_like(u)
+        for coef, degree in self._degrees:
+            gain = gain + coef * u**degree
+        out = y * self.sheaf.spread(gain)
+        if self._constant.any():
+            out = out + self._constant
         return out
 
     def param_jacobian(self, y):
@@ -349,18 +247,6 @@ def monomial_potential(sheaf: Sheaf, theta: Sequence[float]) -> LinearBasisPoten
     return LinearBasisPotential(sheaf, monomial_basis(sheaf), theta)
 
 
-def potential_value(model: EdgePotential, y: np.ndarray) -> np.ndarray:
-    return model.value(y)
-
-
-def potential_force(model: EdgePotential, y: np.ndarray) -> np.ndarray:
-    return model.force(y)
-
-
-def force_param_jacobian(model: EdgePotential, y: np.ndarray) -> np.ndarray:
-    return model.param_jacobian(y)
-
-
 class NodeField:
     """Gradient field on node states; block v depends only on x_v."""
 
@@ -378,16 +264,3 @@ class ZeroField(NodeField):
     def grad(self, x):
         return np.zeros_like(np.asarray(x, dtype=float))
 
-
-class GradientField(NodeField):
-    """Node field given by explicit value and gradient callables."""
-
-    def __init__(self, value_fn: Callable, grad_fn: Callable):
-        self._value_fn = value_fn
-        self._grad_fn = grad_fn
-
-    def value(self, x):
-        return self._value_fn(x)
-
-    def grad(self, x):
-        return self._grad_fn(x)

@@ -91,6 +91,17 @@ class Sheaf:
     x^T R_v x'; likewise for edges.  ``head_maps[e]`` has shape
     (edge dim, head-vertex dim) and ``tail_maps[e]`` shape
     (edge dim, tail-vertex dim).  Grams default to identities.
+
+    ``M2`` is the block-diagonal (read-only) Gram matrix of the 1-cochains,
+    shared with every operator built from the sheaf.  Two methods serve every
+    per-edge computation, for any mix of stalk dimensions and Grams, batched
+    over leading axes: ``edge_sq_norms(y)`` maps a 1-cochain (..., d1) to its
+    per-edge squared Gram norms |y_e|^2 (..., edge_count), reading only each
+    edge's own Gram block so a row's result does not depend on its batch, and
+    ``spread(f)``
+    repeats a per-edge factor (..., edge_count) over each edge's stalk
+    (..., d1), so a radial force y_e g(|y_e|^2) is
+    ``y * spread(g(edge_sq_norms(y)))``.
     """
 
     def __init__(
@@ -165,6 +176,35 @@ class Sheaf:
         self.edge_slices = tuple(
             slice(int(a), int(b)) for a, b in zip(e_offsets[:-1], e_offsets[1:])
         )
+        self._edge_starts = e_offsets[:-1].astype(np.intp)
+        self._edge_dims = np.asarray(self.edge_stalk_dims, dtype=np.intp)
+        self.M2 = np.zeros((self.d1, self.d1))
+        for sl, g in zip(self.edge_slices, self.edge_grams):
+            self.M2[sl, sl] = g
+        self.M2.flags.writeable = False
+        # M2 in band storage: the main diagonal, then every nonzero diagonal
+        # at offset k (entries M2[j, j + k]), so M2 y costs O(d1) per band.
+        width = max(self.edge_stalk_dims, default=0)
+        offsets = [0] + [
+            k for k in range(1 - width, width) if k and np.diagonal(self.M2, k).any()
+        ]
+        self._gram_bands = tuple((k, np.diagonal(self.M2, k).copy()) for k in offsets)
+
+    def edge_sq_norms(self, y: np.ndarray) -> np.ndarray:
+        """Per-edge squared Gram norms of a 1-cochain, shape (..., edge_count)."""
+        y = _check_len(y, self.d1, "1-cochain")
+        (_, main), *off_diagonal = self._gram_bands
+        gram_y = y * main
+        for k, band in off_diagonal:
+            if k > 0:
+                gram_y[..., :-k] += band * y[..., k:]
+            else:
+                gram_y[..., -k:] += band * y[..., :k]
+        return np.add.reduceat(gram_y * y, self._edge_starts, axis=-1)
+
+    def spread(self, f: np.ndarray) -> np.ndarray:
+        """Repeat a per-edge factor (..., edge_count) over each edge stalk."""
+        return np.repeat(f, self._edge_dims, axis=-1)
 
 
 class CoboundaryOperator:
@@ -227,7 +267,7 @@ class SectionSpace:
 
 
 def build_coboundary(sheaf: Sheaf) -> CoboundaryOperator:
-    """Assemble B, M1, M2 from the sheaf data.
+    """Assemble B and M1 from the sheaf data; M2 is the sheaf's own array.
 
     Block row e carries +head_map in the column block of head(e) and
     -tail_map in the column block of tail(e); for self-loops both accumulate
@@ -241,10 +281,7 @@ def build_coboundary(sheaf: Sheaf) -> CoboundaryOperator:
     M1 = np.zeros((sheaf.d0, sheaf.d0))
     for v, g in enumerate(sheaf.vertex_grams):
         M1[sheaf.vertex_slices[v], sheaf.vertex_slices[v]] = g
-    M2 = np.zeros((sheaf.d1, sheaf.d1))
-    for e, g in enumerate(sheaf.edge_grams):
-        M2[sheaf.edge_slices[e], sheaf.edge_slices[e]] = g
-    return CoboundaryOperator(sheaf, B, M1, M2)
+    return CoboundaryOperator(sheaf, B, M1, sheaf.M2)
 
 
 def _check_len(x: np.ndarray, n: int, what: str) -> np.ndarray:

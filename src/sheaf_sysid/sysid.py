@@ -170,15 +170,6 @@ def _report_from_gram(gram: np.ndarray, tol: float = RANK_TOL) -> Identifiabilit
     )
 
 
-def gram_and_lambda_min(
-    op: CoboundaryOperator, A: np.ndarray, tol: float = RANK_TOL
-) -> IdentifiabilityReport:
-    """Gram matrix of a stacked design, using the M1 metric on each block."""
-    p = A.shape[1]
-    blocks = A.reshape(-1, op.d0, p)
-    return _report_from_gram(_weighted_gram(op, blocks), tol)
-
-
 def information_scalar(
     op: CoboundaryOperator, model: BoundedConfidence, data: ResidualDataset
 ) -> IdentifiabilityReport:

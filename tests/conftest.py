@@ -64,3 +64,11 @@ def identity_cycle():
 def rotated_cycle():
     sheaf = make_cycle_sheaf(3, "rotated")
     return sheaf, build_coboundary(sheaf)
+
+
+@pytest.fixture(scope="session")
+def mixed_sheaf():
+    """Weighted random sheaf whose edge stalks have mixed dimensions."""
+    sheaf = random_sheaf(np.random.default_rng(2024), n_vertices=4, n_edges=6)
+    assert len(set(sheaf.edge_stalk_dims)) > 1
+    return sheaf

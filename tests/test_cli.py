@@ -77,6 +77,14 @@ def test_cohomology_two_vertex_path(tmp_path, capsys):
     assert "dim H1 = 0" in capsys.readouterr().out
 
 
+def test_cohomology_rejects_rank_tol_key(tmp_path, capsys):
+    sheaf = {"builtin": "cycle", "cycle_length": 3, "variant": "rotated"}
+    payload = {"command": "cohomology", "sheaf": sheaf, "rank_tol": 1.0}
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert run_cli("cohomology", cfg, tmp_path / "out") == 1
+    assert "rank_tol" in capsys.readouterr().err
+
+
 def test_cohomology_malformed_sheaf_file_exits_nonzero(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")

@@ -6,6 +6,7 @@ from conftest import random_sheaf
 
 from sheaf_sysid import (
     Antagonistic,
+    BasisForce,
     BoundedConfidence,
     ConstantEdgeForce,
     LinearBasisPotential,
@@ -14,7 +15,6 @@ from sheaf_sysid import (
     ShiftedQuadratic,
     UsageError,
     build_coboundary,
-    make_cycle_sheaf,
     monomial_basis,
     monomial_potential,
 )
@@ -255,15 +255,27 @@ def test_linear_basis_theta_length_mismatch(identity_cycle):
         LinearBasisPotential(sheaf, monomial_basis(sheaf), [1.0, 2.0])
 
 
-def test_fused_and_generic_linear_forces_agree():
-    # non-identity Grams disable the fused path; compare against a sheaf that
-    # differs only in Gram weights to make sure both paths share the formulas
+def test_linear_force_is_theta_weighted_basis_sum(mixed_sheaf):
+    # Weighted Grams and mixed edge-stalk dimensions: the radial pass must
+    # agree with the basis forces summed one by one on any layout.
+    sheaf = mixed_sheaf
     rng = np.random.default_rng(47)
-    plain = make_cycle_sheaf(3, "identity")
-    model = monomial_potential(plain, [1.0, 0.25, 0.03])
-    assert model._fused
-    y = rng.standard_normal((5, plain.d1))
-    expected = sum(
-        c * bf.force(y) for c, bf in zip(model.theta, model.basis)
+    basis = monomial_basis(sheaf) + (
+        ConstantEdgeForce(sheaf, rng.standard_normal(sheaf.d1)),
     )
-    assert np.allclose(model.force(y), expected)
+    model = LinearBasisPotential(sheaf, basis, [1.0, 0.25, 0.03, 0.5])
+    for shape in ((sheaf.d1,), (5, sheaf.d1)):
+        y = rng.standard_normal(shape)
+        expected = sum(c * bf.force(y) for c, bf in zip(model.theta, model.basis))
+        assert np.allclose(model.force(y), expected, rtol=1e-12, atol=1e-12)
+
+
+def test_linear_basis_rejects_unsupported_family(identity_cycle):
+    sheaf, _ = identity_cycle
+
+    class CubicForce(BasisForce):
+        def force(self, y):
+            return np.asarray(y, dtype=float) ** 3
+
+    with pytest.raises(ParameterError):
+        LinearBasisPotential(sheaf, (CubicForce(sheaf),), [1.0])

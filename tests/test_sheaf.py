@@ -288,3 +288,52 @@ def test_malformed_sheaf_file_raises(tmp_path):
 def test_sheaf_to_dict_is_json_serializable(identity_cycle):
     sheaf, _ = identity_cycle
     json.dumps(sheaf_to_dict(sheaf))
+
+
+# --- per-edge norm primitive -------------------------------------------------
+
+
+@pytest.mark.parametrize("batch", [(), (5,), (2, 3)])
+def test_edge_sq_norms_match_per_edge_gram_norms(mixed_sheaf, batch):
+    sheaf = mixed_sheaf
+    y = np.random.default_rng(21).standard_normal(batch + (sheaf.d1,))
+    got = sheaf.edge_sq_norms(y)
+    assert got.shape == batch + (sheaf.graph.edge_count,)
+    for e, sl in enumerate(sheaf.edge_slices):
+        block = y[..., sl]
+        want = np.einsum("...i,ij,...j->...", block, sheaf.edge_grams[e], block)
+        assert np.allclose(got[..., e], want, rtol=1e-12, atol=1e-12)
+
+
+def test_edge_sq_norms_of_a_row_do_not_depend_on_its_batch(mixed_sheaf):
+    y = np.random.default_rng(23).standard_normal((200, mixed_sheaf.d1))
+    alone = np.array([mixed_sheaf.edge_sq_norms(row) for row in y])
+    assert np.array_equal(mixed_sheaf.edge_sq_norms(y), alone)
+
+
+def test_spread_repeats_each_edge_factor_over_its_stalk(mixed_sheaf):
+    sheaf = mixed_sheaf
+    f = np.random.default_rng(22).standard_normal((2, 3, sheaf.graph.edge_count))
+    spread = sheaf.spread(f)
+    assert spread.shape == (2, 3, sheaf.d1)
+    for e, sl in enumerate(sheaf.edge_slices):
+        for i in range(sl.start, sl.stop):
+            assert np.array_equal(spread[..., i], f[..., e])
+
+
+def test_edge_primitive_on_edgeless_sheaf():
+    sheaf = Sheaf(DirectedGraph(vertex_count=2, edges=()), [2, 2], [], [], [])
+    assert sheaf.edge_sq_norms(np.zeros(0)).shape == (0,)
+    assert sheaf.edge_sq_norms(np.zeros((3, 0))).shape == (3, 0)
+    assert sheaf.spread(np.zeros((3, 0))).shape == (3, 0)
+
+
+def test_edge_sq_norms_rejects_wrong_length(mixed_sheaf):
+    with pytest.raises(StructuralError):
+        mixed_sheaf.edge_sq_norms(np.zeros(mixed_sheaf.d1 + 1))
+
+
+def test_operator_shares_the_sheaf_edge_gram(mixed_sheaf):
+    op = build_coboundary(mixed_sheaf)
+    assert op.M2 is mixed_sheaf.M2
+    assert not op.M2.flags.writeable

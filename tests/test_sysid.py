@@ -19,7 +19,6 @@ from sheaf_sysid import (
     equilibrium_projection,
     fit_linear,
     fit_threshold,
-    gram_and_lambda_min,
     information_scalar,
     integrate,
     integrated_residual_objective,
@@ -174,8 +173,8 @@ def test_gram_is_symmetric_psd(identity_cycle):
     sheaf, op = identity_cycle
     rng = np.random.default_rng(8)
     data = forward_dataset(op, Quadratic(sheaf), rng.standard_normal((6, op.d0)))
-    A = design_matrix(op, monomial_basis(sheaf), data)
-    report = gram_and_lambda_min(op, A)
+    report = fit_linear(op, monomial_basis(sheaf), data).report
+    assert report.gram.shape == (3, 3)
     assert np.allclose(report.gram, report.gram.T, atol=1e-10)
     assert report.lambda_min >= 0.0
     assert report.lambda_max >= report.lambda_min
