@@ -257,6 +257,9 @@ def cmd_identify(config: dict, out_dir: Path, quiet: bool) -> int:
     trajectories = [load_trajectory_csv(p) for p in paths]
     if not trajectories:
         raise UsageError(f"no trajectory files found under {traj_dir}")
+    for path, traj in zip(paths, trajectories):
+        if traj.states.shape[1] != op.d0:
+            raise UsageError(f"{path}: state width {traj.states.shape[1]} is not d0 = {op.d0}")
 
     mode = config.get("residuals", "observed")
     if mode not in ("observed", "finite_difference"):

@@ -1,17 +1,16 @@
 """Sheaf diffusion dynamics: x' = -alpha * delta*(Phi(delta x)) - Psi(x).
 
-Integration is classical fixed-step RK4.  The integrator records the exact
-vector field value at every sample; observation noise, when requested, is
-added to the recorded states only -- the dynamics themselves are integrated
-noiselessly.  Ensembles derive one child seed per trajectory from the config
-seed, so results are reproducible and independent of execution order.
+Integration is classical fixed-step RK4 over a batch of starts in one loop.
+The integrator records the exact vector field value at every sample;
+observation noise, when requested, is added to the recorded states only.
+Every product in the vector field is elementwise or an einsum, never BLAS, so
+a row's bits do not depend on its batch.  A batch derives one child seed per
+row from the config seed, so results are reproducible however starts are grouped.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -20,8 +19,6 @@ import numpy as np
 from .errors import DivergenceError, ParameterError, StructuralError, UsageError
 from .potentials import EdgePotential, NodeField
 from .sheaf import CoboundaryOperator, delta_pseudoinverse_apply, global_section_basis
-
-THREADS_ENV_VAR = "SHEAF_SYSID_THREADS"
 
 
 @dataclass(frozen=True)
@@ -63,11 +60,16 @@ class Trajectory:
 def laplacian_apply(
     op: CoboundaryOperator, model: EdgePotential, x: np.ndarray
 ) -> np.ndarray:
-    """Evaluate the nonlinear sheaf Laplacian delta*(Phi(delta x))."""
+    """Evaluate delta*(Phi(delta x)) over leading axes, each row on its own bits."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != op.d0:
         raise StructuralError(f"state has length {x.shape[-1]}, expected {op.d0}")
-    return model.force(x @ op.B.T) @ op.delta_star_matrix.T
+    return _laplacian(op, model, x)
+
+
+def _laplacian(op, model, x):
+    y = np.einsum("...i,ji->...j", x, op.B)
+    return np.einsum("...i,ji->...j", model.force(y), op.delta_star_matrix)
 
 
 def integrate(
@@ -76,55 +78,75 @@ def integrate(
     node_field: NodeField,
     x0: np.ndarray,
     cfg: SimConfig,
-) -> Trajectory:
+) -> Trajectory | list[Trajectory | DivergenceError]:
     """Integrate the diffusion ODE with classical RK4 at fixed step cfg.step.
 
-    Raises DivergenceError (with the offending time) as soon as the state or
-    its derivative stops being finite.
+    ``x0`` is one start (d0,) or a batch of starts (N, d0), all stepped in one
+    loop.  A single start returns its Trajectory, or raises DivergenceError
+    (with the offending time) as soon as the state or its derivative stops
+    being finite; its noise uses cfg.seed.  A batch returns one Trajectory or
+    DivergenceError per row, in input order: a diverging row stops at its own
+    blow-up time and the others carry on.  Row i's noise uses the derived
+    seed (cfg.seed..., i), and its bits are those of the row integrated alone.
     """
     x = np.array(x0, dtype=float)
-    if x.shape != (op.d0,):
-        raise StructuralError(f"initial state has shape {x.shape}, expected ({op.d0},)")
+    single = x.ndim == 1
+    if x.ndim not in (1, 2) or x.shape[-1] != op.d0:
+        raise StructuralError(
+            f"initial states have shape {x.shape}, expected ({op.d0},) or (N, {op.d0})"
+        )
+    x = x.reshape(-1, op.d0)
+    n = x.shape[0]
     h = cfg.step
     steps = int(round(cfg.horizon / h))
     times = h * np.arange(steps + 1)
-
-    B_T = op.B.T
-    Ds_T = op.delta_star_matrix.T
     alpha = cfg.alpha
 
+    # The unchecked product: the shape was checked once for the whole batch.
     def f(state):
-        return -alpha * (model.force(state @ B_T) @ Ds_T) - node_field.grad(state)
+        return -alpha * _laplacian(op, model, state) - node_field.grad(state)
 
-    states = np.empty((steps + 1, op.d0))
-    derivs = np.empty((steps + 1, op.d0))
+    # Row-major per start, so each returned trajectory is one contiguous block.
+    states = np.empty((n, steps + 1, op.d0))
+    derivs = np.empty((n, steps + 1, op.d0))
+    failures: dict[int, DivergenceError] = {}
+    live = np.arange(n)  # input index of every row still being stepped
     # Blow-ups are detected and reported; silence the transient inf/nan noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
+            if not live.size:
+                break
             fx = f(x)
             if not (np.isfinite(x).all() and np.isfinite(fx).all()):
-                raise DivergenceError(
-                    f"state diverged at t = {times[k]:.6g}", time=float(times[k])
-                )
-            states[k] = x
-            derivs[k] = fx
+                ok = np.isfinite(x).all(axis=1) & np.isfinite(fx).all(axis=1)
+                for i in live[~ok]:
+                    failures[int(i)] = DivergenceError(
+                        f"state diverged at t = {times[k]:.6g}", time=float(times[k])
+                    )
+                live, x, fx = live[ok], x[ok], fx[ok]
+            rows = slice(None) if live.size == n else live
+            states[rows, k] = x
+            derivs[rows, k] = fx
             if k < steps:
                 k2 = f(x + 0.5 * h * fx)
                 k3 = f(x + 0.5 * h * k2)
                 k4 = f(x + h * k3)
                 x = x + (h / 6.0) * (fx + 2.0 * k2 + 2.0 * k3 + k4)
 
-    if cfg.noise_std > 0:
-        rng = np.random.default_rng(cfg.seed)
-        states = states + rng.normal(0.0, cfg.noise_std, size=states.shape)
-    return Trajectory(times=times, states=states, derivs=derivs)
-
-
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get(THREADS_ENV_VAR, "1")))
-    except ValueError:
-        return 1
+    base = cfg.seed if isinstance(cfg.seed, tuple) else (cfg.seed,)
+    results: list[Trajectory | DivergenceError] = []
+    for i in range(n):
+        if i in failures:
+            results.append(failures[i])
+            continue
+        recorded = states[i]
+        if cfg.noise_std > 0:
+            rng = np.random.default_rng(cfg.seed if single else base + (i,))
+            recorded = recorded + rng.normal(0.0, cfg.noise_std, size=recorded.shape)
+        results.append(Trajectory(times=times, states=recorded, derivs=derivs[i]))
+    if single and isinstance(results[0], DivergenceError):
+        raise results[0]
+    return results[0] if single else results
 
 
 def simulate_ensemble(
@@ -134,29 +156,17 @@ def simulate_ensemble(
     initial_conditions: Sequence[np.ndarray],
     cfg: SimConfig,
 ) -> list[Trajectory | DivergenceError]:
-    """Integrate one trajectory per initial condition.
+    """Integrate one trajectory per initial condition, as one batch.
 
     Trajectory i uses the derived seed (cfg.seed..., i), so an ensemble is
     reproducible from cfg.seed alone.  A diverging trajectory contributes its
     DivergenceError in place without aborting the rest; results are ordered by
-    input index.  The SHEAF_SYSID_THREADS environment variable caps the worker
-    threads (default 1).
+    input index.
     """
-    base = cfg.seed if isinstance(cfg.seed, tuple) else (cfg.seed,)
-
-    def run(i_x0):
-        i, x0 = i_x0
-        try:
-            return integrate(op, model, node_field, x0, replace(cfg, seed=base + (i,)))
-        except DivergenceError as exc:
-            return exc
-
-    items = list(enumerate(initial_conditions))
-    workers = _thread_count()
-    if workers > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, items))
-    return [run(item) for item in items]
+    starts = [np.asarray(x0, dtype=float) for x0 in initial_conditions]
+    if any(x0.shape != (op.d0,) for x0 in starts):
+        raise StructuralError(f"every initial state must have shape ({op.d0},)")
+    return integrate(op, model, node_field, np.reshape(starts, (-1, op.d0)), cfg)
 
 
 def equilibrium_projection(
@@ -196,16 +206,32 @@ def save_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
 
 
 def load_trajectory_csv(path: str | Path) -> Trajectory:
-    text = Path(path).read_text().strip().splitlines()
+    """Read a trajectory file; malformed contents raise UsageError naming it."""
+    try:
+        text = Path(path).read_text().strip().splitlines()
+    except UnicodeDecodeError:
+        raise UsageError(f"{path} is not a text file") from None
     if not text:
         raise UsageError(f"empty trajectory file {path}")
     header = text[0].split(",")
-    if header[0] != "time":
-        raise UsageError(f"{path} is not a trajectory file (header {header[:3]}...)")
     n_state = sum(1 for name in header if name.startswith("x"))
-    has_derivs = any(name.startswith("dx") for name in header)
-    data = np.array([[float(v) for v in line.split(",")] for line in text[1:]])
-    times = data[:, 0]
-    states = data[:, 1 : 1 + n_state]
-    derivs = data[:, 1 + n_state : 1 + 2 * n_state] if has_derivs else None
-    return Trajectory(times=times, states=states, derivs=derivs)
+    columns = ["time"] + [f"x{i}" for i in range(n_state)]
+    if header not in (columns, columns + [f"d{name}" for name in columns[1:]]):
+        raise UsageError(f"{path} is not a trajectory file (header {header[:3]}...)")
+    data = np.empty((len(text) - 1, len(header)))
+    for line_no, line in enumerate(text[1:], start=2):
+        row = line.split(",")
+        if len(row) != len(header):
+            raise UsageError(f"{path} line {line_no} has {len(row)} cells, not {len(header)}")
+        try:
+            data[line_no - 2] = row
+        except ValueError as exc:
+            raise UsageError(f"{path} has a non-numeric cell: {exc}") from None
+    if not data.size:
+        raise UsageError(f"{path} has no samples")
+    if not np.isfinite(data).all():
+        raise UsageError(f"{path} has a non-finite cell")
+    if not (np.diff(data[:, 0]) > 0).all():
+        raise UsageError(f"{path} has times that do not increase")
+    derivs = data[:, 1 + n_state :] if len(header) > len(columns) else None
+    return Trajectory(times=data[:, 0], states=data[:, 1 : 1 + n_state], derivs=derivs)

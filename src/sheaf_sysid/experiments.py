@@ -27,12 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import (
-    SimConfig,
-    Trajectory,
-    integrate,
-    simulate_ensemble,
-)
+from .dynamics import SimConfig, Trajectory, integrate
 from .errors import ConfigurationError, UsageError
 from .potentials import (
     BoundedConfidence,
@@ -364,13 +359,19 @@ class _SeedRun:
     holdout_edge_states: np.ndarray
 
 
-def _simulate_training(op, truth, ics, step, horizon):
-    sim = SimConfig(horizon=horizon, step=step)
-    trajs = simulate_ensemble(op, truth, _ZERO, ics, sim)
+def _rollouts(op, model, ics, step, horizon) -> list[Trajectory]:
+    """Noiseless rollouts of every start in one batch; a divergence raises."""
+    trajs = integrate(op, model, _ZERO, np.asarray(ics), SimConfig(horizon=horizon, step=step))
     bad = [t for t in trajs if not isinstance(t, Trajectory)]
     if bad:
         raise bad[0]
     return trajs
+
+
+def _truth_rollouts(op, truth, train_ics, hold_ics, step, horizon):
+    """Training rollouts, holdout starts and holdout rollouts, in one batch."""
+    trajs = _rollouts(op, truth, train_ics + hold_ics, step, horizon)
+    return trajs[: len(train_ics)], hold_ics, trajs[len(train_ics) :]
 
 
 def _with_observation_noise(trajs, sigma, seed_key):
@@ -400,15 +401,22 @@ def _training_dataset(op, clean_trajs, mode, noise_std, seed_key) -> ResidualDat
     return merge_datasets(parts)
 
 
-def _holdout_rollouts(op, model, ics, step, horizon) -> list[Trajectory]:
-    sim = SimConfig(horizon=horizon, step=step)
-    return [integrate(op, model, _ZERO, x0, sim) for x0 in ics]
-
-
 def _rollout_rmse(reference: list[Trajectory], candidate: list[Trajectory]) -> float:
     diffs = [r.states - c.states for r, c in zip(reference, candidate)]
     stacked = np.concatenate([d.ravel() for d in diffs])
     return float(np.sqrt(np.mean(stacked**2)))
+
+
+def _force_check_row(experiment, label, cond_runs, pooled, grid) -> dict:
+    """Medians over seeds of the force MSE on each evaluation set."""
+    mses = [
+        force_mse(r.truth, r.fitted, EvaluationSets(r.holdout_edge_states, pooled, grid))
+        for r in cond_runs
+    ]
+    row = {"experiment": experiment, "setting": label}
+    for name in ("holdout", "pooled", "grid"):
+        row[f"{name}_mse_median"] = float(np.median([m[name] for m in mses]))
+    return row
 
 
 def _mean_std(values: Sequence[float]) -> tuple[float, float]:
@@ -447,8 +455,7 @@ def run_bounded_confidence(cfg: ExperimentConfig) -> ExperimentOutput:
     seeds = sorted(cfg.seeds)
 
     n_training = THRESHOLD_N_TRAINING if cfg.n_training is None else cfg.n_training
-    train_cache: dict = {}
-    holdout_cache: dict = {}
+    truth_cache: dict = {}  # key -> (training rollouts, holdout starts, holdout rollouts)
     runs: dict[tuple[str, str], list[_SeedRun]] = {c: [] for c in conditions}
     for coverage, mode in conditions:
         cov_id = _COVERAGE_IDS[coverage]
@@ -457,7 +464,7 @@ def run_bounded_confidence(cfg: ExperimentConfig) -> ExperimentOutput:
         n_loc = LOCALIZED_N_TRAINING if cfg.n_training is None else cfg.n_training
         for seed in seeds:
             key = (seed, coverage)
-            if key not in train_cache:
+            if key not in truth_cache:
                 rng_train = np.random.default_rng([seed, cov_id, 1])
                 rng_hold = np.random.default_rng([seed, cov_id, 2])
                 if coverage == "broad":
@@ -466,23 +473,17 @@ def run_bounded_confidence(cfg: ExperimentConfig) -> ExperimentOutput:
                 else:
                     train_ics = _localized_initial_conditions(op, rng_train, n_loc)
                     hold_ics = _localized_initial_conditions(op, rng_hold, cfg.n_holdout)
-                train_cache[key] = _simulate_training(
-                    op, truth, train_ics, cfg.step, horizon
+                truth_cache[key] = _truth_rollouts(
+                    op, truth, train_ics, hold_ics, cfg.step, horizon
                 )
-                holdout_cache[key] = (
-                    hold_ics,
-                    _holdout_rollouts(op, truth, hold_ics, cfg.step, horizon),
-                )
+            train, hold_ics, reference = truth_cache[key]
             sigma = noise_std if mode == "finite_difference" else 0.0
-            data = _training_dataset(
-                op, train_cache[key], mode, sigma, (seed, cov_id, mode_id)
-            )
+            data = _training_dataset(op, train, mode, sigma, (seed, cov_id, mode_id))
             fit = fit_threshold(op, data, THRESHOLD_BRACKET)
             eps_hat = float(fit.theta_hat[0])
 
-            hold_ics, reference = holdout_cache[key]
             fitted = BoundedConfidence(sheaf, eps_hat)
-            candidate = _holdout_rollouts(op, fitted, hold_ics, cfg.step, horizon)
+            candidate = _rollouts(op, fitted, hold_ics, cfg.step, horizon)
 
             runs[(coverage, mode)].append(
                 _SeedRun(
@@ -528,22 +529,8 @@ def run_bounded_confidence(cfg: ExperimentConfig) -> ExperimentOutput:
                 "n_seeds": len(cond_runs),
             }
         )
-        mses = [
-            force_mse(
-                run.truth,
-                run.fitted,
-                EvaluationSets(run.holdout_edge_states, pooled, grid),
-            )
-            for run in cond_runs
-        ]
         force_rows.append(
-            {
-                "experiment": "bounded_confidence",
-                "setting": label,
-                "holdout_mse_median": float(np.median([m["holdout"] for m in mses])),
-                "pooled_mse_median": float(np.median([m["pooled"] for m in mses])),
-                "grid_mse_median": float(np.median([m["grid"] for m in mses])),
-            }
+            _force_check_row("bounded_confidence", label, cond_runs, pooled, grid)
         )
     details = {
         cond: [r.metrics for r in cond_runs]
@@ -595,8 +582,7 @@ def run_finite_basis(cfg: ExperimentConfig) -> ExperimentOutput:
     ]
 
     n_training = BASIS_N_TRAINING if cfg.n_training is None else cfg.n_training
-    train_cache: dict = {}
-    holdout_cache: dict = {}
+    truth_cache: dict = {}  # key -> (training rollouts, holdout starts, holdout rollouts)
     runs: dict[tuple, list[_SeedRun]] = {c[:3]: [] for c in conditions}
     for basis_variant, coverage, mode, cond_seeds in conditions:
         cov_id = _COVERAGE_IDS[coverage]
@@ -609,7 +595,7 @@ def run_finite_basis(cfg: ExperimentConfig) -> ExperimentOutput:
             fit_basis, fit_target = basis, theta_true
         for seed in cond_seeds:
             key = (seed, coverage, basis_variant)
-            if key not in train_cache:
+            if key not in truth_cache:
                 rng_train = np.random.default_rng([seed, cov_id, 1])
                 rng_hold = np.random.default_rng([seed, cov_id, 2])
                 if coverage == "broad":
@@ -619,26 +605,20 @@ def run_finite_basis(cfg: ExperimentConfig) -> ExperimentOutput:
                     ray = _limited_ray(op, np.random.default_rng([seed, cov_id, 0]))
                     train_ics = _limited_initial_conditions(ray, n_training)
                     hold_ics = _limited_initial_conditions(ray, cfg.n_holdout, offset=0.1)
-                train_cache[key] = _simulate_training(
-                    op, truth, train_ics, cfg.step, cfg.training_horizon
+                truth_cache[key] = _truth_rollouts(
+                    op, truth, train_ics, hold_ics, cfg.step, cfg.training_horizon
                 )
-                holdout_cache[key] = (
-                    hold_ics,
-                    _holdout_rollouts(op, truth, hold_ics, cfg.step, cfg.training_horizon),
-                )
+            train, hold_ics, reference = truth_cache[key]
             sigma = noise_std if mode == "finite_difference" else 0.0
-            data = _training_dataset(
-                op, train_cache[key], mode, sigma, (seed, cov_id, mode_id, 9)
-            )
+            data = _training_dataset(op, train, mode, sigma, (seed, cov_id, mode_id, 9))
             fit = fit_linear(op, fit_basis, data)
             theta_hat = fit.theta_hat
             rel_err = float(
                 np.linalg.norm(theta_hat - fit_target) / np.linalg.norm(fit_target)
             )
 
-            hold_ics, reference = holdout_cache[key]
             fitted = LinearBasisPotential(sheaf, fit_basis, theta_hat)
-            candidate = _holdout_rollouts(op, fitted, hold_ics, cfg.step, cfg.training_horizon)
+            candidate = _rollouts(op, fitted, hold_ics, cfg.step, cfg.training_horizon)
 
             runs[(basis_variant, coverage, mode)].append(
                 _SeedRun(
@@ -688,23 +668,7 @@ def run_finite_basis(cfg: ExperimentConfig) -> ExperimentOutput:
                 "n_seeds": len(cond_runs),
             }
         )
-        mses = [
-            force_mse(
-                run.truth,
-                run.fitted,
-                EvaluationSets(run.holdout_edge_states, pooled, grid),
-            )
-            for run in cond_runs
-        ]
-        force_rows.append(
-            {
-                "experiment": "finite_basis",
-                "setting": label,
-                "holdout_mse_median": float(np.median([m["holdout"] for m in mses])),
-                "pooled_mse_median": float(np.median([m["pooled"] for m in mses])),
-                "grid_mse_median": float(np.median([m["grid"] for m in mses])),
-            }
-        )
+        force_rows.append(_force_check_row("finite_basis", label, cond_runs, pooled, grid))
     details = {
         cond: [r.metrics for r in cond_runs] for cond, cond_runs in runs.items()
     }

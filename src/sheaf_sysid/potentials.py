@@ -9,7 +9,8 @@ so their forces take the form y_e * g(u).
 All evaluators accept batches: a trailing axis of length d1, arbitrary leading
 axes.  Per-edge norms come from ``Sheaf.edge_sq_norms`` and per-edge factors
 are spread back over the stalks with ``Sheaf.spread``, one code path for every
-stalk layout.  Models are immutable and thread-safe.
+stalk layout.  Models are immutable, and every force works row by row with
+elementwise arithmetic, so a row's force does not depend on its batch.
 """
 
 from __future__ import annotations

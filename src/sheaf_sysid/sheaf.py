@@ -14,12 +14,13 @@ Gram matrices ``M1`` and ``M2``, so the adjoint is ``delta* = M1^{-1} B^T M2``.
 Everything downstream -- global sections (ker delta), the harmonic space
 (ker delta*), Hodge projections, and pseudoinverse solves -- is read off a
 single SVD of the whitened matrix ``L2^T B L1^{-T}`` with ``M1 = L1 L1^T`` and
-``M2 = L2 L2^T``.  All objects are immutable after construction and safe to
-share across threads.
+``M2 = L2 L2^T``, computed on the first query that needs it.  All objects are
+immutable after construction.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -226,12 +227,15 @@ class CoboundaryOperator:
         self._L2 = _spd_factor(M2, "M2")
         # delta* = M1^{-1} B^T M2
         self.delta_star_matrix = np.linalg.solve(M1, B.T @ M2)
-        # Whitened coboundary L2^T B L1^{-T}; its SVD drives every rank query.
+
+    @functools.cached_property
+    def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """SVD of the whitened L2^T B L1^{-T}, made on the first rank query."""
         if self.d1 and self.d0:
-            b_white = self._L2.T @ np.linalg.solve(self._L1, B.T).T
+            b_white = self._L2.T @ np.linalg.solve(self._L1, self.B.T).T
         else:
             b_white = np.zeros((self.d1, self.d0))
-        self._U, self._s, self._Vt = np.linalg.svd(b_white, full_matrices=True)
+        return np.linalg.svd(b_white, full_matrices=True)
 
     @property
     def d0(self) -> int:
@@ -242,12 +246,13 @@ class CoboundaryOperator:
         return self.B.shape[0]
 
     def rank(self, tol: float = RANK_TOL) -> int:
-        if self._s.size == 0 or self._s[0] == 0.0:
+        s = self._svd[1]
+        if s.size == 0 or s[0] == 0.0:
             return 0
-        return int(np.count_nonzero(self._s > tol * self._s[0]))
+        return int(np.count_nonzero(s > tol * s[0]))
 
     def singular_values(self) -> np.ndarray:
-        return self._s.copy()
+        return self._svd[1].copy()
 
 
 @dataclass(frozen=True)
@@ -320,7 +325,7 @@ def harmonic_basis(op: CoboundaryOperator, tol: float = RANK_TOL) -> HarmonicSpa
     mapped back through L2^{-T}; the count equals d1 - rank(B).
     """
     rank = op.rank(tol)
-    null_white = op._U[:, rank:]
+    null_white = op._svd[0][:, rank:]
     if op.d1:
         basis = np.linalg.solve(op._L2.T, null_white)
     else:
@@ -331,7 +336,7 @@ def harmonic_basis(op: CoboundaryOperator, tol: float = RANK_TOL) -> HarmonicSpa
 def global_section_basis(op: CoboundaryOperator, tol: float = RANK_TOL) -> SectionSpace:
     """M1-orthonormal basis of ker delta (the global sections)."""
     rank = op.rank(tol)
-    null_white = op._Vt[rank:, :].T
+    null_white = op._svd[2][rank:, :].T
     if op.d0:
         basis = np.linalg.solve(op._L1.T, null_white)
     else:
@@ -364,9 +369,10 @@ def delta_pseudoinverse_apply(op: CoboundaryOperator, b: np.ndarray) -> np.ndarr
     rank = op.rank()
     if rank == 0:
         return np.zeros(op.d0)
+    U, s, Vt = op._svd
     bw = op._L2.T @ b
-    coeff = (op._U[:, :rank].T @ bw) / op._s[:rank]
-    xw = op._Vt[:rank, :].T @ coeff
+    coeff = (U[:, :rank].T @ bw) / s[:rank]
+    xw = Vt[:rank, :].T @ coeff
     return np.linalg.solve(op._L1.T, xw)
 
 

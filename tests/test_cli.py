@@ -297,6 +297,37 @@ def test_identify_empty_directory_exits_nonzero(tmp_path):
     assert run_cli("identify", cfg, tmp_path / "o") == 1
 
 
+def _identify_config(tmp_path, data_dir, cycle_length=3):
+    sheaf = {"builtin": "cycle", "cycle_length": cycle_length, "variant": "identity"}
+    payload = {
+        "command": "identify",
+        "sheaf": sheaf,
+        "trajectories": str(data_dir),
+        "family": {"kind": "monomial"},
+    }
+    return write_config(tmp_path, "id_check.json", payload)
+
+
+def test_identify_rejects_trajectories_of_the_wrong_width(tmp_path, capsys):
+    data_dir = _make_training_data(
+        tmp_path, {"kind": "monomial", "theta": [1.0, 0.25, 0.03]}, count=2
+    )
+    cfg = _identify_config(tmp_path, data_dir, cycle_length=4)
+    assert run_cli("identify", cfg, tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert "state width 6 is not d0 = 8" in err
+
+
+def test_identify_rejects_malformed_trajectory_files(tmp_path, capsys):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    bad = data_dir / "ragged.csv"
+    bad.write_text("time,x0,x1\n0.0,1.0,2.0\n0.1,1.0\n")
+    cfg = _identify_config(tmp_path, data_dir)
+    assert run_cli("identify", cfg, tmp_path / "o") == 1
+    assert "ragged.csv" in capsys.readouterr().err
+
+
 # --- experiment ---------------------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 """Integration, equilibria, ensembles, and trajectory files."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from conftest import random_sheaf
@@ -11,7 +13,9 @@ from sheaf_sysid import (
     Quadratic,
     ShiftedQuadratic,
     SimConfig,
+    StructuralError,
     Trajectory,
+    UsageError,
     ZeroField,
     apply_delta,
     build_coboundary,
@@ -211,17 +215,91 @@ def test_ensemble_contains_divergence_without_aborting(identity_cycle):
     assert isinstance(results[1], Trajectory)
 
 
-def test_thread_cap_does_not_change_ensemble_results(rotated_cycle, monkeypatch):
-    sheaf, op = rotated_cycle
-    model = BoundedConfidence(sheaf, 1.0)
+@pytest.fixture(params=["rotated_3", "mixed", "rotated_101"])
+def batch_case(request, rotated_cycle, mixed_sheaf):
+    """Identity-Gram cycles, narrow and wide, and a weighted mixed-dimension sheaf."""
+    if request.param == "rotated_3":
+        sheaf, op = rotated_cycle
+    elif request.param == "mixed":
+        sheaf, op = mixed_sheaf, build_coboundary(mixed_sheaf)
+    else:
+        sheaf = make_cycle_sheaf(101, "rotated")
+        op = build_coboundary(sheaf)
+    return op, BoundedConfidence(sheaf, 1.0)
+
+
+def test_batched_rows_are_bit_identical_to_solo_runs(batch_case):
+    op, model = batch_case
     rng = np.random.default_rng(21)
-    ics = [rng.standard_normal(op.d0) for _ in range(4)]
-    cfg = SimConfig(horizon=0.3, seed=2, noise_std=1e-3)
-    serial = simulate_ensemble(op, model, ZERO, ics, cfg)
-    monkeypatch.setenv("SHEAF_SYSID_THREADS", "3")
-    threaded = simulate_ensemble(op, model, ZERO, ics, cfg)
-    for a, b in zip(serial, threaded):
-        assert np.array_equal(a.states, b.states)
+    starts = 0.8 * rng.standard_normal((37, op.d0))
+    cfg = SimConfig(horizon=0.1)
+    solo = [integrate(op, model, ZERO, x0, cfg) for x0 in starts]
+    for size in (1, 7, 37):
+        for first in range(0, 37, size):
+            batch = integrate(op, model, ZERO, starts[first : first + size], cfg)
+            assert len(batch) == min(size, 37 - first)
+            for i, traj in enumerate(batch, start=first):
+                assert np.array_equal(traj.states, solo[i].states)
+                assert np.array_equal(traj.derivs, solo[i].derivs)
+    # Row i's noise is that of a solo run with the derived seed (seed..., i).
+    noisy = replace(cfg, seed=(3, 1), noise_std=1e-3)
+    batch = integrate(op, model, ZERO, starts, noisy)
+    for i in (0, 17, 36):
+        alone = integrate(op, model, ZERO, starts[i], replace(noisy, seed=(3, 1, i)))
+        assert np.array_equal(batch[i].states, alone.states)
+        assert np.array_equal(batch[i].derivs, alone.derivs)
+
+
+def test_diverging_rows_keep_their_solo_times_and_spare_their_neighbours(rotated_cycle):
+    # Large monomial starts overshoot RK4's stability limit within a few steps.
+    sheaf, op = rotated_cycle
+    model = monomial_potential(sheaf, [1.0, 0.25, 0.03])
+    rng = np.random.default_rng(40)
+    d = rng.standard_normal(op.d0)
+    starts = np.stack([d, 6.0 * d, 0.5 * rng.standard_normal(op.d0), 3.0 * d])
+    cfg = SimConfig(horizon=1.0)
+    batch = integrate(op, model, ZERO, starts, cfg)
+    times = []
+    for i in (1, 3):
+        with pytest.raises(DivergenceError) as solo:
+            integrate(op, model, ZERO, starts[i], cfg)
+        assert isinstance(batch[i], DivergenceError)
+        assert batch[i].time == solo.value.time
+        times.append(batch[i].time)
+    assert times[0] < times[1]  # the rows blow up at different steps
+    for i in (0, 2):
+        alone = integrate(op, model, ZERO, starts[i], cfg)
+        assert np.array_equal(batch[i].states, alone.states)
+        assert np.array_equal(batch[i].derivs, alone.derivs)
+        assert np.abs(alone.states[-1] - alone.states[0]).max() > 0.1
+
+
+def test_integrate_rejects_misshapen_starts(identity_cycle):
+    sheaf, op = identity_cycle
+    cfg = SimConfig(horizon=0.1)
+    for bad in (np.zeros(op.d0 + 1), np.zeros((2, op.d0 - 1)), np.zeros((1, 1, op.d0))):
+        with pytest.raises(StructuralError):
+            integrate(op, Quadratic(sheaf), ZERO, bad, cfg)
+    with pytest.raises(StructuralError):
+        simulate_ensemble(op, Quadratic(sheaf), ZERO, [np.zeros(op.d0), np.zeros(2)], cfg)
+    assert integrate(op, Quadratic(sheaf), ZERO, np.zeros((0, op.d0)), cfg) == []
+
+
+def test_simulating_never_computes_an_svd(monkeypatch):
+    sheaf = make_cycle_sheaf(5, "rotated")  # verifies itself with an SVD first
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD computed")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    op = build_coboundary(sheaf)
+    model = BoundedConfidence(sheaf, 1.0)
+    x0 = np.random.default_rng(22).standard_normal(op.d0)
+    integrate(op, model, ZERO, x0, SimConfig(horizon=0.1))
+    simulate_ensemble(op, model, ZERO, [x0, -x0], SimConfig(horizon=0.1))
+    laplacian_apply(op, model, x0)
+    monkeypatch.undo()
+    assert op.rank() == op.d0  # the first rank query computes it
 
 
 def test_noise_is_observation_only(rotated_cycle):
@@ -265,3 +343,28 @@ def test_trajectory_csv_without_derivs(tmp_path):
     loaded = load_trajectory_csv(path)
     assert loaded.derivs is None
     assert loaded.states.shape == (2, 4)
+
+
+@pytest.mark.parametrize(
+    "body, complaint",
+    [
+        ("time,x0,x1\n0.0,1.0,2.0\n0.1,1.0\n", "line 3 has 2 cells"),
+        ("time,x0,x1\n0.0,1.0,2.0\n0.1,1.0,2.0,3.0\n", "line 3 has 4 cells"),
+        ("time,x0,x1\n0.0,1.0,abc\n", "non-numeric"),
+        ("time,x0,x1\n0.0,1.0,nan\n", "non-finite"),
+        ("time,x0,x1\n0.0,inf,1.0\n", "non-finite"),
+        ("time,x0,x1\n0.0,1.0,2.0\n0.0,1.0,2.0\n", "do not increase"),
+        ("time,x0,x1\n0.1,1.0,2.0\n0.0,1.0,2.0\n", "do not increase"),
+        ("time,x0,x1\n", "no samples"),
+        ("time,x0,x2\n0.0,1.0,2.0\n", "not a trajectory file"),
+        ("time,x0,x1,dx0\n0.0,1.0,2.0,3.0\n", "not a trajectory file"),
+        ("step,x0\n0,1.0\n", "not a trajectory file"),
+    ],
+)
+def test_malformed_trajectory_files_raise_usage_errors(tmp_path, body, complaint):
+    path = tmp_path / "bad.csv"
+    path.write_text(body)
+    with pytest.raises(UsageError) as info:
+        load_trajectory_csv(path)
+    assert str(path) in str(info.value)
+    assert complaint in str(info.value)
