@@ -81,6 +81,7 @@ from .sysid import (
     information_scalar,
     integrated_residual_objective,
     merge_datasets,
+    residual_dataset,
     residuals_exact,
     residuals_fd,
     threshold_objective,

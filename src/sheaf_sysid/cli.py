@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -50,7 +51,7 @@ from .sheaf import (
     harmonic_basis,
     load_sheaf,
 )
-from .sysid import fit_linear, fit_threshold, merge_datasets, residuals_exact, residuals_fd
+from .sysid import fit_linear, fit_threshold, residual_dataset
 
 _ZERO = ZeroField()
 
@@ -90,8 +91,26 @@ def _build_sheaf(spec) -> Sheaf:
     if spec.get("builtin") != "cycle":
         raise ConfigurationError("only the 'cycle' builtin sheaf is available")
     return experiments.make_cycle_sheaf(
-        int(spec.get("cycle_length", 3)), spec.get("variant", "identity")
+        _number(spec, "cycle_length", 3, integer=True), spec.get("variant", "identity")
     )
+
+
+def _number(spec: dict, key: str, default, low: float = -math.inf, integer: bool = False):
+    """spec[key] (default when absent) as a checked float or int."""
+    return experiments.config_number(spec.get(key, default), key, low, integer)
+
+
+def _linear_basis(sheaf: Sheaf, spec: dict, where: str, *keys: str) -> tuple:
+    """The monomial basis of a "monomial" spec, plus the constant harmonic
+    force of a "harmonic_augmented" one; the spec may also hold ``keys``."""
+    basis = monomial_basis(sheaf)
+    if spec["kind"] == "monomial":
+        _require_keys(spec, {"kind", *keys}, where)
+        return basis
+    _require_keys(spec, {"kind", "harmonic_force", *keys}, where)
+    if "harmonic_force" not in spec:
+        raise ConfigurationError(f"{where} needs a 'harmonic_force'")
+    return basis + (ConstantEdgeForce(sheaf, np.asarray(spec["harmonic_force"], dtype=float)),)
 
 
 def _build_potential(sheaf: Sheaf, spec: dict):
@@ -106,18 +125,12 @@ def _build_potential(sheaf: Sheaf, spec: dict):
         return ShiftedQuadratic(sheaf, np.asarray(spec["target"], dtype=float))
     if kind == "bounded_confidence":
         _require_keys(spec, {"kind", "epsilon"}, "potential")
-        return BoundedConfidence(sheaf, float(spec["epsilon"]))
+        return BoundedConfidence(sheaf, _number(spec, "epsilon", None))
     if kind == "antagonistic":
         _require_keys(spec, {"kind", "negative_edges"}, "potential")
         return Antagonistic(sheaf, spec["negative_edges"])
-    if kind == "monomial":
-        _require_keys(spec, {"kind", "theta"}, "potential")
-        return LinearBasisPotential(sheaf, monomial_basis(sheaf), spec["theta"])
-    if kind == "harmonic_augmented":
-        _require_keys(spec, {"kind", "theta", "harmonic_force"}, "potential")
-        basis = monomial_basis(sheaf) + (
-            ConstantEdgeForce(sheaf, np.asarray(spec["harmonic_force"], dtype=float)),
-        )
+    if kind in ("monomial", "harmonic_augmented"):
+        basis = _linear_basis(sheaf, spec, "potential", "theta")
         return LinearBasisPotential(sheaf, basis, spec["theta"])
     raise ConfigurationError(f"unknown potential kind '{kind}'")
 
@@ -175,9 +188,9 @@ def _initial_states(config: dict, d0: int) -> list[np.ndarray]:
     if rand is None:
         raise ConfigurationError("simulate needs initial_states or random_initial_states")
     _require_keys(rand, {"count", "scale"}, "random_initial_states")
-    rng = np.random.default_rng([int(config.get("seed", 0)), 17])
-    count = int(rand.get("count", 1))
-    scale = float(rand.get("scale", 1.0))
+    rng = np.random.default_rng([_number(config, "seed", 0, low=0, integer=True), 17])
+    count = _number(rand, "count", 1, low=1, integer=True)
+    scale = _number(rand, "scale", 1.0)
     return [scale * rng.standard_normal(d0) for _ in range(count)]
 
 
@@ -201,11 +214,11 @@ def cmd_simulate(config: dict, out_dir: Path, quiet: bool) -> int:
     op = build_coboundary(sheaf)
     model = _build_potential(sheaf, config.get("potential", {"kind": "quadratic"}))
     cfg = SimConfig(
-        horizon=float(config.get("horizon", 10.0)),
-        step=float(config.get("step", 0.01)),
-        alpha=float(config.get("alpha", 1.0)),
-        seed=int(config.get("seed", 0)),
-        noise_std=float(config.get("noise_std", 0.0)),
+        horizon=_number(config, "horizon", 10.0),
+        step=_number(config, "step", 0.01),
+        alpha=_number(config, "alpha", 1.0),
+        seed=_number(config, "seed", 0, low=0, integer=True),
+        noise_std=_number(config, "noise_std", 0.0),
     )
     ics = _initial_states(config, op.d0)
     results = simulate_ensemble(op, model, _ZERO, ics, cfg)
@@ -262,36 +275,24 @@ def cmd_identify(config: dict, out_dir: Path, quiet: bool) -> int:
             raise UsageError(f"{path}: state width {traj.states.shape[1]} is not d0 = {op.d0}")
 
     mode = config.get("residuals", "observed")
-    if mode not in ("observed", "finite_difference"):
-        raise ConfigurationError(f"unknown residual mode '{mode}'")
-    if mode == "observed":
-        datasets = [residuals_exact(op, t, _ZERO) for t in trajectories]
-    else:
-        sigma = float(config.get("noise_std", 0.0))
-        datasets = [residuals_fd(op, t, _ZERO, noise_std=sigma) for t in trajectories]
-    data = merge_datasets(datasets)
+    sigma = _number(config, "noise_std", 0.0, low=0.0)
+    data = residual_dataset(op, trajectories, _ZERO, mode, sigma)
 
     family = config.get("family")
     if not isinstance(family, dict) or "kind" not in family:
         raise ConfigurationError("identify needs a 'family' object with a 'kind'")
     if family["kind"] == "threshold":
         _require_keys(family, {"kind", "bracket"}, "family")
-        lo, hi = family.get("bracket", [0.25, 4.0])
-        result = fit_threshold(op, data, (float(lo), float(hi)))
+        bracket = family.get("bracket", [0.25, 4.0])
+        if not isinstance(bracket, list) or len(bracket) != 2:
+            raise ConfigurationError("bracket must be a list [lo, hi]")
+        lo, hi = (experiments.config_number(v, "bracket") for v in bracket)
+        result = fit_threshold(op, data, (lo, hi))
         estimate = {"epsilon_hat": float(result.theta_hat[0])}
         criterion = {"information": result.report.lambda_min}
     elif family["kind"] in ("monomial", "harmonic_augmented"):
-        basis = monomial_basis(sheaf)
-        if family["kind"] == "harmonic_augmented":
-            _require_keys(family, {"kind", "harmonic_force"}, "family")
-            basis = basis + (
-                ConstantEdgeForce(
-                    sheaf, np.asarray(family["harmonic_force"], dtype=float)
-                ),
-            )
-        else:
-            _require_keys(family, {"kind"}, "family")
-        result = fit_linear(op, basis, data, ridge=float(config.get("ridge", 0.0)))
+        basis = _linear_basis(sheaf, family, "family")
+        result = fit_linear(op, basis, data, ridge=_number(config, "ridge", 0.0))
         estimate = {"theta_hat": result.theta_hat.tolist()}
         criterion = {
             "lambda_min": result.report.lambda_min,
@@ -338,8 +339,10 @@ def cmd_experiment(config: dict, out_dir: Path, quiet: bool) -> int:
     name = config.get("experiment")
     seeds = config.get("seeds")
     if seeds is None:
-        base = int(config.get("base_seed", 0))
+        base = _number(config, "base_seed", 0, low=0, integer=True)
         seeds = list(range(base, base + 8))
+    if not isinstance(seeds, list):
+        raise ConfigurationError("seeds must be a list of integers")
     kwargs = {}
     for key in (
         "cycle_length",
@@ -354,7 +357,7 @@ def cmd_experiment(config: dict, out_dir: Path, quiet: bool) -> int:
         if key in config:
             kwargs[key] = config[key]
     cfg = experiments.ExperimentConfig(
-        experiment_id=str(name), seeds=tuple(int(s) for s in seeds), **kwargs
+        experiment_id=str(name), seeds=tuple(seeds), **kwargs
     )
     output = experiments.run_experiment(cfg)
 

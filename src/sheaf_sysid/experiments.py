@@ -12,18 +12,24 @@ Three experiments, each isolating one obstruction:
   swept over basis choice (with/without an unidentifiable harmonic mode) and
   initial-condition coverage.
 
-Summaries aggregate mean +/- std over a sorted seed list; force-law checks
-report per-condition medians of the force MSE on three evaluation sets
-(per-seed holdout edge states, the pool of every training edge state seen in
-the experiment, and a fixed reference grid).  All randomness is derived from
+The two recovery studies are one experiment, run by one sweep driver over
+each study's table of conditions (_SWEEPS): per condition and seed, simulate
+the true law, build residuals, fit, and compare the fitted law with the truth
+on held-out rollouts and on force.  A study supplies only its table, its true
+laws and its fit family (a scalar threshold or a linear basis).  Summaries
+aggregate mean +/- std over a sorted seed list; force-law checks report
+per-condition medians of the force MSE on three evaluation sets (per-seed
+holdout edge states, the pool of every training edge state seen in the
+experiment, and a fixed reference grid).  All randomness is derived from
 (seed, stream) keys, so identical configs give identical tables.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,20 +45,14 @@ from .potentials import (
     monomial_basis,
 )
 from .sheaf import (
+    RANK_TOL,
     DirectedGraph,
     Sheaf,
     build_coboundary,
     global_section_basis,
     harmonic_basis,
 )
-from .sysid import (
-    ResidualDataset,
-    fit_linear,
-    fit_threshold,
-    merge_datasets,
-    residuals_exact,
-    residuals_fd,
-)
+from .sysid import fit_linear, fit_threshold, residual_dataset
 
 STEP = 0.01
 FORMATION_HORIZON = 4.0
@@ -89,7 +89,41 @@ GRID_POINTS = 21
 _COVERAGE_IDS = {"broad": 0, "localized": 1, "limited": 2}
 _MODE_IDS = {"observed": 0, "finite_difference": 1}
 
+# Each sweep study's conditions in sweep order, as (setting label, basis
+# variant, coverage, residual mode); the threshold study fits no basis.  The
+# config filters are checked against these rows.
+_SWEEPS = {
+    "bounded_confidence": (
+        ("Broad / Obs.", None, "broad", "observed"),
+        ("Localized / Obs.", None, "localized", "observed"),
+        ("Broad / FD", None, "broad", "finite_difference"),
+        ("Localized / FD", None, "localized", "finite_difference"),
+    ),
+    "finite_basis": (
+        ("Correct / Broad / Obs.", "correct", "broad", "observed"),
+        ("Augmented / Obs.", "augmented", "broad", "observed"),
+        ("Correct / Limited / Obs.", "correct", "limited", "observed"),
+        ("Correct / Broad / FD", "correct", "broad", "finite_difference"),
+        ("Correct / Limited / FD", "correct", "limited", "finite_difference"),
+    ),
+}
+
 _ZERO = ZeroField()
+
+
+def config_number(value, key: str, low: float = -math.inf, integer: bool = False):
+    """value as a finite float, or an int if ``integer``, that is at least low.
+
+    Anything else (a string, a bool, inf, nan, a fraction where an integer is
+    due) raises ConfigurationError naming ``key``.
+    """
+    kind = numbers.Integral if integer else numbers.Real
+    finite = isinstance(value, kind) and (integer or math.isfinite(value))
+    if isinstance(value, bool) or not finite or not value >= low:
+        bound = f" >= {low:g}" if low > -math.inf else ""
+        what = "an integer" if integer else "a finite number"
+        raise ConfigurationError(f"{key} must be {what}{bound}, got {value!r}")
+    return int(value) if integer else float(value)
 
 
 @dataclass(frozen=True)
@@ -97,7 +131,9 @@ class ExperimentConfig:
     """Which experiment to run and over which regimes.
 
     coverage / residual_mode / basis_variant restrict the swept conditions
-    when set; None sweeps everything the experiment defines.
+    when set; None sweeps everything the experiment defines.  Each filter
+    must name a value of the study's _SWEEPS rows, and together they must
+    select at least one row.
     """
 
     experiment_id: str
@@ -113,31 +149,29 @@ class ExperimentConfig:
     n_holdout: int = N_HOLDOUT
 
     def __post_init__(self):
-        if self.experiment_id not in (
-            "formation_transfer",
-            "bounded_confidence",
-            "finite_basis",
-        ):
+        if self.experiment_id not in ("formation_transfer", *_SWEEPS):
             raise ConfigurationError(f"unknown experiment '{self.experiment_id}'")
-        if self.cycle_length < 3:
-            raise ConfigurationError("cycle_length must be at least 3")
+        config_number(self.cycle_length, "cycle_length", 3, integer=True)
+        config_number(self.n_holdout, "n_holdout", 1, integer=True)
+        if self.n_training is not None:
+            config_number(self.n_training, "n_training", 1, integer=True)
+        if self.noise_std is not None:
+            config_number(self.noise_std, "noise_std", 0.0)
+        if not config_number(self.step, "step") > 0:
+            raise ConfigurationError("step must be positive")
+        if not config_number(self.training_horizon, "training_horizon") >= self.step:
+            raise ConfigurationError("training_horizon must be at least step")
         if not self.seeds:
             raise ConfigurationError("at least one seed required")
-        if self.coverage is not None and self.coverage not in _COVERAGE_IDS:
-            raise ConfigurationError(f"unknown coverage '{self.coverage}'")
-        if self.residual_mode is not None and self.residual_mode not in _MODE_IDS:
-            raise ConfigurationError(f"unknown residual mode '{self.residual_mode}'")
-        if self.basis_variant is not None:
-            if self.experiment_id != "finite_basis":
-                raise ConfigurationError(
-                    "basis_variant applies to the finite_basis experiment only"
-                )
-            if self.basis_variant not in ("correct", "augmented"):
-                raise ConfigurationError(f"unknown basis variant '{self.basis_variant}'")
-        if self.coverage == "limited" and self.experiment_id == "bounded_confidence":
-            raise ConfigurationError("bounded_confidence sweeps broad/localized only")
-        if self.coverage == "localized" and self.experiment_id == "finite_basis":
-            raise ConfigurationError("finite_basis sweeps broad/limited only")
+        for seed in self.seeds:
+            config_number(seed, "seeds", 0, integer=True)
+        rows = _SWEEPS.get(self.experiment_id, ())
+        for axis, key in enumerate(("basis_variant", "coverage", "residual_mode"), 1):
+            value = getattr(self, key)
+            if value is not None and value not in [row[axis] for row in rows]:
+                raise ConfigurationError(f"{self.experiment_id} sweeps no {key} {value!r}")
+        if rows and not _selected(self):
+            raise ConfigurationError(f"the {self.experiment_id} filters select no condition")
 
 
 @dataclass(frozen=True)
@@ -162,8 +196,9 @@ def make_cycle_sheaf(n: int, variant: str) -> Sheaf:
 
     The "identity" variant uses identity tail maps and has a two-dimensional
     harmonic space; the "rotated" variant rotates every tail map by a quarter
-    of pi, which kills both the global sections and the harmonic space.  The
-    constructed dimensions are verified and a mismatch raises.
+    of pi, which kills both the global sections and the harmonic space unless
+    n is a multiple of eight.  The harmonic dimension is checked in closed
+    form, without building the operator, and a mismatch raises.
     """
     if n < 3:
         raise ConfigurationError("cycle length must be at least 3")
@@ -185,8 +220,13 @@ def make_cycle_sheaf(n: int, variant: str) -> Sheaf:
         head_maps=[eye] * n,
         tail_maps=[tail] * n,
     )
+    # A global section has x_{i+1} = T x_i on every edge, so x_0 = T^n x_0 and
+    # dim H0 = 2 - rank(T^n - I); d0 = d1 makes dim H1 = dim H0.  The two
+    # singular values of a 2x2 [[a, b], [c, d]] are (s +- t) / 2.
+    a, b, c, d = (np.linalg.matrix_power(tail, n) - eye).ravel()
+    s, t = math.hypot(a + d, c - b), math.hypot(a - d, b + c)
+    got = 2 - sum(sv > 2 * RANK_TOL for sv in ((s + t) / 2, abs(s - t) / 2))
     expected = 2 if variant == "identity" else 0
-    got = harmonic_basis(build_coboundary(sheaf)).dim_h1
     if got != expected:
         raise ConfigurationError(
             f"{variant} {n}-cycle has harmonic dimension {got}, expected {expected}"
@@ -346,17 +386,40 @@ def run_formation_transfer(cfg: ExperimentConfig) -> ExperimentOutput:
 
 
 # ---------------------------------------------------------------------------
-# Experiments 2 and 3 share the sweep scaffolding below.
+# Experiments 2 and 3: one sweep driver over each study's condition table.
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _SeedRun:
-    metrics: dict
-    fitted: EdgePotential
+class _Condition(NamedTuple):
+    """One row of a study's table, with the law, seeds and record to run it on."""
+
+    label: str
+    basis: str | None  # the fitted basis variant; None for a threshold fit
+    coverage: str
+    mode: str
     truth: EdgePotential
-    train_edge_states: np.ndarray
-    holdout_edge_states: np.ndarray
+    seeds: Sequence[int]
+    horizon: float
+    n_training: int
+
+
+def _selected(cfg: ExperimentConfig) -> list[tuple]:
+    """The rows of the study's _SWEEPS table that pass the config's filters."""
+    wanted = (cfg.basis_variant, cfg.coverage, cfg.residual_mode)
+    rows = _SWEEPS.get(cfg.experiment_id, ())
+    return [r for r in rows if all(w in (None, v) for w, v in zip(wanted, r[1:]))]
+
+
+def _initial_conditions(op, coverage, seed, counts):
+    """Training and holdout starts of one seed under one coverage design."""
+    cov_id = _COVERAGE_IDS[coverage]
+    if coverage == "limited":
+        ray = _limited_ray(op, np.random.default_rng([seed, cov_id, 0]))
+        return [_limited_initial_conditions(ray, n, off) for n, off in zip(counts, (0.0, 0.1))]
+    rngs = [np.random.default_rng([seed, cov_id, stream]) for stream in (1, 2)]
+    if coverage == "broad":
+        return [_broad_initial_conditions(rng, op.d0, n) for rng, n in zip(rngs, counts)]
+    return [_localized_initial_conditions(op, rng, n) for rng, n in zip(rngs, counts)]
 
 
 def _rollouts(op, model, ics, step, horizon) -> list[Trajectory]:
@@ -366,12 +429,6 @@ def _rollouts(op, model, ics, step, horizon) -> list[Trajectory]:
     if bad:
         raise bad[0]
     return trajs
-
-
-def _truth_rollouts(op, truth, train_ics, hold_ics, step, horizon):
-    """Training rollouts, holdout starts and holdout rollouts, in one batch."""
-    trajs = _rollouts(op, truth, train_ics + hold_ics, step, horizon)
-    return trajs[: len(train_ics)], hold_ics, trajs[len(train_ics) :]
 
 
 def _with_observation_noise(trajs, sigma, seed_key):
@@ -392,292 +449,166 @@ def _with_observation_noise(trajs, sigma, seed_key):
     return noisy
 
 
-def _training_dataset(op, clean_trajs, mode, noise_std, seed_key) -> ResidualDataset:
-    if mode == "observed":
-        parts = [residuals_exact(op, t, _ZERO) for t in clean_trajs]
-    else:
-        observed = _with_observation_noise(clean_trajs, noise_std, seed_key)
-        parts = [residuals_fd(op, t, _ZERO, noise_std=noise_std) for t in observed]
-    return merge_datasets(parts)
-
-
 def _rollout_rmse(reference: list[Trajectory], candidate: list[Trajectory]) -> float:
     diffs = [r.states - c.states for r, c in zip(reference, candidate)]
     stacked = np.concatenate([d.ravel() for d in diffs])
     return float(np.sqrt(np.mean(stacked**2)))
 
 
-def _force_check_row(experiment, label, cond_runs, pooled, grid) -> dict:
-    """Medians over seeds of the force MSE on each evaluation set."""
-    mses = [
-        force_mse(r.truth, r.fitted, EvaluationSets(r.holdout_edge_states, pooled, grid))
-        for r in cond_runs
-    ]
-    row = {"experiment": experiment, "setting": label}
-    for name in ("holdout", "pooled", "grid"):
-        row[f"{name}_mse_median"] = float(np.median([m[name] for m in mses]))
-    return row
+def _sweep(cfg, sheaf, conditions, fit, stats, noise_std, noise_tag) -> ExperimentOutput:
+    """Run every condition on each of its seeds, then aggregate over seeds.
 
+    Per condition and seed: roll out the true law from the training and
+    holdout starts (shared by the conditions with the same seed, coverage and
+    law), build residuals (finite differences add node noise first, seeded by
+    (seed, coverage id, mode id) + noise_tag), fit them with
+    fit(condition, op, data) -> (fitted law, metrics), and roll the fitted law
+    out from the holdout starts.  A summary row holds the condition's
+    columns, each "<metric>_mean" or "<metric>_std" column of ``stats`` over
+    seeds, and n_seeds; a force-check row holds the medians of force_mse over
+    seeds, with every training edge state of the sweep as the pooled set.
+    """
+    op = build_coboundary(sheaf)
+    truth_cache: dict = {}  # (seed, coverage, law) -> (training, holdout starts, holdout)
+    pooled, runs = [], []  # runs: per condition, [(metrics, fitted law, holdout edge states)]
+    for cond in conditions:
+        noise_key = (_COVERAGE_IDS[cond.coverage], _MODE_IDS[cond.mode]) + noise_tag
+        runs.append([])
+        for seed in cond.seeds:
+            key = (seed, cond.coverage, cond.truth)
+            if key not in truth_cache:
+                counts = (cond.n_training, cfg.n_holdout)
+                train_ics, hold_ics = _initial_conditions(op, cond.coverage, seed, counts)
+                trajs = _rollouts(op, cond.truth, train_ics + hold_ics, cfg.step, cond.horizon)
+                truth_cache[key] = (trajs[: len(train_ics)], hold_ics, trajs[len(train_ics) :])
+            train, hold_ics, reference = truth_cache[key]
+            if cond.mode == "finite_difference":
+                train = _with_observation_noise(train, noise_std, (seed, *noise_key))
+            data = residual_dataset(op, train, _ZERO, cond.mode, noise_std)
+            fitted, metrics = fit(cond, op, data)
+            candidate = _rollouts(op, fitted, hold_ics, cfg.step, cond.horizon)
+            metrics["rollout_rmse"] = _rollout_rmse(reference, candidate)
+            holdout = np.concatenate([t.states @ op.B.T for t in reference])
+            runs[-1].append((metrics, fitted, holdout))
+            pooled.append(data.edge_states)
 
-def _mean_std(values: Sequence[float]) -> tuple[float, float]:
-    arr = np.asarray(values, dtype=float)
-    return float(arr.mean()), float(arr.std())
+    pooled, grid = np.concatenate(pooled), reference_grid(sheaf)
+    summary, force_rows, details = [], [], {}
+    for cond, cond_runs in zip(conditions, runs):
+        # the columns after "setting" are also the condition's details key
+        row = {"setting": cond.label}
+        if cond.basis is not None:
+            row["basis"] = cond.basis
+        row.update(coverage=cond.coverage, residual_mode=cond.mode)
+        details[tuple(row.values())[1:]] = [m for m, _, _ in cond_runs]
+        for column in stats:
+            metric, stat = column.rsplit("_", 1)
+            values = np.asarray([m[metric] for m, _, _ in cond_runs], dtype=float)
+            row[column] = float(values.mean() if stat == "mean" else values.std())
+        summary.append({**row, "n_seeds": len(cond_runs)})
+        mses = [
+            force_mse(cond.truth, fitted, EvaluationSets(holdout, pooled, grid))
+            for _, fitted, holdout in cond_runs
+        ]
+        force_rows.append({"experiment": cfg.experiment_id, "setting": cond.label})
+        for name in ("holdout", "pooled", "grid"):
+            force_rows[-1][f"{name}_mse_median"] = float(np.median([m[name] for m in mses]))
+    return ExperimentOutput(cfg.experiment_id, summary, force_rows, details)
 
 
 def run_bounded_confidence(cfg: ExperimentConfig) -> ExperimentOutput:
     """Threshold recovery across coverage and residual-quality regimes.
 
-    Per seed and condition: simulate the true threshold law from eight
-    training starts, build residuals (finite-difference mode adds node noise
-    first), fit the threshold by grid + golden section, and score the fitted
-    law on held-out rollouts.  The information number reported is the one at
+    Broad coverage starts at three scales and runs the training horizon;
+    localized coverage starts every edge in a thin annulus around the cutoff
+    and stops the record before the states leave it.  The threshold is fitted
+    by grid + golden section; the information number reported is the one at
     the fitted threshold on the training edge states.
     """
     if cfg.experiment_id != "bounded_confidence":
         raise ConfigurationError("config is not for bounded_confidence")
     sheaf = make_cycle_sheaf(cfg.cycle_length, "rotated")
-    op = build_coboundary(sheaf)
     truth = BoundedConfidence(sheaf, TRUE_THRESHOLD)
-    noise_std = THRESHOLD_NOISE_STD if cfg.noise_std is None else cfg.noise_std
 
-    conditions = [
-        ("broad", "observed"),
-        ("localized", "observed"),
-        ("broad", "finite_difference"),
-        ("localized", "finite_difference"),
-    ]
-    conditions = [
-        (cov, mode)
-        for cov, mode in conditions
-        if (cfg.coverage is None or cov == cfg.coverage)
-        and (cfg.residual_mode is None or mode == cfg.residual_mode)
-    ]
-    seeds = sorted(cfg.seeds)
+    def fit(cond, op, data):
+        result = fit_threshold(op, data, THRESHOLD_BRACKET)
+        eps_hat = float(result.theta_hat[0])
+        return BoundedConfidence(sheaf, eps_hat), {
+            "threshold_error": abs(eps_hat - TRUE_THRESHOLD),
+            "information": result.report.lambda_min,
+            "identifiable": result.report.identifiable,
+            "epsilon_hat": eps_hat,
+        }
 
-    n_training = THRESHOLD_N_TRAINING if cfg.n_training is None else cfg.n_training
-    truth_cache: dict = {}  # key -> (training rollouts, holdout starts, holdout rollouts)
-    runs: dict[tuple[str, str], list[_SeedRun]] = {c: [] for c in conditions}
-    for coverage, mode in conditions:
-        cov_id = _COVERAGE_IDS[coverage]
-        mode_id = _MODE_IDS[mode]
-        horizon = cfg.training_horizon if coverage == "broad" else LOCALIZED_HORIZON
-        n_loc = LOCALIZED_N_TRAINING if cfg.n_training is None else cfg.n_training
-        for seed in seeds:
-            key = (seed, coverage)
-            if key not in truth_cache:
-                rng_train = np.random.default_rng([seed, cov_id, 1])
-                rng_hold = np.random.default_rng([seed, cov_id, 2])
-                if coverage == "broad":
-                    train_ics = _broad_initial_conditions(rng_train, op.d0, n_training)
-                    hold_ics = _broad_initial_conditions(rng_hold, op.d0, cfg.n_holdout)
-                else:
-                    train_ics = _localized_initial_conditions(op, rng_train, n_loc)
-                    hold_ics = _localized_initial_conditions(op, rng_hold, cfg.n_holdout)
-                truth_cache[key] = _truth_rollouts(
-                    op, truth, train_ics, hold_ics, cfg.step, horizon
-                )
-            train, hold_ics, reference = truth_cache[key]
-            sigma = noise_std if mode == "finite_difference" else 0.0
-            data = _training_dataset(op, train, mode, sigma, (seed, cov_id, mode_id))
-            fit = fit_threshold(op, data, THRESHOLD_BRACKET)
-            eps_hat = float(fit.theta_hat[0])
-
-            fitted = BoundedConfidence(sheaf, eps_hat)
-            candidate = _rollouts(op, fitted, hold_ics, cfg.step, horizon)
-
-            runs[(coverage, mode)].append(
-                _SeedRun(
-                    metrics={
-                        "threshold_error": abs(eps_hat - TRUE_THRESHOLD),
-                        "rollout_rmse": _rollout_rmse(reference, candidate),
-                        "information": fit.report.lambda_min,
-                        "identifiable": fit.report.identifiable,
-                        "epsilon_hat": eps_hat,
-                    },
-                    fitted=fitted,
-                    truth=truth,
-                    train_edge_states=data.edge_states,
-                    holdout_edge_states=np.concatenate(
-                        [t.states @ op.B.T for t in reference]
-                    ),
-                )
+    conditions = []
+    for row in _selected(cfg):
+        broad = row[2] == "broad"
+        default_n = THRESHOLD_N_TRAINING if broad else LOCALIZED_N_TRAINING
+        conditions.append(
+            _Condition(
+                *row,
+                truth=truth,
+                seeds=sorted(cfg.seeds),
+                horizon=cfg.training_horizon if broad else LOCALIZED_HORIZON,
+                n_training=default_n if cfg.n_training is None else cfg.n_training,
             )
-
-    pooled = np.concatenate(
-        [run.train_edge_states for cond in conditions for run in runs[cond]]
-    )
-    grid = reference_grid(sheaf)
-
-    summary, force_rows = [], []
-    for coverage, mode in conditions:
-        cond_runs = runs[(coverage, mode)]
-        err_m, err_s = _mean_std([r.metrics["threshold_error"] for r in cond_runs])
-        rmse_m, rmse_s = _mean_std([r.metrics["rollout_rmse"] for r in cond_runs])
-        info_m, info_s = _mean_std([r.metrics["information"] for r in cond_runs])
-        label = _condition_label(coverage, mode)
-        summary.append(
-            {
-                "setting": label,
-                "coverage": coverage,
-                "residual_mode": mode,
-                "threshold_error_mean": err_m,
-                "threshold_error_std": err_s,
-                "rollout_rmse_mean": rmse_m,
-                "rollout_rmse_std": rmse_s,
-                "information_mean": info_m,
-                "information_std": info_s,
-                "n_seeds": len(cond_runs),
-            }
         )
-        force_rows.append(
-            _force_check_row("bounded_confidence", label, cond_runs, pooled, grid)
-        )
-    details = {
-        cond: [r.metrics for r in cond_runs]
-        for cond, cond_runs in runs.items()
-    }
-    return ExperimentOutput(
-        name="bounded_confidence",
-        summary=summary,
-        force_checks=force_rows,
-        details=details,
-    )
+    noise_std = THRESHOLD_NOISE_STD if cfg.noise_std is None else cfg.noise_std
+    stats = ("threshold_error_mean", "threshold_error_std", "rollout_rmse_mean")
+    stats += ("rollout_rmse_std", "information_mean", "information_std")
+    return _sweep(cfg, sheaf, conditions, fit, stats, noise_std, noise_tag=())
 
 
 def run_finite_basis(cfg: ExperimentConfig) -> ExperimentOutput:
     """Monomial-coefficient recovery across basis and coverage regimes.
 
-    The augmented condition adds a constant harmonic force to both the true
-    law (with a fixed nonzero coefficient) and the fitting basis; since that
-    force is annihilated by delta*, its design column is identically zero, the
-    Gram matrix is singular, and the minimum-norm fit deterministically drops
-    the harmonic coefficient.  That row therefore runs on a single seed.
+    Limited coverage starts every trajectory on one small ray, so the higher
+    monomials stay unexcited.  The augmented condition adds a constant
+    harmonic force to both the true law (with a fixed nonzero coefficient) and
+    the fitting basis; since that force is annihilated by delta*, its design
+    column is identically zero, the Gram matrix is singular, and the
+    minimum-norm fit deterministically drops the harmonic coefficient.  That
+    row therefore runs on a single seed.
     """
     if cfg.experiment_id != "finite_basis":
         raise ConfigurationError("config is not for finite_basis")
     sheaf = make_cycle_sheaf(cfg.cycle_length, "identity")
-    op = build_coboundary(sheaf)
-    noise_std = BASIS_NOISE_STD if cfg.noise_std is None else cfg.noise_std
-
     basis = monomial_basis(sheaf)
-    theta_true = np.asarray(TRUE_MONOMIAL_THETA)
-    harmonic_mode = constant_edge_cochain(sheaf, EDGE_CONSTANT)
-    aug_basis = basis + (ConstantEdgeForce(sheaf, harmonic_mode),)
-    theta_true_aug = np.concatenate([theta_true, [HARMONIC_COEFFICIENT]])
+    theta = np.asarray(TRUE_MONOMIAL_THETA)
+    harmonic = ConstantEdgeForce(sheaf, constant_edge_cochain(sheaf, EDGE_CONSTANT))
+    laws = {
+        "correct": (basis, theta),
+        "augmented": (basis + (harmonic,), np.concatenate([theta, [HARMONIC_COEFFICIENT]])),
+    }
+    truths = {v: LinearBasisPotential(sheaf, b, t) for v, (b, t) in laws.items()}
+
+    def fit(cond, op, data):
+        fit_basis, target = laws[cond.basis]
+        result = fit_linear(op, fit_basis, data)
+        theta_hat = result.theta_hat
+        return LinearBasisPotential(sheaf, fit_basis, theta_hat), {
+            "param_error": float(np.linalg.norm(theta_hat - target) / np.linalg.norm(target)),
+            "lambda_min": result.report.lambda_min,
+            "lambda_max": result.report.lambda_max,
+            "identifiable": result.report.identifiable,
+            "theta_hat": theta_hat.tolist(),
+        }
 
     seeds = sorted(cfg.seeds)
     conditions = [
-        ("correct", "broad", "observed", seeds),
-        ("augmented", "broad", "observed", seeds[:1]),
-        ("correct", "limited", "observed", seeds),
-        ("correct", "broad", "finite_difference", seeds),
-        ("correct", "limited", "finite_difference", seeds),
-    ]
-    conditions = [
-        (bv, cov, mode, ss)
-        for bv, cov, mode, ss in conditions
-        if (cfg.basis_variant is None or bv == cfg.basis_variant)
-        and (cfg.coverage is None or cov == cfg.coverage)
-        and (cfg.residual_mode is None or mode == cfg.residual_mode)
-    ]
-
-    n_training = BASIS_N_TRAINING if cfg.n_training is None else cfg.n_training
-    truth_cache: dict = {}  # key -> (training rollouts, holdout starts, holdout rollouts)
-    runs: dict[tuple, list[_SeedRun]] = {c[:3]: [] for c in conditions}
-    for basis_variant, coverage, mode, cond_seeds in conditions:
-        cov_id = _COVERAGE_IDS[coverage]
-        mode_id = _MODE_IDS[mode]
-        if basis_variant == "augmented":
-            truth = LinearBasisPotential(sheaf, aug_basis, theta_true_aug)
-            fit_basis, fit_target = aug_basis, theta_true_aug
-        else:
-            truth = LinearBasisPotential(sheaf, basis, theta_true)
-            fit_basis, fit_target = basis, theta_true
-        for seed in cond_seeds:
-            key = (seed, coverage, basis_variant)
-            if key not in truth_cache:
-                rng_train = np.random.default_rng([seed, cov_id, 1])
-                rng_hold = np.random.default_rng([seed, cov_id, 2])
-                if coverage == "broad":
-                    train_ics = _broad_initial_conditions(rng_train, op.d0, n_training)
-                    hold_ics = _broad_initial_conditions(rng_hold, op.d0, cfg.n_holdout)
-                else:
-                    ray = _limited_ray(op, np.random.default_rng([seed, cov_id, 0]))
-                    train_ics = _limited_initial_conditions(ray, n_training)
-                    hold_ics = _limited_initial_conditions(ray, cfg.n_holdout, offset=0.1)
-                truth_cache[key] = _truth_rollouts(
-                    op, truth, train_ics, hold_ics, cfg.step, cfg.training_horizon
-                )
-            train, hold_ics, reference = truth_cache[key]
-            sigma = noise_std if mode == "finite_difference" else 0.0
-            data = _training_dataset(op, train, mode, sigma, (seed, cov_id, mode_id, 9))
-            fit = fit_linear(op, fit_basis, data)
-            theta_hat = fit.theta_hat
-            rel_err = float(
-                np.linalg.norm(theta_hat - fit_target) / np.linalg.norm(fit_target)
-            )
-
-            fitted = LinearBasisPotential(sheaf, fit_basis, theta_hat)
-            candidate = _rollouts(op, fitted, hold_ics, cfg.step, cfg.training_horizon)
-
-            runs[(basis_variant, coverage, mode)].append(
-                _SeedRun(
-                    metrics={
-                        "param_error": rel_err,
-                        "rollout_rmse": _rollout_rmse(reference, candidate),
-                        "lambda_min": fit.report.lambda_min,
-                        "lambda_max": fit.report.lambda_max,
-                        "identifiable": fit.report.identifiable,
-                        "theta_hat": theta_hat.tolist(),
-                    },
-                    fitted=fitted,
-                    truth=truth,
-                    train_edge_states=data.edge_states,
-                    holdout_edge_states=np.concatenate(
-                        [t.states @ op.B.T for t in reference]
-                    ),
-                )
-            )
-
-    pooled = np.concatenate(
-        [run.train_edge_states for c in conditions for run in runs[c[:3]]]
-    )
-    grid = reference_grid(sheaf)
-
-    summary, force_rows = [], []
-    for basis_variant, coverage, mode, _ in conditions:
-        cond_runs = runs[(basis_variant, coverage, mode)]
-        err_m, err_s = _mean_std([r.metrics["param_error"] for r in cond_runs])
-        rmse_m, rmse_s = _mean_std([r.metrics["rollout_rmse"] for r in cond_runs])
-        lam_m, lam_s = _mean_std([r.metrics["lambda_min"] for r in cond_runs])
-        lmax_m, _ = _mean_std([r.metrics["lambda_max"] for r in cond_runs])
-        label = _basis_label(basis_variant, coverage, mode)
-        summary.append(
-            {
-                "setting": label,
-                "basis": basis_variant,
-                "coverage": coverage,
-                "residual_mode": mode,
-                "param_error_mean": err_m,
-                "param_error_std": err_s,
-                "rollout_rmse_mean": rmse_m,
-                "rollout_rmse_std": rmse_s,
-                "lambda_min_mean": lam_m,
-                "lambda_min_std": lam_s,
-                "lambda_max_mean": lmax_m,
-                "n_seeds": len(cond_runs),
-            }
+        _Condition(
+            *row,
+            truth=truths[row[1]],
+            seeds=seeds[:1] if row[1] == "augmented" else seeds,
+            horizon=cfg.training_horizon,
+            n_training=BASIS_N_TRAINING if cfg.n_training is None else cfg.n_training,
         )
-        force_rows.append(_force_check_row("finite_basis", label, cond_runs, pooled, grid))
-    details = {
-        cond: [r.metrics for r in cond_runs] for cond, cond_runs in runs.items()
-    }
-    return ExperimentOutput(
-        name="finite_basis",
-        summary=summary,
-        force_checks=force_rows,
-        details=details,
-    )
+        for row in _selected(cfg)
+    ]
+    noise_std = BASIS_NOISE_STD if cfg.noise_std is None else cfg.noise_std
+    stats = ("param_error_mean", "param_error_std", "rollout_rmse_mean", "rollout_rmse_std")
+    stats += ("lambda_min_mean", "lambda_min_std", "lambda_max_mean")
+    return _sweep(cfg, sheaf, conditions, fit, stats, noise_std, noise_tag=(9,))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
@@ -686,18 +617,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:
     if cfg.experiment_id == "bounded_confidence":
         return run_bounded_confidence(cfg)
     return run_finite_basis(cfg)
-
-
-def _condition_label(coverage: str, mode: str) -> str:
-    cov = {"broad": "Broad", "localized": "Localized", "limited": "Limited"}[coverage]
-    res = {"observed": "Obs.", "finite_difference": "FD"}[mode]
-    return f"{cov} / {res}"
-
-
-def _basis_label(basis_variant: str, coverage: str, mode: str) -> str:
-    if basis_variant == "augmented":
-        return "Augmented / Obs."
-    return f"Correct / {_condition_label(coverage, mode)}"
 
 
 # ---------------------------------------------------------------------------

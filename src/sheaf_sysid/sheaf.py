@@ -428,6 +428,8 @@ def sheaf_from_dict(data: dict) -> Sheaf:
         if key not in data:
             raise StructuralError(f"sheaf description missing '{key}'")
     edges = data["edges"]
+    if not isinstance(edges, list) or not all(isinstance(e, dict) for e in edges):
+        raise StructuralError("sheaf 'edges' must be a list of objects")
     for entry in edges:
         bad = set(entry) - _EDGE_KEYS
         if bad:

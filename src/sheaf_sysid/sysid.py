@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .dynamics import Trajectory
-from .errors import ParameterError, UsageError
+from .errors import ConfigurationError, ParameterError, UsageError
 from .potentials import BasisForce, BoundedConfidence, EdgePotential, NodeField
 from .sheaf import RANK_TOL, CoboundaryOperator
 
@@ -117,6 +117,24 @@ def residuals_fd(
         source="finite_difference",
         noise_std=noise_std,
     )
+
+
+def residual_dataset(
+    op: CoboundaryOperator,
+    trajectories: Sequence[Trajectory],
+    node_field: NodeField,
+    mode: str,
+    noise_std: float = 0.0,
+) -> ResidualDataset:
+    """Merged residuals of every trajectory, from recorded derivatives
+    (mode "observed") or finite differences (mode "finite_difference")."""
+    if mode == "observed":
+        parts = [residuals_exact(op, t, node_field) for t in trajectories]
+    elif mode == "finite_difference":
+        parts = [residuals_fd(op, t, node_field, noise_std=noise_std) for t in trajectories]
+    else:
+        raise ConfigurationError(f"unknown residual mode '{mode}'")
+    return merge_datasets(parts)
 
 
 def merge_datasets(datasets: Sequence[ResidualDataset]) -> ResidualDataset:

@@ -393,3 +393,82 @@ def test_seed_override_changes_experiment_seeds(tmp_path):
     v1 = float(rows1[1].split(",")[col])
     v2 = float(rows2[1].split(",")[col])
     assert abs(v1 - v2) <= 1e-9
+
+
+# --- malformed numbers and files fail with a library error, not a traceback ---------
+
+
+def _simulate_config(**overrides):
+    payload = {
+        "command": "simulate",
+        "sheaf": {"builtin": "cycle", "cycle_length": 3, "variant": "identity"},
+        "potential": {"kind": "quadratic"},
+        "random_initial_states": {"count": 2, "scale": 0.5},
+        "horizon": 0.1,
+    }
+    payload.update(overrides)
+    return payload
+
+
+def _assert_config_error(tmp_path, capsys, command, payload, key, text=None):
+    path = tmp_path / "bad.json"
+    path.write_text(text if text is not None else json.dumps(payload))
+    out = tmp_path / "o"
+    assert run_cli(command, path, out) == 1  # an uncaught exception would propagate
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and key in err
+    assert not any(out.glob("*.csv"))
+
+
+def test_simulate_rejects_a_non_numeric_horizon(tmp_path, capsys):
+    _assert_config_error(tmp_path, capsys, "simulate", _simulate_config(horizon="abc"), "horizon")
+
+
+def test_simulate_rejects_an_infinite_horizon(tmp_path, capsys):
+    text = json.dumps(_simulate_config()).replace('"horizon": 0.1', '"horizon": 1e400')
+    _assert_config_error(tmp_path, capsys, "simulate", None, "horizon", text=text)
+
+
+def test_simulate_rejects_a_nonpositive_count(tmp_path, capsys):
+    for count in (0, -2):
+        payload = _simulate_config(random_initial_states={"count": count})
+        _assert_config_error(tmp_path, capsys, "simulate", payload, "count")
+
+
+def test_simulate_rejects_a_non_integer_cycle_length(tmp_path, capsys):
+    sheaf = {"builtin": "cycle", "cycle_length": "x", "variant": "identity"}
+    payload = _simulate_config(sheaf=sheaf)
+    _assert_config_error(tmp_path, capsys, "simulate", payload, "cycle_length")
+
+
+def test_identify_rejects_a_non_numeric_ridge(tmp_path, capsys):
+    data_dir = _make_training_data(
+        tmp_path, {"kind": "monomial", "theta": [1.0, 0.25, 0.03]}, count=2
+    )
+    payload = json.loads(_identify_config(tmp_path, data_dir).read_text())
+    payload["ridge"] = "none"
+    _assert_config_error(tmp_path, capsys, "identify", payload, "ridge")
+
+
+def test_sheaf_file_with_non_object_edges_exits_1(tmp_path, capsys):
+    sheaf_file = tmp_path / "edges.json"
+    data = {"vertex_count": 2, "vertex_stalk_dims": [2, 2], "edges": [1]}
+    sheaf_file.write_text(json.dumps(data))
+    payload = {"command": "cohomology", "sheaf": {"path": str(sheaf_file)}}
+    _assert_config_error(tmp_path, capsys, "cohomology", payload, "edges")
+
+
+def test_experiment_rejects_bad_numbers(tmp_path, capsys):
+    for key, value in (("cycle_length", "x"), ("n_holdout", 0), ("seeds", [0, "1"])):
+        payload = {"command": "experiment", "experiment": "finite_basis", key: value}
+        _assert_config_error(tmp_path, capsys, "experiment", payload, key)
+
+
+def test_experiment_filters_selecting_nothing_exit_1(tmp_path, capsys):
+    payload = {
+        "command": "experiment",
+        "experiment": "finite_basis",
+        "basis_variant": "augmented",
+        "residual_mode": "finite_difference",
+    }
+    _assert_config_error(tmp_path, capsys, "experiment", payload, "select no condition")

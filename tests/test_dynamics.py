@@ -286,12 +286,11 @@ def test_integrate_rejects_misshapen_starts(identity_cycle):
 
 
 def test_simulating_never_computes_an_svd(monkeypatch):
-    sheaf = make_cycle_sheaf(5, "rotated")  # verifies itself with an SVD first
-
     def no_svd(*args, **kwargs):
         raise AssertionError("SVD computed")
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
+    sheaf = make_cycle_sheaf(5, "rotated")  # checks its harmonic dimension in closed form
     op = build_coboundary(sheaf)
     model = BoundedConfidence(sheaf, 1.0)
     x0 = np.random.default_rng(22).standard_normal(op.d0)

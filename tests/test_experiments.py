@@ -1,12 +1,16 @@
 """Cycle-sheaf builders, coverage designs, force metrics, and reduced sweeps."""
 
+import math
+
 import numpy as np
 import pytest
 
 from sheaf_sysid import (
     ConfigurationError,
+    DirectedGraph,
     EvaluationSets,
     ExperimentConfig,
+    Sheaf,
     UsageError,
     build_coboundary,
     force_mse,
@@ -15,10 +19,12 @@ from sheaf_sysid import (
     monomial_potential,
     run_bounded_confidence,
     run_finite_basis,
+    run_experiment,
     run_formation_transfer,
 )
 from sheaf_sysid.experiments import (
     LOCALIZED_BAND,
+    TAIL_ROTATION_ANGLE,
     _broad_initial_conditions,
     _limited_initial_conditions,
     _limited_ray,
@@ -42,6 +48,35 @@ def test_cycle_sheaf_verification_catches_degenerate_rotation():
     # directions and the construction must refuse it
     with pytest.raises(ConfigurationError):
         make_cycle_sheaf(8, "rotated")
+
+
+def _unchecked_cycle(n, variant):
+    """The cycle sheaf make_cycle_sheaf builds, without its harmonic check."""
+    a = TAIL_ROTATION_ANGLE if variant == "rotated" else 0.0
+    tail = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+    return Sheaf(
+        graph=DirectedGraph(vertex_count=n, edges=tuple((i, (i + 1) % n) for i in range(n))),
+        vertex_stalk_dims=[2] * n,
+        edge_stalk_dims=[2] * n,
+        head_maps=[np.eye(2)] * n,
+        tail_maps=[tail] * n,
+    )
+
+
+@pytest.mark.parametrize("variant", ["identity", "rotated"])
+@pytest.mark.parametrize("n", range(3, 41))
+def test_cycle_sheaf_closed_form_check_agrees_with_the_svd(n, variant):
+    # make_cycle_sheaf checks dim H1 from the tail maps alone.  Eight
+    # quarter-pi rotations close up, so the operator SVD finds harmonic
+    # directions on rotated n = 8, 16, 24, ..., and exactly those must raise.
+    degenerate = variant == "rotated" and n % 8 == 0
+    dim_h1 = harmonic_basis(build_coboundary(_unchecked_cycle(n, variant))).dim_h1
+    assert dim_h1 == (2 if variant == "identity" or degenerate else 0)
+    if degenerate:
+        with pytest.raises(ConfigurationError, match="harmonic dimension 2, expected 0"):
+            make_cycle_sheaf(n, variant)
+    else:
+        assert harmonic_basis(build_coboundary(make_cycle_sheaf(n, variant))).dim_h1 == dim_h1
 
 
 def test_cycle_sheaf_rejects_bad_args():
@@ -228,6 +263,95 @@ def test_finite_basis_reduced_sweep():
     assert aug["lambda_min_mean"] <= 1e-10 * aug["lambda_max_mean"]
     assert aug["rollout_rmse_mean"] <= 1e-10
     assert rows["Correct / Limited / Obs."]["lambda_min_mean"] <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "study, filters, unfiltered_rows",
+    [
+        ("finite_basis", {"coverage": "limited"}, [2, 4]),
+        ("finite_basis", {"basis_variant": "augmented"}, [1]),
+        ("bounded_confidence", {"residual_mode": "finite_difference"}, [2, 3]),
+    ],
+)
+def test_filtered_sweep_rows_equal_the_unfiltered_rows(study, filters, unfiltered_rows):
+    # a condition's summary row depends on its own seeds only; the pooled
+    # force-check set spans the selected conditions, so only summaries compare
+    reduced = dict(seeds=(1, 0), n_training=4, training_horizon=2.0, n_holdout=2)
+    full = run_experiment(ExperimentConfig(experiment_id=study, **reduced))
+    part = run_experiment(ExperimentConfig(experiment_id=study, **reduced, **filters))
+    assert part.summary == [full.summary[i] for i in unfiltered_rows]
+    assert list(part.details) == [list(full.details)[i] for i in unfiltered_rows]
+
+
+@pytest.mark.parametrize(
+    "filters",
+    [
+        {"basis_variant": "augmented", "residual_mode": "finite_difference"},
+        {"basis_variant": "augmented", "coverage": "limited"},
+    ],
+)
+def test_filters_that_select_no_condition_are_rejected(filters):
+    with pytest.raises(ConfigurationError, match="select no condition"):
+        ExperimentConfig(experiment_id="finite_basis", **filters)
+
+
+@pytest.mark.parametrize(
+    "study, key, value",
+    [
+        ("bounded_confidence", "residual_mode", "smoothed"),
+        ("finite_basis", "basis_variant", "cubic"),
+        ("formation_transfer", "coverage", "broad"),
+        ("formation_transfer", "residual_mode", "observed"),
+    ],
+)
+def test_filters_must_name_a_swept_value(study, key, value):
+    with pytest.raises(ConfigurationError, match=f"{study} sweeps no {key}"):
+        ExperimentConfig(experiment_id=study, **{key: value})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("cycle_length", 2),
+        ("cycle_length", "x"),
+        ("cycle_length", 3.0),
+        ("cycle_length", True),
+        ("n_holdout", 0),
+        ("n_holdout", 1.5),
+        ("n_training", 0),
+        ("n_training", "4"),
+        ("training_horizon", 0.005),
+        ("training_horizon", math.inf),
+        ("training_horizon", "10"),
+        ("step", 0.0),
+        ("step", -0.01),
+        ("step", math.nan),
+        ("noise_std", -1e-3),
+        ("noise_std", math.inf),
+        ("noise_std", "0.1"),
+        ("seeds", (0, "1")),
+        ("seeds", (1.5,)),
+        ("seeds", (-1,)),
+        ("seeds", (True,)),
+    ],
+)
+def test_experiment_config_rejects_bad_numbers(key, value):
+    with pytest.raises(ConfigurationError, match=key):
+        ExperimentConfig(experiment_id="finite_basis", **{key: value})
+
+
+def test_experiment_config_accepts_edge_numbers():
+    cfg = ExperimentConfig(
+        experiment_id="finite_basis",
+        cycle_length=np.int64(5),
+        seeds=(np.int64(0), 3),
+        n_training=1,
+        n_holdout=1,
+        noise_std=0.0,
+        step=0.25,
+        training_horizon=0.25,
+    )
+    assert cfg.training_horizon == cfg.step
 
 
 def test_experiment_config_validation():

@@ -337,3 +337,9 @@ def test_operator_shares_the_sheaf_edge_gram(mixed_sheaf):
     op = build_coboundary(mixed_sheaf)
     assert op.M2 is mixed_sheaf.M2
     assert not op.M2.flags.writeable
+
+
+@pytest.mark.parametrize("edges", [[1], ["tail"], [[0, 1]], 5])
+def test_sheaf_from_dict_rejects_edges_that_are_not_objects(edges):
+    with pytest.raises(StructuralError, match="edges"):
+        sheaf_from_dict({"vertex_count": 2, "vertex_stalk_dims": [2, 2], "edges": edges})

@@ -6,6 +6,7 @@ from conftest import random_sheaf
 
 from sheaf_sysid import (
     BoundedConfidence,
+    ConfigurationError,
     ConstantEdgeForce,
     LinearBasisPotential,
     Quadratic,
@@ -26,6 +27,7 @@ from sheaf_sysid import (
     merge_datasets,
     monomial_basis,
     monomial_potential,
+    residual_dataset,
     residuals_exact,
     residuals_fd,
 )
@@ -399,3 +401,16 @@ def test_merge_datasets_rejects_mixed_sources(identity_cycle):
     traj = integrate(op, Quadratic(sheaf), ZERO, rng.standard_normal(op.d0), SimConfig(horizon=0.1))
     with pytest.raises(UsageError):
         merge_datasets([residuals_exact(op, traj, ZERO), residuals_fd(op, traj, ZERO)])
+
+
+def test_residual_dataset_merges_per_trajectory_residuals(identity_cycle):
+    sheaf, op = identity_cycle
+    starts = np.random.default_rng(21).standard_normal((3, op.d0))
+    trajs = integrate(op, Quadratic(sheaf), ZERO, starts, SimConfig(horizon=0.1))
+    for mode, one in (("observed", residuals_exact), ("finite_difference", residuals_fd)):
+        data = residual_dataset(op, trajs, ZERO, mode, 0.0)
+        parts = [one(op, t, ZERO) for t in trajs]
+        assert data.source == parts[0].source
+        assert np.array_equal(data.residuals, np.concatenate([d.residuals for d in parts]))
+    with pytest.raises(ConfigurationError, match="residual mode"):
+        residual_dataset(op, trajs, ZERO, "smoothed")
