@@ -100,6 +100,15 @@ def _number(spec: dict, key: str, default, low: float = -math.inf, integer: bool
     return experiments.config_number(spec.get(key, default), key, low, integer)
 
 
+def _numbers(value, key: str, integer: bool = False) -> list:
+    """value, a list of numbers, as finite floats or (``integer``) whole ints;
+    anything else raises ConfigurationError naming ``key``."""
+    if not isinstance(value, list):
+        what = "integers" if integer else "numbers"
+        raise ConfigurationError(f"{key} must be a list of {what}, got {value!r}")
+    return [experiments.config_number(v, key, integer=integer) for v in value]
+
+
 def _linear_basis(sheaf: Sheaf, spec: dict, where: str, *keys: str) -> tuple:
     """The monomial basis of a "monomial" spec, plus the constant harmonic
     force of a "harmonic_augmented" one; the spec may also hold ``keys``."""
@@ -110,7 +119,8 @@ def _linear_basis(sheaf: Sheaf, spec: dict, where: str, *keys: str) -> tuple:
     _require_keys(spec, {"kind", "harmonic_force", *keys}, where)
     if "harmonic_force" not in spec:
         raise ConfigurationError(f"{where} needs a 'harmonic_force'")
-    return basis + (ConstantEdgeForce(sheaf, np.asarray(spec["harmonic_force"], dtype=float)),)
+    force = np.array(_numbers(spec["harmonic_force"], "harmonic_force"))
+    return basis + (ConstantEdgeForce(sheaf, force),)
 
 
 def _build_potential(sheaf: Sheaf, spec: dict):
@@ -122,16 +132,17 @@ def _build_potential(sheaf: Sheaf, spec: dict):
         return Quadratic(sheaf)
     if kind == "shifted_quadratic":
         _require_keys(spec, {"kind", "target"}, "potential")
-        return ShiftedQuadratic(sheaf, np.asarray(spec["target"], dtype=float))
+        return ShiftedQuadratic(sheaf, np.array(_numbers(spec.get("target"), "target")))
     if kind == "bounded_confidence":
         _require_keys(spec, {"kind", "epsilon"}, "potential")
         return BoundedConfidence(sheaf, _number(spec, "epsilon", None))
     if kind == "antagonistic":
         _require_keys(spec, {"kind", "negative_edges"}, "potential")
-        return Antagonistic(sheaf, spec["negative_edges"])
+        edges = _numbers(spec.get("negative_edges"), "negative_edges", integer=True)
+        return Antagonistic(sheaf, edges)
     if kind in ("monomial", "harmonic_augmented"):
         basis = _linear_basis(sheaf, spec, "potential", "theta")
-        return LinearBasisPotential(sheaf, basis, spec["theta"])
+        return LinearBasisPotential(sheaf, basis, _numbers(spec.get("theta"), "theta"))
     raise ConfigurationError(f"unknown potential kind '{kind}'")
 
 
@@ -179,7 +190,9 @@ def cmd_cohomology(config: dict, out_dir: Path, quiet: bool) -> int:
 def _initial_states(config: dict, d0: int) -> list[np.ndarray]:
     spec = config.get("initial_states")
     if spec is not None:
-        states = [np.asarray(x, dtype=float) for x in spec]
+        if not isinstance(spec, list) or not spec:
+            raise ConfigurationError(f"initial_states must be a non-empty list, got {spec!r}")
+        states = [np.array(_numbers(x, "initial_states")) for x in spec]
         for x in states:
             if x.shape != (d0,):
                 raise ConfigurationError("initial state has the wrong length")
@@ -187,6 +200,8 @@ def _initial_states(config: dict, d0: int) -> list[np.ndarray]:
     rand = config.get("random_initial_states")
     if rand is None:
         raise ConfigurationError("simulate needs initial_states or random_initial_states")
+    if not isinstance(rand, dict):
+        raise ConfigurationError("random_initial_states must be an object")
     _require_keys(rand, {"count", "scale"}, "random_initial_states")
     rng = np.random.default_rng([_number(config, "seed", 0, low=0, integer=True), 17])
     count = _number(rand, "count", 1, low=1, integer=True)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -126,6 +126,13 @@ def config_number(value, key: str, low: float = -math.inf, integer: bool = False
     return int(value) if integer else float(value)
 
 
+# Fields formation_transfer does not read (its cycles and horizon are fixed);
+# a value other than the default is rejected rather than ignored.
+_FORMATION_FIXED = (
+    "cycle_length", "noise_std", "n_training", "n_holdout", "training_horizon"
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Which experiment to run and over which regimes.
@@ -165,6 +172,10 @@ class ExperimentConfig:
             raise ConfigurationError("at least one seed required")
         for seed in self.seeds:
             config_number(seed, "seeds", 0, integer=True)
+        if self.experiment_id == "formation_transfer":
+            for f in fields(self):
+                if f.name in _FORMATION_FIXED and getattr(self, f.name) != f.default:
+                    raise ConfigurationError(f"formation_transfer takes no {f.name}")
         rows = _SWEEPS.get(self.experiment_id, ())
         for axis, key in enumerate(("basis_variant", "coverage", "residual_mode"), 1):
             value = getattr(self, key)

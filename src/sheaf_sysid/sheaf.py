@@ -22,6 +22,8 @@ from __future__ import annotations
 
 import functools
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -215,6 +217,8 @@ class CoboundaryOperator:
         sheaf: the defining sheaf.
         B: d1 x d0 coboundary matrix.
         M1, M2: block-diagonal Gram matrices of the 0- and 1-cochain spaces.
+        L1, L2: factors M1 = L1 L1^T and M2 = L2 L2^T (Cholesky, else an
+            eigenfactorization; any factor serves), so |v|^2_{C0} = |L1^T v|^2.
         delta_star_matrix: M1^{-1} B^T M2, the matrix of the adjoint.
     """
 
@@ -223,8 +227,8 @@ class CoboundaryOperator:
         self.B = B
         self.M1 = M1
         self.M2 = M2
-        self._L1 = _spd_factor(M1, "M1")
-        self._L2 = _spd_factor(M2, "M2")
+        self.L1 = _spd_factor(M1, "M1")
+        self.L2 = _spd_factor(M2, "M2")
         # delta* = M1^{-1} B^T M2
         self.delta_star_matrix = np.linalg.solve(M1, B.T @ M2)
 
@@ -232,7 +236,7 @@ class CoboundaryOperator:
     def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """SVD of the whitened L2^T B L1^{-T}, made on the first rank query."""
         if self.d1 and self.d0:
-            b_white = self._L2.T @ np.linalg.solve(self._L1, self.B.T).T
+            b_white = self.L2.T @ np.linalg.solve(self.L1, self.B.T).T
         else:
             b_white = np.zeros((self.d1, self.d0))
         return np.linalg.svd(b_white, full_matrices=True)
@@ -327,7 +331,7 @@ def harmonic_basis(op: CoboundaryOperator, tol: float = RANK_TOL) -> HarmonicSpa
     rank = op.rank(tol)
     null_white = op._svd[0][:, rank:]
     if op.d1:
-        basis = np.linalg.solve(op._L2.T, null_white)
+        basis = np.linalg.solve(op.L2.T, null_white)
     else:
         basis = np.zeros((0, 0))
     return HarmonicSpace(basis=basis, dim_h1=op.d1 - rank)
@@ -338,7 +342,7 @@ def global_section_basis(op: CoboundaryOperator, tol: float = RANK_TOL) -> Secti
     rank = op.rank(tol)
     null_white = op._svd[2][rank:, :].T
     if op.d0:
-        basis = np.linalg.solve(op._L1.T, null_white)
+        basis = np.linalg.solve(op.L1.T, null_white)
     else:
         basis = np.zeros((0, 0))
     return SectionSpace(basis=basis, dim_h0=op.d0 - rank)
@@ -370,10 +374,10 @@ def delta_pseudoinverse_apply(op: CoboundaryOperator, b: np.ndarray) -> np.ndarr
     if rank == 0:
         return np.zeros(op.d0)
     U, s, Vt = op._svd
-    bw = op._L2.T @ b
+    bw = op.L2.T @ b
     coeff = (U[:, :rank].T @ bw) / s[:rank]
     xw = Vt[:rank, :].T @ coeff
-    return np.linalg.solve(op._L1.T, xw)
+    return np.linalg.solve(op.L1.T, xw)
 
 
 # ---------------------------------------------------------------------------
@@ -430,38 +434,65 @@ def sheaf_from_dict(data: dict) -> Sheaf:
     edges = data["edges"]
     if not isinstance(edges, list) or not all(isinstance(e, dict) for e in edges):
         raise StructuralError("sheaf 'edges' must be a list of objects")
-    for entry in edges:
+    ends, dims, heads, tails, grams = [], [], [], [], []
+    for e, entry in enumerate(edges):
         bad = set(entry) - _EDGE_KEYS
         if bad:
             raise StructuralError(f"unknown edge keys: {sorted(bad)}")
         for key in ("tail", "head", "stalk_dim", "head_map", "tail_map"):
             if key not in entry:
                 raise StructuralError(f"edge entry missing '{key}'")
-    graph = DirectedGraph(
-        vertex_count=int(data["vertex_count"]),
-        edges=tuple((entry["tail"], entry["head"]) for entry in edges),
-    )
-    edge_dims = [int(entry["stalk_dim"]) for entry in edges]
-    edge_grams = None
-    if any("gram" in entry for entry in edges):
-        edge_grams = [
-            np.asarray(entry["gram"], dtype=float)
-            if "gram" in entry
-            else np.eye(edge_dims[e])
-            for e, entry in enumerate(edges)
-        ]
+        at = f"edge {e}"
+        ends.append((_whole(entry["tail"], f"{at} tail"), _whole(entry["head"], f"{at} head")))
+        dims.append(_whole(entry["stalk_dim"], f"{at} stalk_dim", low=1))
+        heads.append(_matrix(entry["head_map"], f"{at} head_map"))
+        tails.append(_matrix(entry["tail_map"], f"{at} tail_map"))
+        if "gram" in entry:
+            grams.append(_matrix(entry["gram"], f"{at} gram"))
+        else:
+            grams.append(np.eye(dims[-1]))
+    vertex_dims = data["vertex_stalk_dims"]
+    if not isinstance(vertex_dims, list):
+        raise StructuralError("sheaf vertex_stalk_dims must be a list")
     vertex_grams = data.get("vertex_grams")
     if vertex_grams is not None:
-        vertex_grams = [np.asarray(g, dtype=float) for g in vertex_grams]
+        if not isinstance(vertex_grams, list):
+            raise StructuralError("sheaf vertex_grams must be a list")
+        vertex_grams = [_matrix(g, f"vertex_grams[{v}]") for v, g in enumerate(vertex_grams)]
     return Sheaf(
-        graph=graph,
-        vertex_stalk_dims=[int(d) for d in data["vertex_stalk_dims"]],
-        edge_stalk_dims=edge_dims,
-        head_maps=[np.asarray(entry["head_map"], dtype=float) for entry in edges],
-        tail_maps=[np.asarray(entry["tail_map"], dtype=float) for entry in edges],
+        graph=DirectedGraph(_whole(data["vertex_count"], "vertex_count"), tuple(ends)),
+        vertex_stalk_dims=[
+            _whole(d, f"vertex_stalk_dims[{v}]", low=1) for v, d in enumerate(vertex_dims)
+        ],
+        edge_stalk_dims=dims,
+        head_maps=heads,
+        tail_maps=tails,
         vertex_grams=vertex_grams,
-        edge_grams=edge_grams,
+        edge_grams=grams if any("gram" in entry for entry in edges) else None,
     )
+
+
+def _whole(value, what: str, low: int = 0) -> int:
+    """A count, dimension or endpoint of a sheaf file: an integer >= low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise StructuralError(f"sheaf {what} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
+def _matrix(value, what: str) -> np.ndarray:
+    """A map or Gram of a sheaf file: equally long rows of finite numbers."""
+    rows = value if isinstance(value, list) and value else [None]
+    if not all(
+        isinstance(row, list)
+        and len(row) == len(rows[0])
+        and all(
+            isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+            for v in row
+        )
+        for row in rows
+    ):
+        raise StructuralError(f"sheaf {what} must be a rectangular array of finite numbers")
+    return np.array(rows, dtype=float)
 
 
 def save_sheaf(sheaf: Sheaf, path: str | Path) -> None:

@@ -6,17 +6,19 @@ The node-level residual of the diffusion dynamics is
 
 which is computable from trajectories alone; edge states y = delta x are
 always recomputed from node states through the coboundary, never measured
-directly.  For a force family linear in its parameters the stacked design
-matrix A has block i column m equal to delta* applied to the m-th basis force
-at y_i.  All stacked inner products weight each node block by M1, so the Gram
-matrix Gamma = A^T (I kron M1) A matches the C^0 norm of the estimation
-objective
+directly.  Every C^0 product is a plain sum of squares in whitened
+coordinates: with M1 = L1 L1^T, a 0-cochain row v has |v|^2_{C0} = |v @ L1|^2.
+A parameter's sensitivity column stacks L1^T delta* (d Phi / d theta_m)(y_k)
+over the samples; one function forms the information matrix S^T S of these
+columns and decomposes it once, for the threshold's scalar information
+number (p = 1) and for the Gram of the linear-basis objective
 
     (1/N) sum_k | r_k - delta* Phi_theta(delta x_k) |^2_{C0}  + ridge * |theta|^2.
 
-Identifiability is decided by lambda_min(Gamma) against the relative rank
-tolerance; the same cutoff drives the minimum-norm solve, so the identifiable
-flag and the round-trip behaviour of the estimator agree by construction.
+Identifiability is decided by lambda_min against the relative rank tolerance;
+the same eigendecomposition drives the minimum-norm solve, so the
+identifiable flag and the round-trip behaviour of the estimator agree by
+construction.
 """
 
 from __future__ import annotations
@@ -87,6 +89,17 @@ def residuals_exact(
     )
 
 
+def _uniform_step(traj: Trajectory, min_samples: int, what: str) -> float:
+    """The sampling step of a trajectory with at least ``min_samples``
+    uniformly spaced samples; ``what`` names the method in the error."""
+    if traj.states.shape[0] < min_samples:
+        raise UsageError(f"{what} need at least {min_samples} samples")
+    dt = np.diff(traj.times)
+    if not np.allclose(dt, dt[0], rtol=1e-8, atol=1e-12):
+        raise UsageError(f"{what} require uniform sampling")
+    return dt[0]
+
+
 def residuals_fd(
     op: CoboundaryOperator,
     traj: Trajectory,
@@ -99,12 +112,7 @@ def residuals_fd(
     at the ends; requires at least three uniformly spaced samples.
     """
     x = traj.states
-    if x.shape[0] < 3:
-        raise UsageError("finite differences need at least three samples")
-    dt = np.diff(traj.times)
-    h = dt[0]
-    if not np.allclose(dt, h, rtol=1e-8, atol=1e-12):
-        raise UsageError("finite differences require uniform sampling")
+    h = _uniform_step(traj, 3, "finite differences")
     xdot = np.empty_like(x)
     xdot[1:-1] = (x[2:] - x[:-2]) / (2.0 * h)
     xdot[0] = (-3.0 * x[0] + 4.0 * x[1] - x[2]) / (2.0 * h)
@@ -152,66 +160,54 @@ def merge_datasets(datasets: Sequence[ResidualDataset]) -> ResidualDataset:
     )
 
 
-def _design_blocks(
-    op: CoboundaryOperator, basis: Sequence[BasisForce], data: ResidualDataset
-) -> np.ndarray:
-    """Per-sample design blocks, shape (N, d0, p)."""
-    ds_t = op.delta_star_matrix.T
-    cols = [bf.force(data.edge_states) @ ds_t for bf in basis]
-    return np.stack(cols, axis=-1)
+def _sensitivities(op: CoboundaryOperator, forces: np.ndarray) -> np.ndarray:
+    """Edge forces or parameter-Jacobian columns (..., d1) sent through delta*
+    and then L1^T, so their C0 inner products are plain dot products."""
+    return forces @ op.delta_star_matrix.T @ op.L1
+
+
+def _information(
+    columns: np.ndarray, tol: float
+) -> tuple[IdentifiabilityReport, np.ndarray, np.ndarray]:
+    """Information matrix of whitened sensitivity columns, one per parameter.
+
+    Returns the report, with the verdict lambda_min > tol * lambda_max > 0,
+    and the one eigendecomposition (ascending eigenvalues, eigenvectors)
+    that the report, the estimator's solve and its diagnostics share.
+    """
+    gram = columns.T @ columns
+    eigs, vecs = np.linalg.eigh(gram)
+    lam_min = float(max(eigs[0], 0.0))
+    lam_max = float(eigs[-1])
+    identifiable = bool(lam_min > tol * lam_max and lam_max > 0.0)
+    return IdentifiabilityReport(gram, lam_min, lam_max, identifiable), eigs, vecs
 
 
 def design_matrix(
     op: CoboundaryOperator, basis: Sequence[BasisForce], data: ResidualDataset
 ) -> np.ndarray:
-    """Stacked design matrix, N*d0 rows and one column per basis force."""
+    """Stacked design matrix, N*d0 rows and one column per basis force.
+
+    The columns are unweighted, so A @ theta stacks the predicted residuals.
+    """
     if not basis:
         raise UsageError("empty basis")
-    blocks = _design_blocks(op, basis, data)
-    return blocks.reshape(-1, len(basis))
-
-
-def _weighted_gram(op: CoboundaryOperator, blocks: np.ndarray) -> np.ndarray:
-    gram = np.einsum("nip,ij,njq->pq", blocks, op.M1, blocks)
-    return 0.5 * (gram + gram.T)
-
-
-def _report_from_gram(gram: np.ndarray, tol: float = RANK_TOL) -> IdentifiabilityReport:
-    eigs = np.linalg.eigvalsh(gram)
-    lam_max = float(eigs[-1]) if eigs.size else 0.0
-    lam_min = float(max(eigs[0], 0.0)) if eigs.size else 0.0
-    return IdentifiabilityReport(
-        gram=gram,
-        lambda_min=lam_min,
-        lambda_max=lam_max,
-        identifiable=bool(lam_min > tol * lam_max and lam_max > 0.0),
-    )
+    ds_t = op.delta_star_matrix.T
+    cols = [bf.force(data.edge_states) @ ds_t for bf in basis]
+    return np.stack(cols, axis=-1).reshape(-1, len(basis))
 
 
 def information_scalar(
     op: CoboundaryOperator, model: BoundedConfidence, data: ResidualDataset
 ) -> IdentifiabilityReport:
-    """Scalar information number for the threshold parameter.
+    """Information number of the threshold parameter: the 1 x 1 information
+    matrix of its whitened sensitivity column.
 
     Sums |delta*(d Phi_eps / d eps)(y_i)|^2 in the M1 metric over all samples;
     it vanishes exactly when no sample excites the below-threshold branch.
     """
     jac = model.param_jacobian(data.edge_states)[..., 0]
-    sens = jac @ op.delta_star_matrix.T
-    info = float(np.einsum("ni,ij,nj->", sens, op.M1, sens))
-    return IdentifiabilityReport(
-        gram=np.array([[info]]),
-        lambda_min=info,
-        lambda_max=info,
-        identifiable=info > 0.0,
-    )
-
-
-def _objective(
-    op: CoboundaryOperator, predicted: np.ndarray, residuals: np.ndarray
-) -> float:
-    diff = residuals - predicted
-    return float(np.mean(np.einsum("ni,ij,nj->n", diff, op.M1, diff)))
+    return _information(_sensitivities(op, jac).reshape(-1, 1), RANK_TOL)[0]
 
 
 def fit_linear(
@@ -225,41 +221,34 @@ def fit_linear(
 
     With ridge = 0 a singular Gram is handled by eigenvalue truncation at
     tol * lambda_max: the returned theta is the minimum-norm minimizer and the
-    report's identifiable flag is lowered.
+    report's identifiable flag is lowered.  With ridge > 0 every eigenvalue
+    is kept and shifted by the ridge weight.
     """
     if data.n_samples == 0:
         raise UsageError("empty dataset")
+    if not basis:
+        raise UsageError("empty basis")
     if ridge < 0:
         raise ParameterError("ridge weight must be nonnegative")
-    blocks = _design_blocks(op, basis, data)
-    gram = _weighted_gram(op, blocks)
-    rhs = np.einsum("nip,ij,nj->p", blocks, op.M1, data.residuals)
-    report = _report_from_gram(gram, tol)
+    cols = [_sensitivities(op, bf.force(data.edge_states)) for bf in basis]
+    columns = np.stack(cols, axis=-1).reshape(-1, len(basis))
+    target = (data.residuals @ op.L1).ravel()
+    report, eigs, vecs = _information(columns, tol)
 
-    if ridge > 0.0:
-        theta = np.linalg.solve(gram + ridge * np.eye(len(basis)), rhs)
-        rank = len(basis)
-    else:
-        eigs, vecs = np.linalg.eigh(gram)
-        cutoff = tol * max(eigs[-1], 0.0)
-        keep = eigs > cutoff
-        rank = int(np.count_nonzero(keep))
-        theta = vecs[:, keep] @ ((vecs[:, keep].T @ rhs) / eigs[keep])
+    keep = eigs > (tol * max(eigs[-1], 0.0) if ridge == 0.0 else -np.inf)
+    rank = int(np.count_nonzero(keep))
+    coeff = (vecs[:, keep].T @ (columns.T @ target)) / (eigs[keep] + ridge)
+    theta = vecs[:, keep] @ coeff
 
-    predicted = blocks @ theta
-    value = _objective(op, predicted, data.residuals) + ridge * float(theta @ theta)
+    misfit = target - columns @ theta
+    value = float(misfit @ misfit) / data.n_samples + ridge * float(theta @ theta)
     diagnostics = {
         "rank": rank,
         "dropped": len(basis) - rank,
-        "gram_eigenvalues": np.linalg.eigvalsh(gram).tolist(),
+        "gram_eigenvalues": eigs.tolist(),
         "ridge": ridge,
     }
-    return EstimationResult(
-        theta_hat=theta,
-        objective_value=value,
-        report=report,
-        diagnostics=diagnostics,
-    )
+    return EstimationResult(theta, value, report, diagnostics)
 
 
 def threshold_objective(
@@ -268,7 +257,8 @@ def threshold_objective(
     """Mean squared residual misfit of the bounded-confidence law at epsilon."""
     model = BoundedConfidence(op.sheaf, epsilon)
     predicted = model.force(data.edge_states) @ op.delta_star_matrix.T
-    return _objective(op, predicted, data.residuals)
+    misfit = (data.residuals - predicted) @ op.L1
+    return float(np.mean(np.sum(misfit * misfit, axis=-1)))
 
 
 def fit_threshold(
@@ -318,12 +308,7 @@ def fit_threshold(
         "grid_losses": losses.tolist(),
         "refined_bracket": (float(a), float(b)),
     }
-    return EstimationResult(
-        theta_hat=np.array([eps_hat]),
-        objective_value=value,
-        report=report,
-        diagnostics=diagnostics,
-    )
+    return EstimationResult(np.array([eps_hat]), value, report, diagnostics)
 
 
 def integrated_residual_objective(
@@ -339,12 +324,7 @@ def integrated_residual_objective(
     approximated by the trapezoid rule on the recorded samples.
     """
     x = traj.states
-    if x.shape[0] < 2:
-        raise UsageError("need at least two samples")
-    dt = np.diff(traj.times)
-    h = dt[0]
-    if not np.allclose(dt, h, rtol=1e-8, atol=1e-12):
-        raise UsageError("uniform sampling required")
+    h = _uniform_step(traj, 2, "integrated residuals")
     g = model.force(x @ op.B.T) @ op.delta_star_matrix.T + node_field.grad(x)
-    incr = x[1:] - x[:-1] + 0.5 * h * (g[1:] + g[:-1])
-    return float(np.einsum("ni,ij,nj->", incr, op.M1, incr))
+    incr = (x[1:] - x[:-1] + 0.5 * h * (g[1:] + g[:-1])) @ op.L1
+    return float(np.sum(incr * incr))

@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from sheaf_sysid import (
     build_coboundary,
@@ -472,3 +473,69 @@ def test_experiment_filters_selecting_nothing_exit_1(tmp_path, capsys):
         "residual_mode": "finite_difference",
     }
     _assert_config_error(tmp_path, capsys, "experiment", payload, "select no condition")
+
+
+@pytest.mark.parametrize(
+    "overrides, key",
+    [
+        ({"potential": {"kind": "monomial"}}, "theta"),
+        ({"potential": {"kind": "monomial", "theta": "abc"}}, "theta"),
+        ({"potential": {"kind": "shifted_quadratic", "target": "x"}}, "target"),
+        ({"potential": {"kind": "antagonistic", "negative_edges": ["a"]}}, "negative_edges"),
+        ({"potential": {"kind": "antagonistic", "negative_edges": 1.5}}, "negative_edges"),
+        ({"potential": {"kind": "antagonistic", "negative_edges": [1.5]}}, "negative_edges"),
+        (
+            {"potential": {"kind": "harmonic_augmented", "theta": [1, 0, 0, 1],
+                           "harmonic_force": "q"}},
+            "harmonic_force",
+        ),
+        ({"initial_states": 5}, "initial_states"),
+        ({"initial_states": []}, "initial_states"),
+        ({"initial_states": [["a", 0, 0, 0, 0, 0]]}, "initial_states"),
+        ({"random_initial_states": 5}, "random_initial_states"),
+    ],
+    ids=[
+        "monomial_without_theta",
+        "theta_string",
+        "target_string",
+        "negative_edges_string_entry",
+        "negative_edges_scalar",
+        "negative_edges_fraction",
+        "harmonic_force_string",
+        "initial_states_scalar",
+        "initial_states_empty",
+        "initial_states_string_entry",
+        "random_initial_states_scalar",
+    ],
+)
+def test_simulate_rejects_malformed_potential_and_start_fields(
+    tmp_path, capsys, overrides, key
+):
+    payload = _simulate_config(**overrides)
+    _assert_config_error(tmp_path, capsys, "simulate", payload, key)
+
+
+@pytest.mark.parametrize(
+    "top, edge_fields, key",
+    [
+        ({"vertex_count": "a"}, {}, "vertex_count"),
+        ({}, {"head_map": "x"}, "edge 0 head_map"),
+        ({}, {"head_map": [[1.0, 0.0], [0.0]]}, "edge 0 head_map"),
+        ({}, {"tail": 0.5}, "edge 0 tail"),
+    ],
+    ids=["vertex_count_string", "head_map_string", "head_map_ragged", "tail_fraction"],
+)
+def test_malformed_sheaf_file_fields_exit_1(tmp_path, capsys, top, edge_fields, key):
+    identity = [[1.0, 0.0], [0.0, 1.0]]
+    edge = {"tail": 0, "head": 1, "stalk_dim": 2, "head_map": identity, "tail_map": identity}
+    data = {"vertex_count": 2, "vertex_stalk_dims": [2, 2], **top}
+    data["edges"] = [{**edge, **edge_fields}]
+    sheaf_file = tmp_path / "sheaf.json"
+    sheaf_file.write_text(json.dumps(data))
+    payload = {"command": "cohomology", "sheaf": {"path": str(sheaf_file)}}
+    _assert_config_error(tmp_path, capsys, "cohomology", payload, key)
+
+
+def test_formation_transfer_rejects_ignored_fields(tmp_path, capsys):
+    payload = {"command": "experiment", "experiment": "formation_transfer", "n_holdout": 2}
+    _assert_config_error(tmp_path, capsys, "experiment", payload, "n_holdout")

@@ -312,6 +312,27 @@ def test_filters_must_name_a_swept_value(study, key, value):
 @pytest.mark.parametrize(
     "key, value",
     [
+        ("cycle_length", 5),
+        ("noise_std", 0.01),
+        ("n_training", 4),
+        ("n_holdout", 2),
+        ("training_horizon", 5.0),
+    ],
+)
+def test_formation_transfer_rejects_fields_it_does_not_read(key, value):
+    with pytest.raises(ConfigurationError, match=f"formation_transfer takes no {key}"):
+        ExperimentConfig(experiment_id="formation_transfer", **{key: value})
+
+
+def test_formation_transfer_accepts_the_fields_it_reads():
+    cfg = ExperimentConfig(experiment_id="formation_transfer", seeds=(3,), step=0.02)
+    assert cfg.step == 0.02 and cfg.seeds == (3,)
+    ExperimentConfig(experiment_id="formation_transfer", cycle_length=3, n_holdout=4)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
         ("cycle_length", 2),
         ("cycle_length", "x"),
         ("cycle_length", 3.0),

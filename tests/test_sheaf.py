@@ -343,3 +343,46 @@ def test_operator_shares_the_sheaf_edge_gram(mixed_sheaf):
 def test_sheaf_from_dict_rejects_edges_that_are_not_objects(edges):
     with pytest.raises(StructuralError, match="edges"):
         sheaf_from_dict({"vertex_count": 2, "vertex_stalk_dims": [2, 2], "edges": edges})
+
+
+def _one_edge_description(**edge):
+    entry = {"tail": 0, "head": 1, "stalk_dim": 2,
+             "head_map": [[1.0, 0.0], [0.0, 1.0]], "tail_map": [[1.0, 0.0], [0.0, 1.0]]}
+    entry.update(edge)
+    return {"vertex_count": 2, "vertex_stalk_dims": [2, 2], "edges": [entry]}
+
+
+@pytest.mark.parametrize(
+    "field, value, key",
+    [
+        ("vertex_count", "a", "vertex_count"),
+        ("vertex_count", 2.0, "vertex_count"),
+        ("vertex_stalk_dims", [2, "2"], r"vertex_stalk_dims\[1\]"),
+        ("vertex_stalk_dims", 2, "vertex_stalk_dims"),
+        ("vertex_grams", [[[1.0, 0.0], [0.0, 1.0]], "I"], r"vertex_grams\[1\]"),
+        ("tail", 0.5, "edge 0 tail"),
+        ("head", True, "edge 0 head"),
+        ("stalk_dim", "2", "edge 0 stalk_dim"),
+        ("stalk_dim", -1, "edge 0 stalk_dim"),
+        ("head_map", "x", "edge 0 head_map"),
+        ("head_map", [[1.0, 0.0], [0.0]], "edge 0 head_map"),
+        ("tail_map", [[1.0, "0"], [0.0, 1.0]], "edge 0 tail_map"),
+        ("tail_map", [], "edge 0 tail_map"),
+        ("gram", [[1.0, 0.0], [0.0, float("nan")]], "edge 0 gram"),
+        ("gram", None, "edge 0 gram"),
+    ],
+)
+def test_sheaf_from_dict_rejects_malformed_fields(field, value, key):
+    if field in ("vertex_count", "vertex_stalk_dims", "vertex_grams"):
+        data = {**_one_edge_description(), field: value}
+    else:
+        data = _one_edge_description(**{field: value})
+    with pytest.raises(StructuralError, match=key):
+        sheaf_from_dict(data)
+
+
+def test_sheaf_from_dict_reads_integers_and_rectangular_maps():
+    sheaf = sheaf_from_dict(_one_edge_description(gram=[[2.0, 0.5], [0.5, 1]]))
+    assert sheaf.graph.edges == ((0, 1),)
+    assert sheaf.edge_grams[0].dtype == float
+    assert np.array_equal(sheaf.edge_grams[0], [[2.0, 0.5], [0.5, 1.0]])

@@ -30,8 +30,10 @@ from sheaf_sysid import (
     residual_dataset,
     residuals_exact,
     residuals_fd,
+    threshold_objective,
 )
 from sheaf_sysid.dynamics import Trajectory
+from sheaf_sysid.sheaf import CoboundaryOperator
 
 ZERO = ZeroField()
 
@@ -414,3 +416,109 @@ def test_residual_dataset_merges_per_trajectory_residuals(identity_cycle):
         assert np.array_equal(data.residuals, np.concatenate([d.residuals for d in parts]))
     with pytest.raises(ConfigurationError, match="residual mode"):
         residual_dataset(op, trajs, ZERO, "smoothed")
+
+
+# --- whitened C0 products on a weighted metric -------------------------------------
+
+
+def c0(op, u, v):
+    """Reference C0 inner products of 0-cochain rows, straight from M1."""
+    return np.einsum("...i,ij,...j", u, op.M1, v)
+
+
+def weighted_dataset(op, n=9, seed=22):
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((n, op.d0))
+    residuals = rng.standard_normal((n, op.d0))
+    return ResidualDataset(states, residuals, states @ op.B.T, "exact")
+
+
+def test_whitened_products_match_the_m1_formulas(mixed_sheaf):
+    op = build_coboundary(mixed_sheaf)
+    assert not np.allclose(op.L1, np.eye(op.d0))  # a weighted metric, L1 != I
+    data = weighted_dataset(op)
+    ds_t = op.delta_star_matrix.T
+
+    model = BoundedConfidence(mixed_sheaf, 2.0)
+    sens = model.param_jacobian(data.edge_states)[..., 0] @ ds_t
+    info = c0(op, sens, sens).sum()
+    assert info > 0.0
+    assert information_scalar(op, model, data).lambda_min == pytest.approx(info, rel=1e-10)
+
+    pred = model.force(data.edge_states) @ ds_t
+    misfit = data.residuals - pred
+    assert threshold_objective(op, data, 2.0) == pytest.approx(
+        c0(op, misfit, misfit).mean(), rel=1e-10
+    )
+
+    basis = monomial_basis(mixed_sheaf)
+    cols = [bf.force(data.edge_states) @ ds_t for bf in basis]
+    gram = np.array([[c0(op, a, b).sum() for b in cols] for a in cols])
+    rhs = np.array([c0(op, a, data.residuals).sum() for a in cols])
+    for ridge in (0.0, 0.5):
+        result = fit_linear(op, basis, data, ridge=ridge)
+        assert np.allclose(result.report.gram, gram, rtol=1e-10, atol=0.0)
+        theta = result.theta_hat
+        assert np.allclose((gram + ridge * np.eye(3)) @ theta, rhs, rtol=1e-10, atol=0.0)
+        misfit = data.residuals - sum(t * col for t, col in zip(theta, cols))
+        expected = c0(op, misfit, misfit).mean() + ridge * theta @ theta
+        assert result.objective_value == pytest.approx(expected, rel=1e-10)
+        # equal up to the eigensolvers' backward error, eps * lambda_max
+        eigs = np.linalg.eigvalsh(result.report.gram)
+        spectrum = result.diagnostics["gram_eigenvalues"]
+        assert np.allclose(spectrum, eigs, rtol=0.0, atol=1e-12 * eigs[-1])
+
+    times = 0.05 * np.arange(data.n_samples)
+    traj = Trajectory(times=times, states=data.states)
+    x = data.states
+    g = model.force(x @ op.B.T) @ ds_t
+    incr = x[1:] - x[:-1] + 0.025 * (g[1:] + g[:-1])
+    assert integrated_residual_objective(op, model, ZERO, traj) == pytest.approx(
+        c0(op, incr, incr).sum(), rel=1e-10
+    )
+
+
+def test_any_factor_of_m1_gives_the_same_fits(mixed_sheaf):
+    # the eigenfactorization fallback of the SPD factor is as valid as Cholesky
+    op = build_coboundary(mixed_sheaf)
+    eigs, vecs = np.linalg.eigh(op.M1)
+    alt = CoboundaryOperator(mixed_sheaf, op.B, op.M1, op.M2)
+    alt.L1 = vecs * np.sqrt(eigs)
+    assert np.allclose(alt.L1 @ alt.L1.T, op.M1)
+    data = weighted_dataset(op)
+    basis = monomial_basis(mixed_sheaf)
+    for ridge in (0.0, 0.5):
+        a = fit_linear(op, basis, data, ridge=ridge)
+        b = fit_linear(alt, basis, data, ridge=ridge)
+        assert np.allclose(a.report.gram, b.report.gram, rtol=1e-10, atol=0.0)
+        assert np.allclose(a.theta_hat, b.theta_hat, rtol=1e-10, atol=0.0)
+        assert a.objective_value == pytest.approx(b.objective_value, rel=1e-10)
+    model = BoundedConfidence(mixed_sheaf, 2.0)
+    assert information_scalar(alt, model, data).lambda_min == pytest.approx(
+        information_scalar(op, model, data).lambda_min, rel=1e-10
+    )
+    assert threshold_objective(alt, data, 2.0) == pytest.approx(
+        threshold_objective(op, data, 2.0), rel=1e-10
+    )
+
+
+def test_each_fit_decomposes_its_information_matrix_once(mixed_sheaf, monkeypatch):
+    op = build_coboundary(mixed_sheaf)
+    data = weighted_dataset(op)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return eigh(mat)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a second decomposition or solve of the Gram")
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    for ridge in (0.0, 0.5):
+        fit_linear(op, monomial_basis(mixed_sheaf), data, ridge=ridge)
+    information_scalar(op, BoundedConfidence(mixed_sheaf, 2.0), data)
+    assert calls == [(3, 3), (3, 3), (1, 1)]
