@@ -85,6 +85,7 @@ from .sysid import (
     residuals_exact,
     residuals_fd,
     threshold_objective,
+    threshold_terms,
 )
 
 __version__ = "0.1.0"

@@ -272,7 +272,6 @@ _IDENTIFY_KEYS = {
     "residuals",
     "noise_std",
     "ridge",
-    "seed",
 }
 
 
@@ -409,7 +408,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, default=None, help="override config seed")
+    parser.add_argument(
+        "--seed", type=int, default=None, help="override config seed (simulate, experiment)"
+    )
     parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
 
@@ -424,8 +425,12 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "experiment":
                 config["base_seed"] = args.seed
                 config.pop("seeds", None)
-            else:
+            elif args.command == "simulate":
                 config["seed"] = args.seed
+            else:
+                raise ConfigurationError(
+                    f"--seed does not apply to {args.command}: it reads no seed"
+                )
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](config, out_dir, args.quiet)

@@ -140,7 +140,8 @@ class ExperimentConfig:
     coverage / residual_mode / basis_variant restrict the swept conditions
     when set; None sweeps everything the experiment defines.  Each filter
     must name a value of the study's _SWEEPS rows, and together they must
-    select at least one row.
+    select at least one row.  step may not exceed the record length of any
+    selected condition (or FORMATION_HORIZON for formation_transfer).
     """
 
     experiment_id: str
@@ -166,8 +167,7 @@ class ExperimentConfig:
             config_number(self.noise_std, "noise_std", 0.0)
         if not config_number(self.step, "step") > 0:
             raise ConfigurationError("step must be positive")
-        if not config_number(self.training_horizon, "training_horizon") >= self.step:
-            raise ConfigurationError("training_horizon must be at least step")
+        config_number(self.training_horizon, "training_horizon")
         if not self.seeds:
             raise ConfigurationError("at least one seed required")
         for seed in self.seeds:
@@ -176,6 +176,10 @@ class ExperimentConfig:
             for f in fields(self):
                 if f.name in _FORMATION_FIXED and getattr(self, f.name) != f.default:
                     raise ConfigurationError(f"formation_transfer takes no {f.name}")
+            if self.step > FORMATION_HORIZON:
+                raise ConfigurationError(
+                    f"step must be at most the formation horizon {FORMATION_HORIZON:g}"
+                )
         rows = _SWEEPS.get(self.experiment_id, ())
         for axis, key in enumerate(("basis_variant", "coverage", "residual_mode"), 1):
             value = getattr(self, key)
@@ -183,6 +187,14 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{self.experiment_id} sweeps no {key} {value!r}")
         if rows and not _selected(self):
             raise ConfigurationError(f"the {self.experiment_id} filters select no condition")
+        # step against the record length of every selected condition
+        coverages = {row[2] for row in _selected(self)}
+        if "localized" in coverages and self.step > LOCALIZED_HORIZON:
+            raise ConfigurationError(
+                f"step must be at most the localized horizon {LOCALIZED_HORIZON:g}"
+            )
+        if coverages - {"localized"} and self.training_horizon < self.step:
+            raise ConfigurationError("training_horizon must be at least step")
 
 
 @dataclass(frozen=True)
@@ -272,15 +284,22 @@ def force_mse(
     model_true: EdgePotential,
     model_fitted: EdgePotential,
     sets: EvaluationSets,
+    true_forces: dict[str, np.ndarray] | None = None,
 ) -> dict[str, float]:
-    """Mean over evaluation states of the summed per-edge force discrepancy."""
+    """Mean over evaluation states of the summed per-edge force discrepancy.
+
+    ``true_forces`` may hold model_true's forces on some of the sets, keyed by
+    set name, so that many fits compared with one law evaluate it once.
+    """
     sheaf = model_true.sheaf
+    known = true_forces or {}
     out = {}
     for name in ("holdout", "pooled", "grid"):
         eval_states = getattr(sets, name)
         if eval_states.shape[0] == 0:
             raise UsageError(f"evaluation set '{name}' is empty")
-        diff = model_fitted.force(eval_states) - model_true.force(eval_states)
+        truth = known[name] if name in known else model_true.force(eval_states)
+        diff = model_fitted.force(eval_states) - truth
         out[name] = float(np.mean(sheaf.edge_sq_norms(diff).sum(-1)))
     return out
 
@@ -414,6 +433,11 @@ class _Condition(NamedTuple):
     n_training: int
 
 
+def _horizon(cfg: ExperimentConfig, coverage: str) -> float:
+    """Record length of a sweep condition: localized records stop early."""
+    return LOCALIZED_HORIZON if coverage == "localized" else cfg.training_horizon
+
+
 def _selected(cfg: ExperimentConfig) -> list[tuple]:
     """The rows of the study's _SWEEPS table that pass the config's filters."""
     wanted = (cfg.basis_variant, cfg.coverage, cfg.residual_mode)
@@ -477,7 +501,8 @@ def _sweep(cfg, sheaf, conditions, fit, stats, noise_std, noise_tag) -> Experime
     out from the holdout starts.  A summary row holds the condition's
     columns, each "<metric>_mean" or "<metric>_std" column of ``stats`` over
     seeds, and n_seeds; a force-check row holds the medians of force_mse over
-    seeds, with every training edge state of the sweep as the pooled set.
+    seeds, with every training edge state of the sweep as the pooled set.  A
+    true law's forces on the pooled set and the grid are evaluated once.
     """
     op = build_coboundary(sheaf)
     truth_cache: dict = {}  # (seed, coverage, law) -> (training, holdout starts, holdout)
@@ -504,6 +529,7 @@ def _sweep(cfg, sheaf, conditions, fit, stats, noise_std, noise_tag) -> Experime
             pooled.append(data.edge_states)
 
     pooled, grid = np.concatenate(pooled), reference_grid(sheaf)
+    true_forces: dict = {}  # law -> its forces on the seed-independent sets
     summary, force_rows, details = [], [], {}
     for cond, cond_runs in zip(conditions, runs):
         # the columns after "setting" are also the condition's details key
@@ -517,8 +543,13 @@ def _sweep(cfg, sheaf, conditions, fit, stats, noise_std, noise_tag) -> Experime
             values = np.asarray([m[metric] for m, _, _ in cond_runs], dtype=float)
             row[column] = float(values.mean() if stat == "mean" else values.std())
         summary.append({**row, "n_seeds": len(cond_runs)})
+        if cond.truth not in true_forces:
+            true_forces[cond.truth] = {
+                "pooled": cond.truth.force(pooled), "grid": cond.truth.force(grid)
+            }
+        known = true_forces[cond.truth]
         mses = [
-            force_mse(cond.truth, fitted, EvaluationSets(holdout, pooled, grid))
+            force_mse(cond.truth, fitted, EvaluationSets(holdout, pooled, grid), known)
             for _, fitted, holdout in cond_runs
         ]
         force_rows.append({"experiment": cfg.experiment_id, "setting": cond.label})
@@ -560,7 +591,7 @@ def run_bounded_confidence(cfg: ExperimentConfig) -> ExperimentOutput:
                 *row,
                 truth=truth,
                 seeds=sorted(cfg.seeds),
-                horizon=cfg.training_horizon if broad else LOCALIZED_HORIZON,
+                horizon=_horizon(cfg, row[2]),
                 n_training=default_n if cfg.n_training is None else cfg.n_training,
             )
         )
@@ -611,7 +642,7 @@ def run_finite_basis(cfg: ExperimentConfig) -> ExperimentOutput:
             *row,
             truth=truths[row[1]],
             seeds=seeds[:1] if row[1] == "augmented" else seeds,
-            horizon=cfg.training_horizon,
+            horizon=_horizon(cfg, row[2]),
             n_training=BASIS_N_TRAINING if cfg.n_training is None else cfg.n_training,
         )
         for row in _selected(cfg)

@@ -119,12 +119,16 @@ class BoundedConfidence(EdgePotential):
         )
         return psi.sum(-1)
 
+    def gain(self, u):
+        """Per-edge force factor (1 - u/eps^2)^2 of squared norms u, zero
+        above the threshold; the force is y_e times it."""
+        # u > eps^2 gives u/eps^2 >= 1, so the clamp is exactly the cutoff;
+        # fmax, unlike maximum, also sends a NaN norm to 0 as a cutoff test would
+        return np.fmax(1.0 - u / self.epsilon**2, 0.0) ** 2
+
     def force(self, y):
         y = np.asarray(y, dtype=float)
-        u = self.sheaf.edge_sq_norms(y)
-        e2 = self.epsilon**2
-        factor = np.where(u <= e2, (1.0 - u / e2) ** 2, 0.0)
-        return y * self.sheaf.spread(factor)
+        return y * self.sheaf.spread(self.gain(self.sheaf.edge_sq_norms(y)))
 
     def param_jacobian(self, y):
         y = np.asarray(y, dtype=float)
@@ -202,17 +206,19 @@ class LinearBasisPotential(EdgePotential):
                 f"theta has length {self.theta.size}, basis has {len(self.basis)}"
             )
         self._degrees = []
-        self._constant = np.zeros(sheaf.d1)
+        constant = np.zeros(sheaf.d1)
         for coef, bf in zip(self.theta, self.basis):
             if isinstance(bf, RadialMonomialForce):
                 self._degrees.append((coef, bf.degree))
             elif isinstance(bf, ConstantEdgeForce):
-                self._constant = self._constant + coef * bf.cochain
+                constant = constant + coef * bf.cochain
             else:
                 raise ParameterError(
                     f"unsupported basis force {type(bf).__name__}: expected "
                     "RadialMonomialForce or ConstantEdgeForce"
                 )
+        # None when every entry is zero: adding +0.0 would flip a -0.0 force
+        self._constant = constant if constant.any() else None
 
     def value(self, y):
         total = 0.0
@@ -223,11 +229,13 @@ class LinearBasisPotential(EdgePotential):
     def force(self, y):
         y = np.asarray(y, dtype=float)
         u = self.sheaf.edge_sq_norms(y)
-        gain = np.zeros_like(u)
+        # A scalar zero start: a degree-0 term stays a scalar (u**0 is 1), and
+        # 0.0 + term still turns a -0.0 first term into +0.0.
+        gain = 0.0
         for coef, degree in self._degrees:
-            gain = gain + coef * u**degree
-        out = y * self.sheaf.spread(gain)
-        if self._constant.any():
+            gain = gain + (coef * u**degree if degree else coef)
+        out = y * (self.sheaf.spread(gain) if isinstance(gain, np.ndarray) else gain)
+        if self._constant is not None:
             out = out + self._constant
         return out
 

@@ -19,20 +19,28 @@ Identifiability is decided by lambda_min against the relative rank tolerance;
 the same eigendecomposition drives the minimum-norm solve, so the
 identifiable flag and the round-trip behaviour of the estimator agree by
 construction.
+
+The threshold has no linear structure, so its loss is searched over epsilon
+(a grid, then golden section; about 110 evaluations per fit).  Everything in
+that loss except the law's per-edge gain is independent of epsilon and is
+computed once per fit (threshold_terms): the edge states y, their per-edge
+squared norms u, the whitened residuals r @ L1 and the whitened sensitivity
+map G = delta*^T L1.  One evaluation is then the gain of u at epsilon, the
+misfit r @ L1 - (y * gain) @ G and its mean sum of squares.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .dynamics import Trajectory
 from .errors import ConfigurationError, ParameterError, UsageError
 from .potentials import BasisForce, BoundedConfidence, EdgePotential, NodeField
-from .sheaf import RANK_TOL, CoboundaryOperator
+from .sheaf import RANK_TOL, CoboundaryOperator, Sheaf
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -251,13 +259,35 @@ def fit_linear(
     return EstimationResult(theta, value, report, diagnostics)
 
 
-def threshold_objective(
-    op: CoboundaryOperator, data: ResidualDataset, epsilon: float
-) -> float:
-    """Mean squared residual misfit of the bounded-confidence law at epsilon."""
-    model = BoundedConfidence(op.sheaf, epsilon)
-    predicted = model.force(data.edge_states) @ op.delta_star_matrix.T
-    misfit = (data.residuals - predicted) @ op.L1
+class ThresholdTerms(NamedTuple):
+    """The epsilon-free parts of the threshold loss, computed once per fit."""
+
+    sheaf: Sheaf
+    edge_states: np.ndarray  # y (N, d1)
+    sq_norms: np.ndarray  # per-edge squared norms u of y (N, edge_count)
+    residuals: np.ndarray  # whitened residuals r @ L1 (N, d0)
+    sensitivity: np.ndarray  # whitened sensitivity map G = delta*^T L1 (d1, d0)
+
+
+def threshold_terms(op: CoboundaryOperator, data: ResidualDataset) -> ThresholdTerms:
+    """Edge states, their per-edge squared norms, whitened residuals and the
+    whitened map from edge forces to 0-cochains, for threshold_objective."""
+    y = data.edge_states
+    return ThresholdTerms(
+        op.sheaf,
+        y,
+        op.sheaf.edge_sq_norms(y),
+        data.residuals @ op.L1,
+        op.delta_star_matrix.T @ op.L1,
+    )
+
+
+def threshold_objective(terms: ThresholdTerms, epsilon: float) -> float:
+    """Mean squared residual misfit of the bounded-confidence law at epsilon:
+    the law's gain on the precomputed norms, one product and a sum of squares."""
+    gain = BoundedConfidence(terms.sheaf, epsilon).gain(terms.sq_norms)
+    predicted = (terms.edge_states * terms.sheaf.spread(gain)) @ terms.sensitivity
+    misfit = terms.residuals - predicted
     return float(np.mean(np.sum(misfit * misfit, axis=-1)))
 
 
@@ -280,8 +310,9 @@ def fit_threshold(
     if data.n_samples == 0:
         raise UsageError("empty dataset")
 
+    terms = threshold_terms(op, data)
     grid = np.geomspace(lo, hi, grid_points)
-    losses = np.array([threshold_objective(op, data, e) for e in grid])
+    losses = np.array([threshold_objective(terms, e) for e in grid])
     best = int(np.argmin(losses))
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, grid_points - 1)]
@@ -289,19 +320,19 @@ def fit_threshold(
     # Golden-section refinement on [a, b].
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
-    fc = threshold_objective(op, data, c)
-    fd = threshold_objective(op, data, d)
+    fc = threshold_objective(terms, c)
+    fd = threshold_objective(terms, d)
     while (b - a) > tol:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = threshold_objective(op, data, c)
+            fc = threshold_objective(terms, c)
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = threshold_objective(op, data, d)
+            fd = threshold_objective(terms, d)
     eps_hat = 0.5 * (a + b)
-    value = threshold_objective(op, data, eps_hat)
+    value = threshold_objective(terms, eps_hat)
     report = information_scalar(op, BoundedConfidence(op.sheaf, eps_hat), data)
     diagnostics = {
         "grid": grid.tolist(),

@@ -86,6 +86,15 @@ def test_cohomology_rejects_rank_tol_key(tmp_path, capsys):
     assert "rank_tol" in capsys.readouterr().err
 
 
+def test_cohomology_refuses_the_seed_flag(tmp_path, capsys):
+    sheaf = {"builtin": "cycle", "cycle_length": 3, "variant": "rotated"}
+    cfg = write_config(tmp_path, "c.json", {"command": "cohomology", "sheaf": sheaf})
+    assert run_cli("cohomology", cfg, tmp_path / "out", ("--seed", "1")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seed does not apply to cohomology")
+    assert run_cli("cohomology", cfg, tmp_path / "out") == 0
+
+
 def test_cohomology_malformed_sheaf_file_exits_nonzero(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -317,6 +326,20 @@ def test_identify_rejects_trajectories_of_the_wrong_width(tmp_path, capsys):
     assert run_cli("identify", cfg, tmp_path / "o") == 1
     err = capsys.readouterr().err
     assert "state width 6 is not d0 = 8" in err
+
+
+def test_identify_refuses_the_seed_flag_and_key(tmp_path, capsys):
+    data_dir = _make_training_data(
+        tmp_path, {"kind": "monomial", "theta": [1.0, 0.25, 0.03]}, count=2
+    )
+    cfg = _identify_config(tmp_path, data_dir)
+    assert run_cli("identify", cfg, tmp_path / "o", ("--seed", "1")) == 1
+    assert capsys.readouterr().err.startswith("error: --seed does not apply to identify")
+    payload = json.loads(cfg.read_text())
+    seeded = write_config(tmp_path, "id_seed.json", {**payload, "seed": 0})
+    assert run_cli("identify", seeded, tmp_path / "o") == 1
+    assert "unknown keys in config: ['seed']" in capsys.readouterr().err
+    assert run_cli("identify", cfg, tmp_path / "o") == 0
 
 
 def test_identify_rejects_malformed_trajectory_files(tmp_path, capsys):

@@ -331,6 +331,37 @@ def test_formation_transfer_accepts_the_fields_it_reads():
 
 
 @pytest.mark.parametrize(
+    "study, settings, message",
+    [
+        ("formation_transfer", {"step": 5.0}, "step must be at most the formation horizon 4"),
+        ("formation_transfer", {"step": 20.0}, "step must be at most the formation horizon 4"),
+        ("bounded_confidence", {"step": 0.6}, "step must be at most the localized horizon 0.5"),
+        (
+            "bounded_confidence",
+            {"step": 0.6, "coverage": "localized", "training_horizon": 1.0},
+            "step must be at most the localized horizon 0.5",
+        ),
+        (
+            "bounded_confidence",
+            {"coverage": "broad", "training_horizon": 0.005},
+            "training_horizon must be at least step",
+        ),
+        ("finite_basis", {"step": 0.5, "training_horizon": 0.4}, "training_horizon must be at"),
+    ],
+)
+def test_step_is_checked_against_the_horizons_the_study_runs(study, settings, message):
+    with pytest.raises(ConfigurationError, match=message):
+        ExperimentConfig(experiment_id=study, **settings)
+
+
+def test_step_may_reach_each_horizon_the_study_runs():
+    ExperimentConfig(experiment_id="formation_transfer", step=4.0)
+    ExperimentConfig(experiment_id="bounded_confidence", step=0.5, training_horizon=0.5)
+    # only localized records stop at 0.5
+    ExperimentConfig(experiment_id="bounded_confidence", coverage="broad", step=0.6)
+
+
+@pytest.mark.parametrize(
     "key, value",
     [
         ("cycle_length", 2),

@@ -12,6 +12,7 @@ from sheaf_sysid import (
     LinearBasisPotential,
     ParameterError,
     Quadratic,
+    RadialMonomialForce,
     ShiftedQuadratic,
     UsageError,
     build_coboundary,
@@ -93,6 +94,19 @@ def test_bounded_confidence_force_vanishes_at_seam(identity_cycle):
     y = np.zeros(sheaf.d1)
     y[0:2] = [0.6, 0.8]  # radius exactly 1
     assert np.allclose(model.force(y), 0.0)
+
+
+def test_bounded_confidence_gain_is_the_cutoff_law_bit_for_bit(identity_cycle):
+    sheaf, _ = identity_cycle
+    rng = np.random.default_rng(49)
+    for eps in (0.3, 1.0, 1.1, 3.7):
+        e2 = eps**2
+        edge = [e2, np.nextafter(e2, 0.0), np.nextafter(e2, 9.0), 0.0, -0.0, np.nan, np.inf]
+        u = np.concatenate([2.0 * e2 * rng.random(200), edge])
+        expected = np.where(u <= e2, (1.0 - u / e2) ** 2, 0.0)
+        got = BoundedConfidence(sheaf, eps).gain(u)
+        assert np.array_equal(got, expected)
+        assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def test_bounded_confidence_value_continuous_at_seam(identity_cycle):
@@ -268,6 +282,49 @@ def test_linear_force_is_theta_weighted_basis_sum(mixed_sheaf):
         y = rng.standard_normal(shape)
         expected = sum(c * bf.force(y) for c, bf in zip(model.theta, model.basis))
         assert np.allclose(model.force(y), expected, rtol=1e-12, atol=1e-12)
+
+
+def zero_start_force(model, y):
+    """The radial pass summed from an array of zeros, term by term."""
+    u = model.sheaf.edge_sq_norms(y)
+    gain = np.zeros_like(u)
+    constant = np.zeros(model.sheaf.d1)
+    for coef, bf in zip(model.theta, model.basis):
+        if isinstance(bf, ConstantEdgeForce):
+            constant = constant + coef * bf.cochain
+        else:
+            gain = gain + coef * u**bf.degree
+    out = y * model.sheaf.spread(gain)
+    return out + constant if constant.any() else out
+
+
+@pytest.mark.parametrize(
+    "degrees, theta, harmonic",
+    [
+        ((0, 1, 2), (1.0, 0.25, 0.03), 0.5),
+        ((0, 1, 2), (-0.0, -1.0, 0.0), 0.0),
+        ((0, 1, 2), (0.0, -0.5, -0.0), -0.0),
+        ((2, 0), (-1.0, 0.5), None),
+        ((0,), (-0.0,), None),
+        ((), (), 0.7),
+    ],
+)
+def test_linear_force_keeps_the_bits_of_a_zero_start(identity_cycle, degrees, theta, harmonic):
+    # signed zeros included: a -0.0 gain or an all-zero constant must not
+    # change the sign of a zero force component
+    sheaf, _ = identity_cycle
+    basis = tuple(RadialMonomialForce(sheaf, m) for m in degrees)
+    if harmonic is not None:
+        basis += (ConstantEdgeForce(sheaf, np.tile([1.0, 0.0], 3)),)
+        theta += (harmonic,)
+    model = LinearBasisPotential(sheaf, basis, theta)
+    rng = np.random.default_rng(48)
+    y = np.concatenate([rng.standard_normal((3, sheaf.d1)), np.zeros((1, sheaf.d1))])
+    y[2, :2] = 0.0
+    y[1, 2:4] = -0.0
+    got, expected = model.force(y), zero_start_force(model, y)
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
 
 
 def test_linear_basis_rejects_unsupported_family(identity_cycle):

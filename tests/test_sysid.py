@@ -3,14 +3,18 @@
 import numpy as np
 import pytest
 from conftest import random_sheaf
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sheaf_sysid import (
     BoundedConfidence,
     ConfigurationError,
     ConstantEdgeForce,
     LinearBasisPotential,
+    ParameterError,
     Quadratic,
     ResidualDataset,
+    Sheaf,
     ShiftedQuadratic,
     SimConfig,
     UsageError,
@@ -31,7 +35,9 @@ from sheaf_sysid import (
     residuals_exact,
     residuals_fd,
     threshold_objective,
+    threshold_terms,
 )
+from sheaf_sysid import sysid
 from sheaf_sysid.dynamics import Trajectory
 from sheaf_sysid.sheaf import CoboundaryOperator
 
@@ -447,7 +453,7 @@ def test_whitened_products_match_the_m1_formulas(mixed_sheaf):
 
     pred = model.force(data.edge_states) @ ds_t
     misfit = data.residuals - pred
-    assert threshold_objective(op, data, 2.0) == pytest.approx(
+    assert threshold_objective(threshold_terms(op, data), 2.0) == pytest.approx(
         c0(op, misfit, misfit).mean(), rel=1e-10
     )
 
@@ -497,8 +503,8 @@ def test_any_factor_of_m1_gives_the_same_fits(mixed_sheaf):
     assert information_scalar(alt, model, data).lambda_min == pytest.approx(
         information_scalar(op, model, data).lambda_min, rel=1e-10
     )
-    assert threshold_objective(alt, data, 2.0) == pytest.approx(
-        threshold_objective(op, data, 2.0), rel=1e-10
+    assert threshold_objective(threshold_terms(alt, data), 2.0) == pytest.approx(
+        threshold_objective(threshold_terms(op, data), 2.0), rel=1e-10
     )
 
 
@@ -522,3 +528,95 @@ def test_each_fit_decomposes_its_information_matrix_once(mixed_sheaf, monkeypatc
         fit_linear(op, monomial_basis(mixed_sheaf), data, ridge=ridge)
     information_scalar(op, BoundedConfidence(mixed_sheaf, 2.0), data)
     assert calls == [(3, 3), (3, 3), (1, 1)]
+
+
+# --- the threshold loss from terms precomputed once per fit ------------------------
+
+
+def direct_threshold_loss(op, data, epsilon):
+    """The threshold loss from its definition: force, delta*, then the M1 metric."""
+    force = BoundedConfidence(op.sheaf, epsilon).force(data.edge_states)
+    misfit = data.residuals - force @ op.delta_star_matrix.T
+    return c0(op, misfit, misfit).mean()
+
+
+@settings(derandomize=True, max_examples=50, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    epsilon=st.floats(0.25, 4.0),
+    scale=st.floats(0.1, 3.0),
+)
+def test_threshold_loss_equals_the_direct_misfit_form(seed, epsilon, scale):
+    rng = np.random.default_rng(seed)
+    sheaf = random_sheaf(rng)  # weighted, stalks of dimension 1 to 3
+    assume(len(set(sheaf.edge_stalk_dims)) > 1)
+    op = build_coboundary(sheaf)
+    states = scale * rng.standard_normal((12, op.d0))
+    residuals = rng.standard_normal((12, op.d0))
+    data = ResidualDataset(states, residuals, states @ op.B.T, "exact")
+    got = threshold_objective(threshold_terms(op, data), epsilon)
+    assert got == pytest.approx(direct_threshold_loss(op, data, epsilon), rel=1e-12)
+
+
+def test_threshold_loss_is_bit_equal_to_the_direct_form_on_identity_grams(rotated_cycle):
+    sheaf, op = rotated_cycle
+    assert np.array_equal(op.L1, np.eye(op.d0))
+    rng = np.random.default_rng(31)
+    states = 0.8 * rng.standard_normal((200, op.d0))
+    clean = forward_dataset(op, BoundedConfidence(sheaf, 1.0), states)
+    noisy = clean.residuals + 1e-3 * rng.standard_normal(states.shape)
+    data = ResidualDataset(states, noisy, clean.edge_states, "exact")
+    terms = threshold_terms(op, data)
+    ds_t = op.delta_star_matrix.T
+    for epsilon in np.geomspace(0.25, 4.0, 64):
+        force = BoundedConfidence(sheaf, epsilon).force(data.edge_states)
+        misfit = (data.residuals - force @ ds_t) @ op.L1
+        direct = float(np.mean(np.sum(misfit * misfit, axis=-1)))
+        assert threshold_objective(terms, epsilon) == direct
+
+
+def test_a_threshold_fit_norms_its_samples_once_and_runs_no_force(rotated_cycle, monkeypatch):
+    sheaf, op = rotated_cycle
+    rng = np.random.default_rng(32)
+    data = forward_dataset(op, BoundedConfidence(sheaf, 1.0), rng.standard_normal((50, op.d0)))
+    stage, norms, evaluations = ["fit"], [], []
+
+    def in_stage(name, fn):
+        def wrapper(*args):
+            stage.append(name)
+            try:
+                return fn(*args)
+            finally:
+                stage.pop()
+
+        return wrapper
+
+    def counted_norms(self, y, _norms=Sheaf.edge_sq_norms):
+        norms.append(stage[-1])
+        return _norms(self, y)
+
+    def counted_objective(terms, epsilon, _objective=sysid.threshold_objective):
+        evaluations.append(epsilon)
+        return _objective(terms, epsilon)
+
+    def forbidden(self, y):
+        raise AssertionError("a threshold fit evaluates no force")
+
+    monkeypatch.setattr(Sheaf, "edge_sq_norms", counted_norms)
+    monkeypatch.setattr(BoundedConfidence, "force", forbidden)
+    monkeypatch.setattr(sysid, "threshold_terms", in_stage("terms", sysid.threshold_terms))
+    monkeypatch.setattr(sysid, "threshold_objective", in_stage("loss", counted_objective))
+    monkeypatch.setattr(sysid, "information_scalar", in_stage("info", sysid.information_scalar))
+    result = fit_threshold(op, data, (0.25, 4.0))
+    assert abs(result.theta_hat[0] - 1.0) <= 1e-6
+    assert len(evaluations) > 64  # the grid, then golden section
+    # the loss norms the samples once; the information number's Jacobian once more
+    assert norms == ["terms", "info"]
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -0.5])
+def test_threshold_objective_rejects_a_nonpositive_threshold(rotated_cycle, epsilon):
+    sheaf, op = rotated_cycle
+    data = forward_dataset(op, BoundedConfidence(sheaf, 1.0), np.ones((2, op.d0)))
+    with pytest.raises(ParameterError, match="epsilon must be positive"):
+        threshold_objective(threshold_terms(op, data), epsilon)
