@@ -88,6 +88,8 @@ def integrate(
     DivergenceError per row, in input order: a diverging row stops at its own
     blow-up time and the others carry on.  Row i's noise uses the derived
     seed (cfg.seed..., i), and its bits are those of the row integrated alone.
+    A model with row parameters (see ``potentials``) has one row per start;
+    the rows it keeps past a divergence come from ``model.take_rows``.
     """
     x = np.array(x0, dtype=float)
     single = x.ndim == 1
@@ -124,6 +126,7 @@ def integrate(
                         f"state diverged at t = {times[k]:.6g}", time=float(times[k])
                     )
                 live, x, fx = live[ok], x[ok], fx[ok]
+                model = model.take_rows(ok)
             rows = slice(None) if live.size == n else live
             states[rows, k] = x
             derivs[rows, k] = fx

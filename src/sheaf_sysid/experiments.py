@@ -16,7 +16,11 @@ The two recovery studies are one experiment, run by one sweep driver over
 each study's table of conditions (_SWEEPS): per condition and seed, simulate
 the true law, build residuals, fit, and compare the fitted law with the truth
 on held-out rollouts and on force.  A study supplies only its table, its true
-laws and its fit family (a scalar threshold or a linear basis).  Summaries
+laws and its fit family (a scalar threshold or a linear basis).  The driver
+runs each study's rollouts in a few RK4 batches: every truth start set of one
+true law and record length in one call, and every fitted law of one basis and
+record length in one call, with the fitted parameters as the law's row axis.
+Rows keep their solo bits, so batching changes no output.  Summaries
 aggregate mean +/- std over a sorted seed list; force-law checks report
 per-condition medians of the force MSE on three evaluation sets (per-seed
 holdout edge states, the pool of every training edge state seen in the
@@ -34,7 +38,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .dynamics import SimConfig, Trajectory, integrate
-from .errors import ConfigurationError, UsageError
+from .errors import ConfigurationError, DivergenceError, SheafSysIdError, UsageError
 from .potentials import (
     BoundedConfidence,
     ConstantEdgeForce,
@@ -141,7 +145,8 @@ class ExperimentConfig:
     when set; None sweeps everything the experiment defines.  Each filter
     must name a value of the study's _SWEEPS rows, and together they must
     select at least one row.  step may not exceed the record length of any
-    selected condition (or FORMATION_HORIZON for formation_transfer).
+    selected condition (or FORMATION_HORIZON for formation_transfer).  A
+    field no selected condition reads must keep its default.
     """
 
     experiment_id: str
@@ -195,6 +200,11 @@ class ExperimentConfig:
             )
         if coverages - {"localized"} and self.training_horizon < self.step:
             raise ConfigurationError("training_horizon must be at least step")
+        # localized records run LOCALIZED_HORIZON: reject a key no condition reads
+        if coverages == {"localized"} and self.training_horizon != TRAINING_HORIZON:
+            raise ConfigurationError(
+                f"{self.experiment_id} on localized coverage alone takes no training_horizon"
+            )
 
 
 @dataclass(frozen=True)
@@ -457,13 +467,49 @@ def _initial_conditions(op, coverage, seed, counts):
     return [_localized_initial_conditions(op, rng, n) for rng, n in zip(rngs, counts)]
 
 
-def _rollouts(op, model, ics, step, horizon) -> list[Trajectory]:
-    """Noiseless rollouts of every start in one batch; a divergence raises."""
-    trajs = integrate(op, model, _ZERO, np.asarray(ics), SimConfig(horizon=horizon, step=step))
-    bad = [t for t in trajs if not isinstance(t, Trajectory)]
-    if bad:
-        raise bad[0]
-    return trajs
+def _grouped_rollouts(op, step, jobs, model) -> list[list]:
+    """Noiseless rollouts of many start sets, one integrate call per group.
+
+    ``jobs`` lists (group, horizon, starts); the jobs that share a group and a
+    horizon run in one call of the law model(group, their indices in jobs).
+    Returns per job its results, a Trajectory or a DivergenceError per start.
+    """
+    groups: dict = {}
+    for i, (group, horizon, _) in enumerate(jobs):
+        groups.setdefault((group, horizon), []).append(i)
+    out = [None] * len(jobs)
+    for (group, horizon), index in groups.items():
+        sets = [jobs[i][2] for i in index]
+        sim = SimConfig(horizon=horizon, step=step)
+        results = integrate(op, model(group, index), _ZERO, np.concatenate(sets), sim)
+        ends = np.cumsum([len(starts) for starts in sets])
+        for i, starts, end in zip(index, sets, ends):
+            out[i] = results[end - len(starts) : end]
+    return out
+
+
+def _fitted_rollouts(op, step, fits, law) -> list[list]:
+    """Per fit (condition, holdout starts, parameters, metrics), the rollouts
+    of its fitted law from its holdout starts.
+
+    The fits of one basis and record length run in one integrate call, each
+    fit's parameters repeated over its starts as rows of the law's parameters.
+    """
+
+    def rows(basis, index):
+        picked = [fits[i] for i in index]
+        counts = [len(starts) for _, starts, _, _ in picked]
+        return law(picked[0][0], np.repeat([p for _, _, p, _ in picked], counts, axis=0))
+
+    jobs = [(cond.basis, cond.horizon, starts) for cond, starts, _, _ in fits]
+    return _grouped_rollouts(op, step, jobs, rows)
+
+
+def _raise_divergence(results) -> None:
+    """Raise the first DivergenceError among rollout results, if any."""
+    for r in results:
+        if isinstance(r, DivergenceError):
+            raise r
 
 
 def _with_observation_noise(trajs, sigma, seed_key):
@@ -490,43 +536,74 @@ def _rollout_rmse(reference: list[Trajectory], candidate: list[Trajectory]) -> f
     return float(np.sqrt(np.mean(stacked**2)))
 
 
-def _sweep(cfg, sheaf, conditions, fit, stats, noise_std, noise_tag) -> ExperimentOutput:
+def _sweep(cfg, sheaf, conditions, fit, law, stats, noise_std, noise_tag) -> ExperimentOutput:
     """Run every condition on each of its seeds, then aggregate over seeds.
 
     Per condition and seed: roll out the true law from the training and
     holdout starts (shared by the conditions with the same seed, coverage and
     law), build residuals (finite differences add node noise first, seeded by
     (seed, coverage id, mode id) + noise_tag), fit them with
-    fit(condition, op, data) -> (fitted law, metrics), and roll the fitted law
-    out from the holdout starts.  A summary row holds the condition's
-    columns, each "<metric>_mean" or "<metric>_std" column of ``stats`` over
-    seeds, and n_seeds; a force-check row holds the medians of force_mse over
-    seeds, with every training edge state of the sweep as the pooled set.  A
-    true law's forces on the pooled set and the grid are evaluated once.
+    fit(condition, op, data) -> (parameters, metrics), and roll the fitted law
+    law(condition, parameters) out from the holdout starts.  A summary row
+    holds the condition's columns, each "<metric>_mean" or "<metric>_std"
+    column of ``stats`` over seeds, and n_seeds; a force-check row holds the
+    medians of force_mse over seeds, with every training edge state of the
+    sweep as the pooled set.  A true law's forces on the pooled set and the
+    grid are evaluated once.
+
+    The rollouts run in batches, as rows are independent of their batch:
+    one integrate call per (true law, record length) for every truth start
+    set, then the fits in (condition, seed) order, then one call per (fitted
+    basis, record length) for every fitted law, whose parameters ``law``
+    takes with a leading row axis.  A divergence raises the error the
+    condition-by-condition order meets first: per (condition, seed) its
+    truth rollout, its fit, then its fitted rollout.
     """
     op = build_coboundary(sheaf)
-    truth_cache: dict = {}  # (seed, coverage, law) -> (training, holdout starts, holdout)
-    pooled, runs = [], []  # runs: per condition, [(metrics, fitted law, holdout edge states)]
-    for cond in conditions:
-        noise_key = (_COVERAGE_IDS[cond.coverage], _MODE_IDS[cond.mode]) + noise_tag
-        runs.append([])
-        for seed in cond.seeds:
+    pairs = [(cond, seed) for cond in conditions for seed in cond.seeds]
+    starts: dict = {}  # (seed, coverage, law) -> (horizon, training, holdout starts)
+    for cond, seed in pairs:
+        key = (seed, cond.coverage, cond.truth)
+        if key not in starts:
+            counts = (cond.n_training, cfg.n_holdout)
+            starts[key] = (cond.horizon, *_initial_conditions(op, cond.coverage, seed, counts))
+
+    jobs = [(key[2], horizon, train + hold) for key, (horizon, train, hold) in starts.items()]
+    truth = dict(zip(starts, _grouped_rollouts(op, cfg.step, jobs, lambda law, _: law)))
+
+    fits = []  # per pair, in order: (condition, holdout starts, parameters, metrics)
+    pooled = []
+    try:
+        for cond, seed in pairs:
             key = (seed, cond.coverage, cond.truth)
-            if key not in truth_cache:
-                counts = (cond.n_training, cfg.n_holdout)
-                train_ics, hold_ics = _initial_conditions(op, cond.coverage, seed, counts)
-                trajs = _rollouts(op, cond.truth, train_ics + hold_ics, cfg.step, cond.horizon)
-                truth_cache[key] = (trajs[: len(train_ics)], hold_ics, trajs[len(train_ics) :])
-            train, hold_ics, reference = truth_cache[key]
+            _raise_divergence(truth[key])
+            _, train_ics, hold_ics = starts[key]
+            train = truth[key][: len(train_ics)]
             if cond.mode == "finite_difference":
+                noise_key = (_COVERAGE_IDS[cond.coverage], _MODE_IDS[cond.mode]) + noise_tag
                 train = _with_observation_noise(train, noise_std, (seed, *noise_key))
             data = residual_dataset(op, train, _ZERO, cond.mode, noise_std)
-            fitted, metrics = fit(cond, op, data)
-            candidate = _rollouts(op, fitted, hold_ics, cfg.step, cond.horizon)
+            fits.append((cond, hold_ics, *fit(cond, op, data)))
+            pooled.append(data.edge_states)
+    except SheafSysIdError:
+        # the fitted rollouts of the pairs before this one come first
+        for results in _fitted_rollouts(op, cfg.step, fits, law):
+            _raise_divergence(results)
+        raise
+    candidates = _fitted_rollouts(op, cfg.step, fits, law)
+
+    runs = []
+    for cond in conditions:
+        runs.append([])  # [(metrics, fitted law, holdout edge states)]
+        for seed in cond.seeds:
+            # popped, so that no rollout outlives its score into the force checks
+            (_, _, params, metrics), candidate = fits.pop(0), candidates.pop(0)
+            _raise_divergence(candidate)
+            key = (seed, cond.coverage, cond.truth)
+            reference = truth[key][len(starts[key][1]) :]
             metrics["rollout_rmse"] = _rollout_rmse(reference, candidate)
             holdout = np.concatenate([t.states @ op.B.T for t in reference])
-            runs[-1].append((metrics, fitted, holdout))
-            pooled.append(data.edge_states)
+            runs[-1].append((metrics, law(cond, params), holdout))
 
     pooled, grid = np.concatenate(pooled), reference_grid(sheaf)
     true_forces: dict = {}  # law -> its forces on the seed-independent sets
@@ -575,7 +652,7 @@ def run_bounded_confidence(cfg: ExperimentConfig) -> ExperimentOutput:
     def fit(cond, op, data):
         result = fit_threshold(op, data, THRESHOLD_BRACKET)
         eps_hat = float(result.theta_hat[0])
-        return BoundedConfidence(sheaf, eps_hat), {
+        return eps_hat, {
             "threshold_error": abs(eps_hat - TRUE_THRESHOLD),
             "information": result.report.lambda_min,
             "identifiable": result.report.identifiable,
@@ -598,7 +675,11 @@ def run_bounded_confidence(cfg: ExperimentConfig) -> ExperimentOutput:
     noise_std = THRESHOLD_NOISE_STD if cfg.noise_std is None else cfg.noise_std
     stats = ("threshold_error_mean", "threshold_error_std", "rollout_rmse_mean")
     stats += ("rollout_rmse_std", "information_mean", "information_std")
-    return _sweep(cfg, sheaf, conditions, fit, stats, noise_std, noise_tag=())
+
+    def law(cond, epsilon):
+        return BoundedConfidence(sheaf, epsilon)
+
+    return _sweep(cfg, sheaf, conditions, fit, law, stats, noise_std, noise_tag=())
 
 
 def run_finite_basis(cfg: ExperimentConfig) -> ExperimentOutput:
@@ -628,7 +709,7 @@ def run_finite_basis(cfg: ExperimentConfig) -> ExperimentOutput:
         fit_basis, target = laws[cond.basis]
         result = fit_linear(op, fit_basis, data)
         theta_hat = result.theta_hat
-        return LinearBasisPotential(sheaf, fit_basis, theta_hat), {
+        return theta_hat, {
             "param_error": float(np.linalg.norm(theta_hat - target) / np.linalg.norm(target)),
             "lambda_min": result.report.lambda_min,
             "lambda_max": result.report.lambda_max,
@@ -650,7 +731,11 @@ def run_finite_basis(cfg: ExperimentConfig) -> ExperimentOutput:
     noise_std = BASIS_NOISE_STD if cfg.noise_std is None else cfg.noise_std
     stats = ("param_error_mean", "param_error_std", "rollout_rmse_mean", "rollout_rmse_std")
     stats += ("lambda_min_mean", "lambda_min_std", "lambda_max_mean")
-    return _sweep(cfg, sheaf, conditions, fit, stats, noise_std, noise_tag=(9,))
+
+    def law(cond, theta):
+        return LinearBasisPotential(sheaf, laws[cond.basis][0], theta)
+
+    return _sweep(cfg, sheaf, conditions, fit, law, stats, noise_std, noise_tag=(9,))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:

@@ -11,6 +11,13 @@ axes.  Per-edge norms come from ``Sheaf.edge_sq_norms`` and per-edge factors
 are spread back over the stalks with ``Sheaf.spread``, one code path for every
 stalk layout.  Models are immutable, and every force works row by row with
 elementwise arithmetic, so a row's force does not depend on its batch.
+
+The parametric laws also take a leading row axis on their parameters: a
+``BoundedConfidence`` epsilon of shape (N,) or a ``LinearBasisPotential`` theta
+of shape (N, p) evaluates a batch (N, d1) with row i's own parameters, bit for
+bit as the scalar model with those parameters.  ``take_rows`` restricts such a
+model to a subset of its rows (the integrator drops diverged rows with it);
+on a model without row parameters it is the model itself.
 """
 
 from __future__ import annotations
@@ -38,6 +45,11 @@ class EdgePotential:
     def param_jacobian(self, y: np.ndarray) -> np.ndarray:
         """Columns d Phi / d theta_m, shape (..., d1, p)."""
         raise UsageError(f"{type(self).__name__} has no parameters")
+
+    def take_rows(self, rows) -> "EdgePotential":
+        """The model on the batch rows picked by ``rows`` (an index array or a
+        boolean mask); a model without row parameters is the same on every row."""
+        return self
 
 
 class Quadratic(EdgePotential):
@@ -103,17 +115,35 @@ class BoundedConfidence(EdgePotential):
     so the force is y_e (1 - u/eps^2)^2 below the threshold and exactly zero
     above it, continuous (with continuous slope) at the seam.  The threshold
     is the model's single parameter; param_jacobian returns d force / d eps.
+    An epsilon of shape (N,) holds one threshold per row of a batch (N, d1).
     """
 
-    def __init__(self, sheaf: Sheaf, epsilon: float):
+    def __init__(self, sheaf: Sheaf, epsilon):
         super().__init__(sheaf)
-        if not epsilon > 0:
+        eps = np.asarray(epsilon, dtype=float)
+        if eps.ndim > 1 or not np.all(eps > 0):
             raise ParameterError(f"epsilon must be positive, got {epsilon}")
-        self.epsilon = float(epsilon)
+        self.epsilon = eps if eps.ndim else float(eps)
+        self._e2 = self._power(2)
+
+    def _power(self, k: int):
+        """epsilon**k, a scalar or a column (N, 1) against the rows (N, E).
+
+        Each row's power is a Python-float ``**``, as the scalar model takes
+        it: an array power rounds x**2 through x*x and may differ from it.
+        """
+        if np.ndim(self.epsilon) == 0:
+            return self.epsilon**k
+        return np.array([e**k for e in self.epsilon.tolist()])[:, None]
+
+    def take_rows(self, rows):
+        if np.ndim(self.epsilon) == 0:
+            return self
+        return BoundedConfidence(self.sheaf, self.epsilon[rows])
 
     def value(self, y):
         u = self.sheaf.edge_sq_norms(y)
-        e2 = self.epsilon**2
+        e2 = self._e2
         psi = np.where(
             u <= e2, 0.5 * u - u**2 / (2 * e2) + u**3 / (6 * e2 * e2), e2 / 6.0
         )
@@ -124,7 +154,7 @@ class BoundedConfidence(EdgePotential):
         above the threshold; the force is y_e times it."""
         # u > eps^2 gives u/eps^2 >= 1, so the clamp is exactly the cutoff;
         # fmax, unlike maximum, also sends a NaN norm to 0 as a cutoff test would
-        return np.fmax(1.0 - u / self.epsilon**2, 0.0) ** 2
+        return np.fmax(1.0 - u / self._e2, 0.0) ** 2
 
     def force(self, y):
         y = np.asarray(y, dtype=float)
@@ -133,9 +163,8 @@ class BoundedConfidence(EdgePotential):
     def param_jacobian(self, y):
         y = np.asarray(y, dtype=float)
         u = self.sheaf.edge_sq_norms(y)
-        eps = self.epsilon
-        e2 = eps**2
-        factor = np.where(u <= e2, 4.0 * (1.0 - u / e2) * u / eps**3, 0.0)
+        e2 = self._e2
+        factor = np.where(u <= e2, 4.0 * (1.0 - u / e2) * u / self._power(3), 0.0)
         return (y * self.sheaf.spread(factor))[..., None]
 
 
@@ -194,20 +223,23 @@ class LinearBasisPotential(EdgePotential):
     """theta-weighted combination of radial monomial and constant forces.
 
     Linear in theta.  The force is one radial pass: the gain sum_i theta_i u^m_i
-    on every edge, plus the theta-weighted sum of the constant cochains.
+    on every edge, plus the theta-weighted sum of the constant cochains.  A
+    theta of shape (N, p) holds one coefficient vector per row of a batch.
     """
 
     def __init__(self, sheaf: Sheaf, basis: Sequence[BasisForce], theta: Sequence[float]):
         super().__init__(sheaf)
         self.basis = tuple(basis)
         self.theta = np.asarray(theta, dtype=float)
-        if self.theta.shape != (len(self.basis),):
+        if self.theta.ndim not in (1, 2) or self.theta.shape[-1] != len(self.basis):
             raise ParameterError(
-                f"theta has length {self.theta.size}, basis has {len(self.basis)}"
+                f"theta has shape {self.theta.shape}, basis has {len(self.basis)} forces"
             )
+        # one coefficient per basis force: a scalar, or a column (N, 1) of rows
+        coefs = self.theta.T[..., None] if self.theta.ndim == 2 else self.theta
         self._degrees = []
         constant = np.zeros(sheaf.d1)
-        for coef, bf in zip(self.theta, self.basis):
+        for coef, bf in zip(coefs, self.basis):
             if isinstance(bf, RadialMonomialForce):
                 self._degrees.append((coef, bf.degree))
             elif isinstance(bf, ConstantEdgeForce):
@@ -217,12 +249,21 @@ class LinearBasisPotential(EdgePotential):
                     f"unsupported basis force {type(bf).__name__}: expected "
                     "RadialMonomialForce or ConstantEdgeForce"
                 )
-        # None when every entry is zero: adding +0.0 would flip a -0.0 force
-        self._constant = constant if constant.any() else None
+        # None when every entry is zero: adding +0.0 would flip a -0.0 force.
+        # A zero row among nonzero rows adds -0.0 instead, which changes no bit.
+        nonzero = constant.any(-1)
+        if constant.ndim == 2:
+            constant[~nonzero] = -0.0
+        self._constant = constant if nonzero.any() else None
+
+    def take_rows(self, rows):
+        if self.theta.ndim == 1:
+            return self
+        return LinearBasisPotential(self.sheaf, self.basis, self.theta[rows])
 
     def value(self, y):
         total = 0.0
-        for coef, bf in zip(self.theta, self.basis):
+        for coef, bf in zip(self.theta.T, self.basis):
             total = total + coef * bf.value(y)
         return total
 
@@ -234,7 +275,11 @@ class LinearBasisPotential(EdgePotential):
         gain = 0.0
         for coef, degree in self._degrees:
             gain = gain + (coef * u**degree if degree else coef)
-        out = y * (self.sheaf.spread(gain) if isinstance(gain, np.ndarray) else gain)
+        # per-edge factors spread over the stalks; degree-0 terms alone leave a
+        # scalar (or a row column) that multiplies y as it is
+        if np.shape(gain)[-1:] == u.shape[-1:]:
+            gain = self.sheaf.spread(gain)
+        out = y * gain
         if self._constant is not None:
             out = out + self._constant
         return out
@@ -242,9 +287,6 @@ class LinearBasisPotential(EdgePotential):
     def param_jacobian(self, y):
         cols = [bf.force(y) for bf in self.basis]
         return np.stack(cols, axis=-1)
-
-    def with_theta(self, theta: Sequence[float]) -> "LinearBasisPotential":
-        return LinearBasisPotential(self.sheaf, self.basis, theta)
 
 
 def monomial_basis(sheaf: Sheaf) -> tuple[RadialMonomialForce, ...]:

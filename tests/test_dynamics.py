@@ -5,11 +5,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from conftest import random_sheaf
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sheaf_sysid import (
     Antagonistic,
     BoundedConfidence,
+    ConstantEdgeForce,
     DivergenceError,
+    LinearBasisPotential,
     Quadratic,
     ShiftedQuadratic,
     SimConfig,
@@ -25,6 +29,7 @@ from sheaf_sysid import (
     laplacian_apply,
     load_trajectory_csv,
     make_cycle_sheaf,
+    monomial_basis,
     monomial_potential,
     save_trajectory_csv,
     simulate_ensemble,
@@ -272,6 +277,80 @@ def test_diverging_rows_keep_their_solo_times_and_spare_their_neighbours(rotated
         assert np.array_equal(batch[i].states, alone.states)
         assert np.array_equal(batch[i].derivs, alone.derivs)
         assert np.abs(alone.states[-1] - alone.states[0]).max() > 0.1
+
+
+def _solo(op, model, x0, cfg):
+    try:
+        return integrate(op, model, ZERO, x0, cfg)
+    except DivergenceError as exc:
+        return exc
+
+
+@settings(derandomize=True, max_examples=30, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(["threshold", "basis"]),
+    n_rows=st.integers(2, 6),
+    hot=st.integers(0, 5),
+)
+def test_row_parameter_batches_keep_every_row_on_its_solo_bits(seed, family, n_rows, hot):
+    rng = np.random.default_rng(seed)
+    sheaf = random_sheaf(rng)  # weighted, stalks of dimension 1 to 3
+    assume(len(set(sheaf.edge_stalk_dims)) > 1)
+    op = build_coboundary(sheaf)
+    hot %= n_rows
+    starts = 0.5 * rng.standard_normal((n_rows, op.d0))
+    if family == "threshold":
+        params = rng.uniform(0.25, 4.0, n_rows)
+
+        def law(p):
+            return BoundedConfidence(sheaf, p)
+
+        # The bounded law cannot blow up (its force vanishes above the
+        # threshold), so its diverging row starts non-finite.
+        starts[hot, 0] = np.inf
+    else:
+        basis = monomial_basis(sheaf) + (ConstantEdgeForce(sheaf, rng.standard_normal(sheaf.d1)),)
+        params = np.column_stack(
+            [
+                rng.uniform(-0.5, 1.0, n_rows),
+                rng.uniform(0.0, 0.5, n_rows),
+                rng.uniform(0.1, 0.5, n_rows),
+                # some rows without the constant force, whose +0.0 would flip -0.0
+                rng.choice([0.0, 1.0], n_rows) * rng.standard_normal(n_rows),
+            ]
+        )
+
+        def law(p):
+            return LinearBasisPotential(sheaf, basis, p)
+
+        starts[hot] *= 50.0  # the cubic term overshoots RK4's stability limit
+    cfg = SimConfig(horizon=0.3)
+    batch = integrate(op, law(params), ZERO, starts, cfg)
+    assert isinstance(batch[hot], DivergenceError)
+    if family == "basis":
+        assert batch[hot].time > 0  # mid-run: the survivors' parameters are subset
+    for i, got in enumerate(batch):
+        alone = _solo(op, law(params[i]), starts[i], cfg)
+        assert type(got) is type(alone)
+        if isinstance(alone, DivergenceError):
+            assert (str(got), got.time) == (str(alone), alone.time)
+        else:
+            assert np.array_equal(got.states, alone.states)
+            assert np.array_equal(got.derivs, alone.derivs)
+            assert np.array_equal(np.signbit(got.derivs), np.signbit(alone.derivs))
+
+
+def test_take_rows_subsets_row_parameters_and_keeps_scalar_models(rotated_cycle):
+    sheaf, _ = rotated_cycle
+    scalar = BoundedConfidence(sheaf, 1.0)
+    assert scalar.take_rows(np.array([True, False])) is scalar
+    rows = BoundedConfidence(sheaf, [0.5, 1.0, 2.0]).take_rows(np.array([True, False, True]))
+    assert rows.epsilon.tolist() == [0.5, 2.0]
+    basis = monomial_basis(sheaf)
+    theta = np.array([[1.0, 0.25, 0.03], [2.0, 0.0, 0.1]])
+    assert monomial_potential(sheaf, theta[0]).take_rows([0]).theta.ndim == 1
+    assert LinearBasisPotential(sheaf, basis, theta).take_rows([1]).theta.tolist() == [theta[1].tolist()]
 
 
 def test_integrate_rejects_misshapen_starts(identity_cycle):

@@ -8,27 +8,38 @@ import pytest
 from sheaf_sysid import (
     ConfigurationError,
     DirectedGraph,
+    DivergenceError,
     EvaluationSets,
     ExperimentConfig,
+    LinearBasisPotential,
     Sheaf,
+    SimConfig,
     UsageError,
+    ZeroField,
     build_coboundary,
     force_mse,
     harmonic_basis,
+    integrate,
     make_cycle_sheaf,
+    monomial_basis,
     monomial_potential,
     run_bounded_confidence,
     run_finite_basis,
     run_experiment,
     run_formation_transfer,
 )
+from sheaf_sysid import experiments
 from sheaf_sysid.experiments import (
     LOCALIZED_BAND,
     TAIL_ROTATION_ANGLE,
+    TRUE_MONOMIAL_THETA,
     _broad_initial_conditions,
+    _Condition,
+    _initial_conditions,
     _limited_initial_conditions,
     _limited_ray,
     _localized_initial_conditions,
+    _sweep,
     constant_edge_cochain,
     reference_grid,
     rows_to_csv,
@@ -283,6 +294,103 @@ def test_filtered_sweep_rows_equal_the_unfiltered_rows(study, filters, unfiltere
     assert list(part.details) == [list(full.details)[i] for i in unfiltered_rows]
 
 
+@pytest.mark.parametrize("study", ["bounded_confidence", "finite_basis"])
+@pytest.mark.parametrize("seeds", [(0,), (1, 0)])
+def test_a_sweep_makes_four_integrate_calls_for_any_seed_count(monkeypatch, study, seeds):
+    # one per (true law, record length) and one per (fitted basis, record length)
+    rows = []
+
+    def counting(op, model, node_field, x0, cfg):
+        rows.append(len(x0))
+        return integrate(op, model, node_field, x0, cfg)
+
+    monkeypatch.setattr(experiments, "integrate", counting)
+    short = dict(n_training=3, training_horizon=0.2, n_holdout=2)
+    run_experiment(ExperimentConfig(experiment_id=study, seeds=seeds, **short))
+    n = len(seeds)
+    if study == "bounded_confidence":  # broad and localized records, two fits each
+        expected = [5 * n, 5 * n, 4 * n, 4 * n]
+    else:  # the correct law on two coverages, the augmented law on one seed
+        expected = [10 * n, 5, 8 * n, 2]
+    assert rows == expected
+
+
+def _diverging_sweep(plan):
+    """The config, conditions, fit and law of a two-condition, two-seed
+    monomial sweep whose fit returns, pair by pair in sweep order, the
+    coefficients in ``plan``; an exception in the plan is raised by that
+    pair's fit instead."""
+    sheaf = make_cycle_sheaf(3, "identity")
+    truth = monomial_potential(sheaf, TRUE_MONOMIAL_THETA)
+    cfg = ExperimentConfig(
+        experiment_id="finite_basis", seeds=(0, 1), n_training=3, training_horizon=2.0, n_holdout=2
+    )
+    conditions = [
+        _Condition(label, "correct", coverage, "observed", truth, [0, 1], 2.0, 3)
+        for label, coverage in (("A", "broad"), ("B", "limited"))
+    ]
+    steps = iter(plan)
+
+    def fit(cond, op, data):
+        theta = next(steps)
+        if isinstance(theta, Exception):
+            raise theta
+        return np.asarray(theta), {}
+
+    def law(cond, theta):
+        return LinearBasisPotential(sheaf, monomial_basis(sheaf), theta)
+
+    return cfg, conditions, fit, law
+
+
+def _first_error_of_the_pair_loop(plan):
+    """The error a loop that rolls out each pair's fitted law alone meets first."""
+    cfg, conditions, _, law = _diverging_sweep(plan)
+    op = build_coboundary(conditions[0].truth.sheaf)
+    pairs = [(cond, seed) for cond in conditions for seed in cond.seeds]
+    for (cond, seed), theta in zip(pairs, plan):
+        if isinstance(theta, Exception):
+            return theta
+        hold = _initial_conditions(op, cond.coverage, seed, (3, 2))[1]
+        sim = SimConfig(horizon=2.0, step=cfg.step)
+        for result in integrate(op, law(cond, theta), ZeroField(), np.asarray(hold), sim):
+            if isinstance(result, DivergenceError):
+                return result
+    raise AssertionError("the plan never fails")
+
+
+# Anti-diffusion blows up, and faster for the larger coefficient, so the later
+# pair in sweep order (B, seed 0) diverges at an earlier time than (A, seed 1).
+_STABLE = TRUE_MONOMIAL_THETA
+_SLOW, _FAST = (-300.0, 0.0, 0.0), (-3000.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "plan",
+    [
+        [_STABLE, _SLOW, _FAST, _STABLE],
+        [_STABLE, _SLOW, UsageError("fit failed"), _STABLE],
+        [_STABLE, UsageError("fit failed"), _FAST, _STABLE],
+    ],
+    ids=["two-diverging-fits", "divergence-before-a-fit-error", "fit-error-first"],
+)
+def test_a_batched_sweep_raises_the_error_the_pair_loop_meets_first(plan):
+    expected = _first_error_of_the_pair_loop(plan)
+    cfg, conditions, fit, law = _diverging_sweep(plan)
+    sheaf = conditions[0].truth.sheaf
+    with pytest.raises(type(expected)) as raised:
+        _sweep(cfg, sheaf, conditions, fit, law, ("rollout_rmse_mean",), 1e-4, (9,))
+    assert str(raised.value) == str(expected)
+    if isinstance(expected, DivergenceError):
+        assert raised.value.time == expected.time > 0
+
+
+def test_the_two_diverging_fits_blow_up_in_the_opposite_order_of_time():
+    slow = _first_error_of_the_pair_loop([_STABLE, _SLOW, _STABLE, _STABLE])
+    fast = _first_error_of_the_pair_loop([_STABLE, _STABLE, _FAST, _STABLE])
+    assert 0 < fast.time < slow.time
+
+
 @pytest.mark.parametrize(
     "filters",
     [
@@ -404,6 +512,16 @@ def test_experiment_config_accepts_edge_numbers():
         training_horizon=0.25,
     )
     assert cfg.training_horizon == cfg.step
+
+
+def test_localized_threshold_sweep_rejects_the_training_horizon_it_never_reads():
+    with pytest.raises(ConfigurationError, match="localized coverage alone takes no training_horizon"):
+        ExperimentConfig(
+            experiment_id="bounded_confidence", coverage="localized", training_horizon=0.005
+        )
+    ExperimentConfig(experiment_id="bounded_confidence", coverage="localized")
+    # any selected broad condition reads it
+    ExperimentConfig(experiment_id="bounded_confidence", residual_mode="observed", training_horizon=2.0)
 
 
 def test_experiment_config_validation():

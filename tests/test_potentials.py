@@ -188,7 +188,10 @@ def test_param_jacobian_matches_fd_for_parametric_families():
         up, dn = model.theta.copy(), model.theta.copy()
         up[m] += h
         dn[m] -= h
-        fd = (model.with_theta(up).force(y) - model.with_theta(dn).force(y)) / (2 * h)
+        fd = (
+            LinearBasisPotential(sheaf, model.basis, up).force(y)
+            - LinearBasisPotential(sheaf, model.basis, dn).force(y)
+        ) / (2 * h)
         assert np.abs(jac[:, m] - fd).max() <= 1e-6 * (1 + np.abs(fd).max())
 
     bc = BoundedConfidence(sheaf, 0.8)
@@ -325,6 +328,67 @@ def test_linear_force_keeps_the_bits_of_a_zero_start(identity_cycle, degrees, th
     got, expected = model.force(y), zero_start_force(model, y)
     assert np.array_equal(got, expected)
     assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+@pytest.mark.parametrize(
+    "degrees, thetas",
+    [
+        (
+            (0, 1, 2, None),
+            [(1.0, 0.25, 0.03, 0.5), (-0.0, -1.0, 0.0, 0.0), (0.0, -0.5, -0.0, -0.0),
+             (0.0, 0.0, 0.0, 0.7), (-0.0, 0.0, 0.0, 0.0)],
+        ),
+        ((2, 0), [(-1.0, 0.5), (0.0, -0.0), (0.3, 0.0), (0.0, 1.0), (2.0, 2.0)]),
+        ((0,), [(-0.0,), (1.0,), (0.0,), (-2.5,), (0.5,)]),
+        ((None,), [(0.7,), (0.0,), (-0.0,), (1.0,), (-1.0,)]),
+    ],
+)
+def test_row_theta_gives_each_row_its_scalar_bits(identity_cycle, degrees, thetas):
+    # None is the constant force; zero rows among nonzero ones keep signed zeros
+    sheaf, _ = identity_cycle
+    constant = ConstantEdgeForce(sheaf, np.tile([1.0, 0.0], 3))
+    basis = tuple(constant if m is None else RadialMonomialForce(sheaf, m) for m in degrees)
+    rng = np.random.default_rng(48)
+    y = np.concatenate([rng.standard_normal((3, sheaf.d1)), np.zeros((2, sheaf.d1))])
+    y[2, :2] = 0.0
+    y[1, 2:4] = -0.0
+    y[4] = -0.0
+    rows = LinearBasisPotential(sheaf, basis, thetas)
+    for name in ("force", "value", "param_jacobian"):
+        got = getattr(rows, name)(y)
+        for i, theta in enumerate(thetas):
+            alone = getattr(LinearBasisPotential(sheaf, basis, theta), name)(y[i])
+            assert np.array_equal(got[i], alone)
+            assert np.array_equal(np.signbit(got[i]), np.signbit(alone))
+
+
+def test_row_epsilon_gives_each_row_its_scalar_bits(mixed_sheaf):
+    rng = np.random.default_rng(49)
+    # The array power of 2.759 squared and of 3.3 and 0.356 cubed can round
+    # otherwise than the Python-float power the scalar model takes.
+    eps = np.array([2.759, 3.3, 0.356, 1.0 / 3.0, 1.1, 1.0 + 2**-52])
+    y = rng.standard_normal((eps.size, mixed_sheaf.d1))
+    rows = BoundedConfidence(mixed_sheaf, eps)
+    u = mixed_sheaf.edge_sq_norms(y)
+    for name, arg in (("force", y), ("value", y), ("param_jacobian", y), ("gain", u)):
+        got = getattr(rows, name)(arg)
+        for i, e in enumerate(eps):
+            alone = getattr(BoundedConfidence(mixed_sheaf, float(e)), name)(arg[i])
+            assert np.array_equal(got[i], alone)
+
+
+@pytest.mark.parametrize("epsilon", [[1.0, 0.0], [[1.0]], [1.0, np.nan]])
+def test_row_epsilon_must_be_positive_per_row(identity_cycle, epsilon):
+    sheaf, _ = identity_cycle
+    with pytest.raises(ParameterError, match="epsilon must be positive"):
+        BoundedConfidence(sheaf, epsilon)
+
+
+@pytest.mark.parametrize("theta", [1.0, [[[1.0, 0.0, 0.0]]], [[1.0, 0.0]]])
+def test_linear_basis_rejects_theta_of_the_wrong_shape(identity_cycle, theta):
+    sheaf, _ = identity_cycle
+    with pytest.raises(ParameterError, match="theta has shape"):
+        LinearBasisPotential(sheaf, monomial_basis(sheaf), theta)
 
 
 def test_linear_basis_rejects_unsupported_family(identity_cycle):
