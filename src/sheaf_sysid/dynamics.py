@@ -40,6 +40,11 @@ class SimConfig:
             raise ParameterError("step must be positive")
         if not self.horizon >= self.step:
             raise ParameterError("horizon must cover at least one step")
+        steps = self.horizon / self.step
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ParameterError(
+                f"horizon {self.horizon!r} is not a whole number of steps of {self.step!r}"
+            )
         if self.noise_std < 0:
             raise ParameterError("noise_std must be nonnegative")
 
@@ -99,6 +104,10 @@ def integrate(
         )
     x = x.reshape(-1, op.d0)
     n = x.shape[0]
+    if model.row_count not in (None, n):
+        raise StructuralError(
+            f"model has {model.row_count} parameter rows for a batch of {n} starts"
+        )
     h = cfg.step
     steps = int(round(cfg.horizon / h))
     times = h * np.arange(steps + 1)

@@ -33,6 +33,8 @@ from .sheaf import Sheaf
 class EdgePotential:
     """Base class: value U(y), force Phi(y) = grad U(y)."""
 
+    row_count: int | None = None  # parameter rows; None without row parameters
+
     def __init__(self, sheaf: Sheaf):
         self.sheaf = sheaf
 
@@ -124,6 +126,7 @@ class BoundedConfidence(EdgePotential):
         if eps.ndim > 1 or not np.all(eps > 0):
             raise ParameterError(f"epsilon must be positive, got {epsilon}")
         self.epsilon = eps if eps.ndim else float(eps)
+        self.row_count = eps.size if eps.ndim else None
         self._e2 = self._power(2)
 
     def _power(self, k: int):
@@ -235,6 +238,7 @@ class LinearBasisPotential(EdgePotential):
             raise ParameterError(
                 f"theta has shape {self.theta.shape}, basis has {len(self.basis)} forces"
             )
+        self.row_count = len(self.theta) if self.theta.ndim == 2 else None
         # one coefficient per basis force: a scalar, or a column (N, 1) of rows
         coefs = self.theta.T[..., None] if self.theta.ndim == 2 else self.theta
         self._degrees = []

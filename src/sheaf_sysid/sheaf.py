@@ -12,9 +12,14 @@ the vertex (resp. edge) input order.  The cochain spaces carry block-diagonal
 Gram matrices ``M1`` and ``M2``, so the adjoint is ``delta* = M1^{-1} B^T M2``.
 
 Everything downstream -- global sections (ker delta), the harmonic space
-(ker delta*), Hodge projections, and pseudoinverse solves -- is read off a
-single SVD of the whitened matrix ``L2^T B L1^{-T}`` with ``M1 = L1 L1^T`` and
-``M2 = L2 L2^T``, computed on the first query that needs it.  All objects are
+(ker delta*), Hodge projections, and pseudoinverse solves -- is read off the
+whitened matrix ``L2^T B L1^{-T}`` with ``M1 = L1 L1^T`` and ``M2 = L2 L2^T``.
+The operator is assembled block by block from the stalk Grams and the edge
+maps, with no dense factorization or solve.  The rank, both cohomology
+dimensions and the spectrum come from the singular values alone, computed on
+the first query that needs them.  The singular vectors come from a second,
+full SVD that runs only for a nonempty null basis or a pseudoinverse solve, so
+a sheaf whose cohomology vanishes never computes them.  All objects are
 immutable after construction.
 """
 
@@ -76,15 +81,34 @@ def _check_spd(mat: np.ndarray, what: str) -> np.ndarray:
     return mat
 
 
-def _spd_factor(mat: np.ndarray, what: str) -> np.ndarray:
-    """Return L with mat = L L^T.  Cholesky, eigenfactorization if it fails."""
+def _spd_factor(mats: np.ndarray, what: str) -> np.ndarray:
+    """L with mat = L L^T for each of a stack (..., d, d): Cholesky, else eigh."""
     try:
-        return np.linalg.cholesky(mat)
+        return np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
-        eigs, vecs = np.linalg.eigh(mat)
-        if eigs[0] <= _SPD_TOL * max(1.0, abs(eigs[-1])):
+        eigs, vecs = np.linalg.eigh(mats)
+        if np.any(eigs[..., 0] <= _SPD_TOL * np.maximum(1.0, abs(eigs[..., -1]))):
             raise StructuralError(f"{what} is not positive definite") from None
-        return vecs * np.sqrt(eigs)
+        return vecs * np.sqrt(eigs)[..., None, :]
+
+
+def _block_index(starts: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row (m, dim, 1) and column (m, 1, dim) indices of the dim x dim blocks
+    at ``starts`` on the diagonal: ``A[rows, cols]`` is their stack (m, dim, dim)."""
+    idx = starts[:, None] + np.arange(dim)
+    return idx[:, :, None], idx[:, None, :]
+
+
+def _grouped(*keys: np.ndarray) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """(key, positions) for every distinct tuple across the equally long key arrays."""
+    groups = [((), np.arange(len(keys[0])))]
+    for k in keys:
+        groups = [
+            (key + (v,), at[k[at] == v])
+            for key, at in groups
+            for v in sorted(set(k[at].tolist()))
+        ]
+    return groups
 
 
 class Sheaf:
@@ -216,10 +240,18 @@ class CoboundaryOperator:
     Attributes:
         sheaf: the defining sheaf.
         B: d1 x d0 coboundary matrix.
-        M1, M2: block-diagonal Gram matrices of the 0- and 1-cochain spaces.
-        L1, L2: factors M1 = L1 L1^T and M2 = L2 L2^T (Cholesky, else an
-            eigenfactorization; any factor serves), so |v|^2_{C0} = |L1^T v|^2.
+        M1, M2: block-diagonal Gram matrices of the 0- and 1-cochain spaces,
+            with blocks in the sheaf's vertex and edge stalk layout.
+        L1, L2: block-diagonal factors M1 = L1 L1^T and M2 = L2 L2^T (Cholesky
+            per block, else an eigenfactorization; the fits accept any
+            factor), so |v|^2_{C0} = |L1^T v|^2.
         delta_star_matrix: M1^{-1} B^T M2, the matrix of the adjoint.
+
+    All are built per block, one batched ``np.linalg`` call per block shape;
+    the (v, e) block of delta* is R_v^{-1} B_ev^T Q_e for vertex Gram R_v and
+    edge Gram Q_e.  The singular values of the whitened L2^T B L1^{-T} give
+    the rank and the spectrum; its singular vectors are computed only for a
+    nonempty null basis or a pseudoinverse solve.
     """
 
     def __init__(self, sheaf: Sheaf, B: np.ndarray, M1: np.ndarray, M2: np.ndarray):
@@ -227,19 +259,48 @@ class CoboundaryOperator:
         self.B = B
         self.M1 = M1
         self.M2 = M2
-        self.L1 = _spd_factor(M1, "M1")
-        self.L2 = _spd_factor(M2, "M2")
-        # delta* = M1^{-1} B^T M2
-        self.delta_star_matrix = np.linalg.solve(M1, B.T @ M2)
+        v_dims = np.array(sheaf.vertex_stalk_dims, dtype=np.intp)
+        e_dims = sheaf._edge_dims
+        v_starts = np.cumsum(v_dims) - v_dims
+        e_starts = sheaf._edge_starts
+        self._vertex_blocks = [_block_index(v_starts[at], d) for (d,), at in _grouped(v_dims)]
+        self._edge_blocks = [_block_index(e_starts[at], d) for (d,), at in _grouped(e_dims)]
+        self.L1 = _block_factor(M1, self._vertex_blocks, "M1")
+        self.L2 = _block_factor(M2, self._edge_blocks, "M2")
+        # The nonzero blocks (e, v) of B: every edge's head block, and its tail
+        # block unless it is a self-loop, whose one block holds both maps.
+        # Stored as (edge rows, edge columns, vertex rows, vertex columns).
+        tails, heads = np.array(sheaf.graph.edges, dtype=np.intp).reshape(-1, 2).T
+        apart = np.flatnonzero(tails != heads)
+        e = np.concatenate([np.arange(tails.size), apart])
+        v = np.concatenate([heads, tails[apart]])
+        self._coupling_blocks = [
+            _block_index(e_starts[e[at]], de) + _block_index(v_starts[v[at]], dv)
+            for (de, dv), at in _grouped(e_dims[e], v_dims[v])
+        ]
+        self.delta_star_matrix = np.zeros((self.d0, self.d1))
+        for er, ec, vr, vc in self._coupling_blocks:
+            b_t = B[er, vc].swapaxes(1, 2)
+            self.delta_star_matrix[vr, ec] = np.linalg.solve(M1[vr, vc], b_t @ M2[er, ec])
+
+    @functools.cached_property
+    def _whitened(self) -> np.ndarray:
+        """L2^T B L1^{-T}, block by block; read only by the two SVDs."""
+        white = np.zeros((self.d1, self.d0))
+        for er, ec, vr, vc in self._coupling_blocks:
+            lb_t = (self.L2[er, ec].swapaxes(1, 2) @ self.B[er, vc]).swapaxes(1, 2)
+            white[er, vc] = np.linalg.solve(self.L1[vr, vc], lb_t).swapaxes(1, 2)
+        return white
+
+    @functools.cached_property
+    def _spectrum(self) -> np.ndarray:
+        """Singular values of the whitened matrix, descending, without vectors."""
+        return np.linalg.svd(self._whitened, compute_uv=False)
 
     @functools.cached_property
     def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """SVD of the whitened L2^T B L1^{-T}, made on the first rank query."""
-        if self.d1 and self.d0:
-            b_white = self.L2.T @ np.linalg.solve(self.L1, self.B.T).T
-        else:
-            b_white = np.zeros((self.d1, self.d0))
-        return np.linalg.svd(b_white, full_matrices=True)
+        """Full SVD (U, s, Vt) of the whitened matrix, for null bases and solves."""
+        return np.linalg.svd(self._whitened, full_matrices=True)
 
     @property
     def d0(self) -> int:
@@ -250,13 +311,31 @@ class CoboundaryOperator:
         return self.B.shape[0]
 
     def rank(self, tol: float = RANK_TOL) -> int:
-        s = self._svd[1]
+        s = self._spectrum
         if s.size == 0 or s[0] == 0.0:
             return 0
         return int(np.count_nonzero(s > tol * s[0]))
 
     def singular_values(self) -> np.ndarray:
-        return self._svd[1].copy()
+        return self._spectrum.copy()
+
+
+def _block_factor(mat: np.ndarray, blocks, what: str) -> np.ndarray:
+    """The factor L of a block-diagonal mat = L L^T, factored block by block."""
+    factor = np.zeros(mat.shape)
+    for rows, cols in blocks:
+        factor[rows, cols] = _spd_factor(mat[rows, cols], what)
+    return factor
+
+
+def _block_solve_t(factor: np.ndarray, blocks, x: np.ndarray) -> np.ndarray:
+    """z with factor^T z = x for a block-diagonal factor; x is (n,) or (n, k)."""
+    rhs = x.reshape(x.shape[0], -1)
+    z = np.empty(rhs.shape)
+    for rows, cols in blocks:
+        at = rows[..., 0]
+        z[at] = np.linalg.solve(factor[rows, cols].swapaxes(1, 2), rhs[at])
+    return z.reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -329,22 +408,18 @@ def harmonic_basis(op: CoboundaryOperator, tol: float = RANK_TOL) -> HarmonicSpa
     mapped back through L2^{-T}; the count equals d1 - rank(B).
     """
     rank = op.rank(tol)
-    null_white = op._svd[0][:, rank:]
-    if op.d1:
-        basis = np.linalg.solve(op.L2.T, null_white)
-    else:
-        basis = np.zeros((0, 0))
+    if rank == op.d1:
+        return HarmonicSpace(basis=np.zeros((op.d1, 0)), dim_h1=0)
+    basis = _block_solve_t(op.L2, op._edge_blocks, op._svd[0][:, rank:])
     return HarmonicSpace(basis=basis, dim_h1=op.d1 - rank)
 
 
 def global_section_basis(op: CoboundaryOperator, tol: float = RANK_TOL) -> SectionSpace:
     """M1-orthonormal basis of ker delta (the global sections)."""
     rank = op.rank(tol)
-    null_white = op._svd[2][rank:, :].T
-    if op.d0:
-        basis = np.linalg.solve(op.L1.T, null_white)
-    else:
-        basis = np.zeros((0, 0))
+    if rank == op.d0:
+        return SectionSpace(basis=np.zeros((op.d0, 0)), dim_h0=0)
+    basis = _block_solve_t(op.L1, op._vertex_blocks, op._svd[2][rank:, :].T)
     return SectionSpace(basis=basis, dim_h0=op.d0 - rank)
 
 
@@ -377,7 +452,7 @@ def delta_pseudoinverse_apply(op: CoboundaryOperator, b: np.ndarray) -> np.ndarr
     bw = op.L2.T @ b
     coeff = (U[:, :rank].T @ bw) / s[:rank]
     xw = Vt[:rank, :].T @ coeff
-    return np.linalg.solve(op.L1.T, xw)
+    return _block_solve_t(op.L1, op._vertex_blocks, xw)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,23 @@ def test_cohomology_builtin_cycles(tmp_path, capsys):
         assert len(basis_lines) == expected  # one row per harmonic basis vector
 
 
+def test_cohomology_of_a_vanishing_cohomology_asks_for_singular_values_only(
+    tmp_path, monkeypatch
+):
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        calls.append(kwargs.get("compute_uv", True))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    sheaf = {"builtin": "cycle", "cycle_length": 9, "variant": "rotated"}
+    cfg = write_config(tmp_path, "c.json", {"command": "cohomology", "sheaf": sheaf})
+    assert run_cli("cohomology", cfg, tmp_path / "out") == 0
+    assert calls == [False]
+
+
 def test_cohomology_two_vertex_path(tmp_path, capsys):
     sheaf_file = tmp_path / "path.json"
     data = {

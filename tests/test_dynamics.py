@@ -14,6 +14,7 @@ from sheaf_sysid import (
     ConstantEdgeForce,
     DivergenceError,
     LinearBasisPotential,
+    ParameterError,
     Quadratic,
     ShiftedQuadratic,
     SimConfig,
@@ -446,3 +447,33 @@ def test_malformed_trajectory_files_raise_usage_errors(tmp_path, body, complaint
         load_trajectory_csv(path)
     assert str(path) in str(info.value)
     assert complaint in str(info.value)
+
+
+@pytest.mark.parametrize("family", ["threshold", "basis"])
+def test_row_parameters_must_match_the_batch(rotated_cycle, family):
+    sheaf, op = rotated_cycle
+    if family == "threshold":
+        model = BoundedConfidence(sheaf, [1.0, 2.0])
+    else:
+        basis = monomial_basis(sheaf)
+        model = LinearBasisPotential(sheaf, basis, np.full((2, len(basis)), 0.5))
+    cfg = SimConfig(horizon=0.1)
+    for starts, n in ((np.zeros((3, op.d0)), 3), (np.zeros(op.d0), 1)):
+        with pytest.raises(StructuralError, match=f"2 parameter rows for a batch of {n} "):
+            integrate(op, model, ZERO, starts, cfg)
+    assert len(integrate(op, model, ZERO, np.zeros((2, op.d0)), cfg)) == 2
+
+
+@pytest.mark.parametrize("horizon, step", [(0.105, 0.01), (1.0, 0.3), (0.5, 0.2), (2.0, 0.3)])
+def test_horizon_must_be_a_whole_number_of_steps(horizon, step):
+    with pytest.raises(ParameterError, match="not a whole number of steps"):
+        SimConfig(horizon=horizon, step=step)
+
+
+@pytest.mark.parametrize(
+    "horizon, step, steps", [(0.3, 0.1, 3), (0.105, 0.005, 21), (10.0, 0.01, 1000), (1.0, 1 / 3, 3)]
+)
+def test_horizon_of_whole_steps_up_to_rounding_is_accepted(rotated_cycle, horizon, step, steps):
+    sheaf, op = rotated_cycle
+    traj = integrate(op, Quadratic(sheaf), ZERO, np.ones(op.d0), SimConfig(horizon, step))
+    assert traj.times.size == steps + 1

@@ -5,8 +5,12 @@ import json
 import numpy as np
 import pytest
 from conftest import random_sheaf
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sheaf_sysid import (
+    RANK_TOL,
+    CoboundaryOperator,
     DirectedGraph,
     Sheaf,
     StructuralError,
@@ -16,10 +20,12 @@ from sheaf_sysid import (
     c0_inner,
     c1_inner,
     delta_pseudoinverse_apply,
+    equilibrium_projection,
     global_section_basis,
     harmonic_basis,
     hodge_project,
     load_sheaf,
+    make_cycle_sheaf,
     save_sheaf,
     sheaf_from_dict,
     sheaf_to_dict,
@@ -337,6 +343,85 @@ def test_operator_shares_the_sheaf_edge_gram(mixed_sheaf):
     op = build_coboundary(mixed_sheaf)
     assert op.M2 is mixed_sheaf.M2
     assert not op.M2.flags.writeable
+
+
+def _close(got, want):
+    scale = max(1.0, np.abs(want).max(initial=0.0))
+    return got.shape == want.shape and np.abs(got - want).max(initial=0.0) <= 1e-12 * scale
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_vertices=st.integers(2, 5),
+    n_edges=st.integers(0, 7),
+    self_loops=st.booleans(),
+)
+def test_block_wise_operator_matches_the_dense_formulas(seed, n_vertices, n_edges, self_loops):
+    # Mixed stalk dimensions 1 to 3, random SPD Grams, and possibly self-loops.
+    sheaf = random_sheaf(
+        np.random.default_rng(seed), n_vertices, n_edges, allow_self_loops=self_loops
+    )
+    op = build_coboundary(sheaf)
+    B, M1, M2 = op.B, op.M1, op.M2
+    assert _close(op.L1 @ op.L1.T, M1)
+    assert _close(op.L2 @ op.L2.T, M2)
+    assert _close(op.delta_star_matrix, np.linalg.solve(M1, B.T @ M2))
+    white = op.L2.T @ np.linalg.solve(op.L1, B.T).T
+    assert _close(op._whitened, white)
+    s = np.linalg.svd(white, compute_uv=False)
+    assert _close(op.singular_values(), s)
+    rank = int(np.count_nonzero(s > RANK_TOL * s[0])) if s.size and s[0] else 0
+    assert op.rank() == rank
+    assert global_section_basis(op).dim_h0 == op.d0 - rank
+    assert harmonic_basis(op).dim_h1 == op.d1 - rank
+
+
+def test_gram_factor_falls_back_to_an_eigenfactorization(mixed_sheaf, monkeypatch):
+    op = build_coboundary(mixed_sheaf)
+
+    def fail(a):
+        raise np.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    alt = CoboundaryOperator(mixed_sheaf, op.B, op.M1, op.M2)
+    assert not np.allclose(alt.L1, op.L1)
+    assert _close(alt.L1 @ alt.L1.T, op.M1) and _close(alt.L2 @ alt.L2.T, op.M2)
+    assert _close(alt.singular_values(), op.singular_values())
+    with pytest.raises(StructuralError, match="M1 is not positive definite"):
+        CoboundaryOperator(mixed_sheaf, op.B, -op.M1, op.M2)
+
+
+def test_vanishing_cohomology_computes_no_singular_vectors():
+    op = build_coboundary(make_cycle_sheaf(9, "rotated"))
+    sections, harm = global_section_basis(op), harmonic_basis(op)
+    assert (sections.dim_h0, harm.dim_h1) == (0, 0)
+    assert sections.basis.shape == (op.d0, 0) and harm.basis.shape == (op.d1, 0)
+    assert op.singular_values().size == op.d0
+    assert "_spectrum" in op.__dict__ and "_svd" not in op.__dict__
+    # the pseudoinverse needs the vectors, and the limit of the flow is B^{-1} b
+    b = np.random.default_rng(3).standard_normal(op.d1)
+    got = equilibrium_projection(op, b, np.zeros(op.d0))
+    assert "_svd" in op.__dict__
+    assert _close(got, np.linalg.solve(op.B, b))
+
+
+def test_null_bases_on_the_identity_cycle_are_orthonormal_kernels():
+    op = build_coboundary(make_cycle_sheaf(9, "identity"))
+    sections, harm = global_section_basis(op), harmonic_basis(op)
+    assert (sections.dim_h0, harm.dim_h1) == (2, 2)
+    assert np.allclose(sections.basis.T @ op.M1 @ sections.basis, np.eye(2), atol=1e-12)
+    assert np.allclose(harm.basis.T @ op.M2 @ harm.basis, np.eye(2), atol=1e-12)
+    assert np.abs(op.B @ sections.basis).max() <= 1e-12
+    assert np.abs(op.delta_star_matrix @ harm.basis).max() <= 1e-12
+    # Identity Grams: the limit is pinv(B) b plus the Euclidean projection of
+    # the rest of x0 onto ker B.
+    rng = np.random.default_rng(5)
+    b, x0 = rng.standard_normal(op.d1), rng.standard_normal(op.d0)
+    pinv = np.linalg.pinv(op.B)
+    xb = pinv @ b
+    want = xb + (np.eye(op.d0) - pinv @ op.B) @ (x0 - xb)
+    assert _close(equilibrium_projection(op, b, x0), want)
 
 
 @pytest.mark.parametrize("edges", [[1], ["tail"], [[0, 1]], 5])
