@@ -21,6 +21,12 @@ from .potentials import EdgePotential, NodeField
 from .sheaf import CoboundaryOperator, delta_pseudoinverse_apply, global_section_basis
 
 
+def whole_steps(horizon: float, step: float) -> bool:
+    """Whether horizon is a whole number of steps, to a relative 1e-9."""
+    steps = horizon / step
+    return abs(steps - round(steps)) <= 1e-9 * steps
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Fixed-step integration settings.
@@ -40,8 +46,7 @@ class SimConfig:
             raise ParameterError("step must be positive")
         if not self.horizon >= self.step:
             raise ParameterError("horizon must cover at least one step")
-        steps = self.horizon / self.step
-        if abs(steps - round(steps)) > 1e-9 * steps:
+        if not whole_steps(self.horizon, self.step):
             raise ParameterError(
                 f"horizon {self.horizon!r} is not a whole number of steps of {self.step!r}"
             )

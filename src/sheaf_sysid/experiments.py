@@ -37,7 +37,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import SimConfig, Trajectory, integrate
+from .dynamics import SimConfig, Trajectory, integrate, whole_steps
 from .errors import ConfigurationError, DivergenceError, SheafSysIdError, UsageError
 from .potentials import (
     BoundedConfidence,
@@ -144,9 +144,11 @@ class ExperimentConfig:
     coverage / residual_mode / basis_variant restrict the swept conditions
     when set; None sweeps everything the experiment defines.  Each filter
     must name a value of the study's _SWEEPS rows, and together they must
-    select at least one row.  step may not exceed the record length of any
-    selected condition (or FORMATION_HORIZON for formation_transfer).  A
-    field no selected condition reads must keep its default.
+    select at least one row.  step may not exceed, and must divide, the
+    record length of every selected condition (or FORMATION_HORIZON for
+    formation_transfer).  bounded_confidence runs on the rotated cycle, so
+    its cycle_length may not be a multiple of 8.  A field no selected
+    condition reads must keep its default.
     """
 
     experiment_id: str
@@ -165,6 +167,12 @@ class ExperimentConfig:
         if self.experiment_id not in ("formation_transfer", *_SWEEPS):
             raise ConfigurationError(f"unknown experiment '{self.experiment_id}'")
         config_number(self.cycle_length, "cycle_length", 3, integer=True)
+        # the threshold study's quarter-pi rotated cycle has H^1 != 0 when 8 | n
+        if self.experiment_id == "bounded_confidence" and self.cycle_length % 8 == 0:
+            raise ConfigurationError(
+                f"bounded_confidence cycle_length {self.cycle_length} is a multiple of 8,"
+                " where the rotated cycle has a nonzero harmonic space"
+            )
         config_number(self.n_holdout, "n_holdout", 1, integer=True)
         if self.n_training is not None:
             config_number(self.n_training, "n_training", 1, integer=True)
@@ -200,6 +208,18 @@ class ExperimentConfig:
             )
         if coverages - {"localized"} and self.training_horizon < self.step:
             raise ConfigurationError("training_horizon must be at least step")
+        records = {}
+        if self.experiment_id == "formation_transfer":
+            records["formation horizon"] = FORMATION_HORIZON
+        if "localized" in coverages:
+            records["localized horizon"] = LOCALIZED_HORIZON
+        if coverages - {"localized"}:
+            records["training_horizon"] = self.training_horizon
+        for name, horizon in records.items():
+            if not whole_steps(horizon, self.step):
+                raise ConfigurationError(
+                    f"step {self.step!r} does not divide the {name} {horizon!r}"
+                )
         # localized records run LOCALIZED_HORIZON: reject a key no condition reads
         if coverages == {"localized"} and self.training_horizon != TRAINING_HORIZON:
             raise ConfigurationError(

@@ -24,9 +24,12 @@ The threshold has no linear structure, so its loss is searched over epsilon
 (a grid, then golden section; about 110 evaluations per fit).  Everything in
 that loss except the law's per-edge gain is independent of epsilon and is
 computed once per fit (threshold_terms): the edge states y, their per-edge
-squared norms u, the whitened residuals r @ L1 and the whitened sensitivity
-map G = delta*^T L1.  One evaluation is then the gain of u at epsilon, the
-misfit r @ L1 - (y * gain) @ G and its mean sum of squares.
+squared norms u spread over each edge stalk, the whitened residuals r @ L1
+and the whitened sensitivity map G = delta*^T L1.  One evaluation is then
+the gain of u at epsilon, the misfit r @ L1 - (y * gain) @ G and its mean
+sum of squares, in place after the gain.  The product stays (N, d1) @
+(d1, d0), since BLAS rounds G^T @ (y * gain)^T differently on weighted
+sheaves, so the loss is bit-equal to that plain form on every sheaf.
 """
 
 from __future__ import annotations
@@ -264,31 +267,45 @@ class ThresholdTerms(NamedTuple):
 
     sheaf: Sheaf
     edge_states: np.ndarray  # y (N, d1)
-    sq_norms: np.ndarray  # per-edge squared norms u of y (N, edge_count)
+    sq_norms: np.ndarray  # per-edge squared norms u of y over each stalk (N, d1)
     residuals: np.ndarray  # whitened residuals r @ L1 (N, d0)
     sensitivity: np.ndarray  # whitened sensitivity map G = delta*^T L1 (d1, d0)
 
 
 def threshold_terms(op: CoboundaryOperator, data: ResidualDataset) -> ThresholdTerms:
-    """Edge states, their per-edge squared norms, whitened residuals and the
-    whitened map from edge forces to 0-cochains, for threshold_objective."""
+    """Edge states, their per-edge squared norms spread over each stalk, the
+    whitened residuals and the whitened map from edge forces to 0-cochains."""
     y = data.edge_states
     return ThresholdTerms(
         op.sheaf,
         y,
-        op.sheaf.edge_sq_norms(y),
+        op.sheaf.spread(op.sheaf.edge_sq_norms(y)),
         data.residuals @ op.L1,
         op.delta_star_matrix.T @ op.L1,
     )
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """np.sum(a, axis=-1) of an (N, d) array, bit for bit: numpy adds fewer
+    than 8 terms in order from 0.0, so those are summed column by column, over
+    long strided rows instead of N short ones; 8 or more it sums pairwise."""
+    if a.shape[1] >= 8:
+        return a.sum(axis=-1)
+    sums = np.zeros(a.shape[0])
+    for column in a.T:
+        sums += column
+    return sums
+
+
 def threshold_objective(terms: ThresholdTerms, epsilon: float) -> float:
     """Mean squared residual misfit of the bounded-confidence law at epsilon:
     the law's gain on the precomputed norms, one product and a sum of squares."""
-    gain = BoundedConfidence(terms.sheaf, epsilon).gain(terms.sq_norms)
-    predicted = (terms.edge_states * terms.sheaf.spread(gain)) @ terms.sensitivity
-    misfit = terms.residuals - predicted
-    return float(np.mean(np.sum(misfit * misfit, axis=-1)))
+    forces = BoundedConfidence(terms.sheaf, epsilon).gain(terms.sq_norms)
+    forces *= terms.edge_states
+    misfit = forces @ terms.sensitivity
+    np.subtract(terms.residuals, misfit, out=misfit)
+    misfit *= misfit
+    return float(np.mean(_row_sums(misfit)))
 
 
 def fit_threshold(

@@ -466,7 +466,57 @@ def test_step_may_reach_each_horizon_the_study_runs():
     ExperimentConfig(experiment_id="formation_transfer", step=4.0)
     ExperimentConfig(experiment_id="bounded_confidence", step=0.5, training_horizon=0.5)
     # only localized records stop at 0.5
-    ExperimentConfig(experiment_id="bounded_confidence", coverage="broad", step=0.6)
+    ExperimentConfig(
+        experiment_id="bounded_confidence", coverage="broad", step=0.6, training_horizon=6.0
+    )
+
+
+@pytest.mark.parametrize(
+    "study, settings, record",
+    [
+        ("finite_basis", {"step": 0.03}, "training_horizon 10.0"),
+        ("finite_basis", {"step": 0.3, "training_horizon": 1.0}, "training_horizon 1.0"),
+        ("bounded_confidence", {"coverage": "broad", "step": 0.6}, "training_horizon 10.0"),
+        ("bounded_confidence", {"coverage": "localized", "step": 0.3}, "localized horizon 0.5"),
+        ("bounded_confidence", {"step": 0.15, "training_horizon": 0.6}, "localized horizon 0.5"),
+        ("formation_transfer", {"step": 0.03}, "formation horizon 4.0"),
+    ],
+)
+def test_step_must_divide_every_record_length_the_study_runs(study, settings, record):
+    step = settings["step"]
+    with pytest.raises(ConfigurationError, match=f"^step {step} does not divide the {record}$"):
+        ExperimentConfig(experiment_id=study, **settings)
+
+
+def test_step_that_divides_each_record_length_up_to_rounding_is_accepted():
+    ExperimentConfig(experiment_id="finite_basis", step=0.02)
+    # 0.3 / 0.1 is 2.9999999999999996 steps
+    ExperimentConfig(experiment_id="finite_basis", step=0.1, training_horizon=0.3)
+    ExperimentConfig(experiment_id="bounded_confidence", step=0.05, training_horizon=0.6)
+    ExperimentConfig(experiment_id="bounded_confidence", coverage="localized", step=0.25)
+    ExperimentConfig(experiment_id="formation_transfer", step=0.025)
+    # every step too long for a selected record keeps its own message
+    with pytest.raises(ConfigurationError, match="step must be at most the localized horizon"):
+        ExperimentConfig(experiment_id="bounded_confidence", step=0.7)
+
+
+@pytest.mark.parametrize("n", [8, 16, 64])
+def test_threshold_study_rejects_a_rotated_cycle_with_harmonic_space(n):
+    with pytest.raises(ConfigurationError, match=f"cycle_length {n} is a multiple of 8"):
+        ExperimentConfig(experiment_id="bounded_confidence", cycle_length=n)
+    # the basis study runs the identity cycle, which exists at every length
+    ExperimentConfig(experiment_id="finite_basis", cycle_length=n)
+
+
+def test_rotated_cycle_check_agrees_with_the_sheaf_it_builds():
+    for n in range(3, 26):
+        try:
+            make_cycle_sheaf(n, "rotated")
+        except ConfigurationError:
+            with pytest.raises(ConfigurationError, match="cycle_length"):
+                ExperimentConfig(experiment_id="bounded_confidence", cycle_length=n)
+        else:
+            ExperimentConfig(experiment_id="bounded_confidence", cycle_length=n)
 
 
 @pytest.mark.parametrize(

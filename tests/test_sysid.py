@@ -559,7 +559,18 @@ def test_threshold_loss_equals_the_direct_misfit_form(seed, epsilon, scale):
 
 
 def test_threshold_loss_is_bit_equal_to_the_direct_form_on_identity_grams(rotated_cycle):
-    sheaf, op = rotated_cycle
+    assert_threshold_losses_bit_equal_on_identity_grams(*rotated_cycle)
+
+
+@pytest.mark.parametrize("n", [4, 5, 101])
+def test_threshold_loss_is_bit_equal_on_wider_rotated_cycles(n):
+    # d0 = 8, 10 and 202 take numpy's pairwise row sum; the 3-cycle above
+    # (d0 = 6) takes the in-order column sums
+    sheaf = make_cycle_sheaf(n, "rotated")
+    assert_threshold_losses_bit_equal_on_identity_grams(sheaf, build_coboundary(sheaf))
+
+
+def assert_threshold_losses_bit_equal_on_identity_grams(sheaf, op):
     assert np.array_equal(op.L1, np.eye(op.d0))
     rng = np.random.default_rng(31)
     states = 0.8 * rng.standard_normal((200, op.d0))
@@ -573,6 +584,51 @@ def test_threshold_loss_is_bit_equal_to_the_direct_form_on_identity_grams(rotate
         misfit = (data.residuals - force @ ds_t) @ op.L1
         direct = float(np.mean(np.sum(misfit * misfit, axis=-1)))
         assert threshold_objective(terms, epsilon) == direct
+
+
+def row_major_threshold_loss(op, data, epsilon):
+    """The threshold loss as one (N, d1) @ (d1, d0) product of the spread forces
+    with G = delta*^T L1, and numpy's per-sample row sums of the squared misfit."""
+    sheaf, y = op.sheaf, data.edge_states
+    gain = BoundedConfidence(sheaf, epsilon).gain(sheaf.edge_sq_norms(y))
+    predicted = (y * sheaf.spread(gain)) @ (op.delta_star_matrix.T @ op.L1)
+    misfit = data.residuals @ op.L1 - predicted
+    return float(np.mean(np.sum(misfit * misfit, axis=-1)))
+
+
+def test_fit_threshold_grid_losses_are_bit_equal_to_the_row_major_loss():
+    widths = set()
+    # weighted sheaves with mixed stalks, d0 = 4, 3 and 20; on these BLAS
+    # rounds G^T @ forces^T differently from forces @ G at some grid points
+    for seed, n_vertices, n_edges in [(47, 3, 8), (49, 3, 8), (45, 8, 10)]:
+        rng = np.random.default_rng(seed)
+        sheaf = random_sheaf(rng, n_vertices, n_edges)
+        op = build_coboundary(sheaf)
+        states = 0.8 * rng.standard_normal((300, op.d0))
+        clean = forward_dataset(op, BoundedConfidence(sheaf, 1.0), states)
+        noisy = clean.residuals + 1e-3 * rng.standard_normal(states.shape)
+        data = ResidualDataset(states, noisy, clean.edge_states, "exact")
+        result = fit_threshold(op, data, (0.25, 4.0))
+        grid = result.diagnostics["grid"]
+        direct = [row_major_threshold_loss(op, data, e) for e in grid]
+        assert result.diagnostics["grid_losses"] == direct
+        eps_hat = result.theta_hat[0]
+        assert result.objective_value == row_major_threshold_loss(op, data, eps_hat)
+        widths.add(op.d0 >= 8)
+    assert widths == {False, True}  # both ways of summing a sample's terms
+
+
+@pytest.mark.parametrize("d", range(1, 8))
+def test_numpy_adds_fewer_than_8_terms_in_order(d):
+    # sysid._row_sums relies on this rule to sum a sample's terms column by column
+    rng = np.random.default_rng(d)
+    a = rng.standard_normal((1000, d)) * 10.0 ** rng.uniform(-12, 12, (1000, d))
+    in_order = np.zeros(1000)
+    for column in a.T:
+        in_order += column
+    assert np.array_equal(np.sum(a, axis=-1), in_order)
+    assert np.array_equal(np.sum(a, axis=-1), np.ascontiguousarray(a.T).sum(axis=0))
+    assert np.array_equal(sysid._row_sums(a), np.sum(a, axis=-1))
 
 
 def test_a_threshold_fit_norms_its_samples_once_and_runs_no_force(rotated_cycle, monkeypatch):
