@@ -42,11 +42,9 @@ from .potentials import (
     ConstantEdgeForce,
     EdgePotential,
     LinearBasisPotential,
-    NodeField,
     Quadratic,
     RadialMonomialForce,
     ShiftedQuadratic,
-    ZeroField,
     monomial_basis,
     monomial_potential,
 )
@@ -79,7 +77,6 @@ from .sysid import (
     fit_linear,
     fit_threshold,
     information_scalar,
-    integrated_residual_objective,
     merge_datasets,
     residual_dataset,
     residuals_exact,

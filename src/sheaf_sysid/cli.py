@@ -41,7 +41,6 @@ from .potentials import (
     LinearBasisPotential,
     Quadratic,
     ShiftedQuadratic,
-    ZeroField,
     monomial_basis,
 )
 from .sheaf import (
@@ -52,8 +51,6 @@ from .sheaf import (
     load_sheaf,
 )
 from .sysid import fit_linear, fit_threshold, residual_dataset
-
-_ZERO = ZeroField()
 
 
 def config_hash(config: dict) -> str:
@@ -236,7 +233,7 @@ def cmd_simulate(config: dict, out_dir: Path, quiet: bool) -> int:
         noise_std=_number(config, "noise_std", 0.0),
     )
     ics = _initial_states(config, op.d0)
-    results = simulate_ensemble(op, model, _ZERO, ics, cfg)
+    results = simulate_ensemble(op, model, ics, cfg)
 
     tag = config_hash(config)
     files, failures = [], []
@@ -270,7 +267,6 @@ _IDENTIFY_KEYS = {
     "trajectories",
     "family",
     "residuals",
-    "noise_std",
     "ridge",
 }
 
@@ -289,8 +285,7 @@ def cmd_identify(config: dict, out_dir: Path, quiet: bool) -> int:
             raise UsageError(f"{path}: state width {traj.states.shape[1]} is not d0 = {op.d0}")
 
     mode = config.get("residuals", "observed")
-    sigma = _number(config, "noise_std", 0.0, low=0.0)
-    data = residual_dataset(op, trajectories, _ZERO, mode, sigma)
+    data = residual_dataset(op, trajectories, mode)
 
     family = config.get("family")
     if not isinstance(family, dict) or "kind" not in family:

@@ -1,4 +1,4 @@
-"""Sheaf diffusion dynamics: x' = -alpha * delta*(Phi(delta x)) - Psi(x).
+"""Sheaf diffusion dynamics: x' = -alpha * delta*(Phi(delta x)).
 
 Integration is classical fixed-step RK4 over a batch of starts in one loop.
 The integrator records the exact vector field value at every sample;
@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DivergenceError, ParameterError, StructuralError, UsageError
-from .potentials import EdgePotential, NodeField
+from .potentials import EdgePotential
 from .sheaf import CoboundaryOperator, delta_pseudoinverse_apply, global_section_basis
 
 
@@ -83,11 +83,7 @@ def _laplacian(op, model, x):
 
 
 def integrate(
-    op: CoboundaryOperator,
-    model: EdgePotential,
-    node_field: NodeField,
-    x0: np.ndarray,
-    cfg: SimConfig,
+    op: CoboundaryOperator, model: EdgePotential, x0: np.ndarray, cfg: SimConfig
 ) -> Trajectory | list[Trajectory | DivergenceError]:
     """Integrate the diffusion ODE with classical RK4 at fixed step cfg.step.
 
@@ -120,7 +116,7 @@ def integrate(
 
     # The unchecked product: the shape was checked once for the whole batch.
     def f(state):
-        return -alpha * _laplacian(op, model, state) - node_field.grad(state)
+        return -alpha * _laplacian(op, model, state)
 
     # Row-major per start, so each returned trajectory is one contiguous block.
     states = np.empty((n, steps + 1, op.d0))
@@ -169,7 +165,6 @@ def integrate(
 def simulate_ensemble(
     op: CoboundaryOperator,
     model: EdgePotential,
-    node_field: NodeField,
     initial_conditions: Sequence[np.ndarray],
     cfg: SimConfig,
 ) -> list[Trajectory | DivergenceError]:
@@ -183,7 +178,7 @@ def simulate_ensemble(
     starts = [np.asarray(x0, dtype=float) for x0 in initial_conditions]
     if any(x0.shape != (op.d0,) for x0 in starts):
         raise StructuralError(f"every initial state must have shape ({op.d0},)")
-    return integrate(op, model, node_field, np.reshape(starts, (-1, op.d0)), cfg)
+    return integrate(op, model, x0=np.reshape(starts, (-1, op.d0)), cfg=cfg)
 
 
 def equilibrium_projection(

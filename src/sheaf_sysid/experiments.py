@@ -45,7 +45,6 @@ from .potentials import (
     EdgePotential,
     LinearBasisPotential,
     ShiftedQuadratic,
-    ZeroField,
     monomial_basis,
 )
 from .sheaf import (
@@ -111,8 +110,6 @@ _SWEEPS = {
         ("Correct / Limited / FD", "correct", "limited", "finite_difference"),
     ),
 }
-
-_ZERO = ZeroField()
 
 
 def config_number(value, key: str, low: float = -math.inf, integer: bool = False):
@@ -298,13 +295,12 @@ def constant_edge_cochain(sheaf: Sheaf, block: Sequence[float]) -> np.ndarray:
     return out
 
 
-def reference_grid(
-    sheaf: Sheaf, extent: float = GRID_EXTENT, points: int = GRID_POINTS
-) -> np.ndarray:
-    """Uniform per-edge grid over [-extent, extent]^2, tiled across edges."""
+def reference_grid(sheaf: Sheaf) -> np.ndarray:
+    """Uniform per-edge grid of GRID_POINTS^2 points over [-GRID_EXTENT,
+    GRID_EXTENT]^2, tiled across edges."""
     if any(d != 2 for d in sheaf.edge_stalk_dims):
         raise UsageError("reference grid requires 2-D edge stalks")
-    axis = np.linspace(-extent, extent, points)
+    axis = np.linspace(-GRID_EXTENT, GRID_EXTENT, GRID_POINTS)
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     pts = np.column_stack([gx.ravel(), gy.ravel()])
     return np.tile(pts, (1, sheaf.graph.edge_count))
@@ -419,8 +415,8 @@ def run_formation_transfer(cfg: ExperimentConfig) -> ExperimentOutput:
             perturbed_law = ShiftedQuadratic(sheaf, b - beta * c)
 
             sim = SimConfig(horizon=FORMATION_HORIZON, step=cfg.step)
-            rollout_true = integrate(op, true_law, _ZERO, x0, sim)
-            rollout_pert = integrate(op, perturbed_law, _ZERO, x0, sim)
+            rollout_true = integrate(op, true_law, x0=x0, cfg=sim)
+            rollout_pert = integrate(op, perturbed_law, x0=x0, cfg=sim)
             max_diff = float(np.max(np.abs(rollout_true.states - rollout_pert.states)))
 
             eval_states = rollout_true.states @ op.B.T
@@ -501,7 +497,7 @@ def _grouped_rollouts(op, step, jobs, model) -> list[list]:
     for (group, horizon), index in groups.items():
         sets = [jobs[i][2] for i in index]
         sim = SimConfig(horizon=horizon, step=step)
-        results = integrate(op, model(group, index), _ZERO, np.concatenate(sets), sim)
+        results = integrate(op, model(group, index), x0=np.concatenate(sets), cfg=sim)
         ends = np.cumsum([len(starts) for starts in sets])
         for i, starts, end in zip(index, sets, ends):
             out[i] = results[end - len(starts) : end]
@@ -602,7 +598,7 @@ def _sweep(cfg, sheaf, conditions, fit, law, stats, noise_std, noise_tag) -> Exp
             if cond.mode == "finite_difference":
                 noise_key = (_COVERAGE_IDS[cond.coverage], _MODE_IDS[cond.mode]) + noise_tag
                 train = _with_observation_noise(train, noise_std, (seed, *noise_key))
-            data = residual_dataset(op, train, _ZERO, cond.mode, noise_std)
+            data = residual_dataset(op, train, cond.mode)
             fits.append((cond, hold_ics, *fit(cond, op, data)))
             pooled.append(data.edge_states)
     except SheafSysIdError:

@@ -1,4 +1,4 @@
-"""Edge potentials, their forces, and node fields.
+"""Edge potentials and their forces.
 
 Every potential here is edge-separable: U(y) = sum_e U_e(y_e), with the force
 defined as the gradient of U with respect to the *edge inner products*.  Under
@@ -300,22 +300,3 @@ def monomial_basis(sheaf: Sheaf) -> tuple[RadialMonomialForce, ...]:
 
 def monomial_potential(sheaf: Sheaf, theta: Sequence[float]) -> LinearBasisPotential:
     return LinearBasisPotential(sheaf, monomial_basis(sheaf), theta)
-
-
-class NodeField:
-    """Gradient field on node states; block v depends only on x_v."""
-
-    def value(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class ZeroField(NodeField):
-    def value(self, x):
-        return np.zeros(np.asarray(x).shape[:-1])
-
-    def grad(self, x):
-        return np.zeros_like(np.asarray(x, dtype=float))
-

@@ -310,11 +310,11 @@ class CoboundaryOperator:
     def d1(self) -> int:
         return self.B.shape[0]
 
-    def rank(self, tol: float = RANK_TOL) -> int:
+    def rank(self) -> int:
         s = self._spectrum
         if s.size == 0 or s[0] == 0.0:
             return 0
-        return int(np.count_nonzero(s > tol * s[0]))
+        return int(np.count_nonzero(s > RANK_TOL * s[0]))
 
     def singular_values(self) -> np.ndarray:
         return self._spectrum.copy()
@@ -401,22 +401,22 @@ def c1_inner(op: CoboundaryOperator, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return np.einsum("...i,ij,...j->...", a, op.M2, b)
 
 
-def harmonic_basis(op: CoboundaryOperator, tol: float = RANK_TOL) -> HarmonicSpace:
+def harmonic_basis(op: CoboundaryOperator) -> HarmonicSpace:
     """M2-orthonormal basis of ker delta*.
 
-    Whitened left singular vectors with singular value <= tol * sigma_max are
-    mapped back through L2^{-T}; the count equals d1 - rank(B).
+    Whitened left singular vectors with singular value <= RANK_TOL * sigma_max
+    are mapped back through L2^{-T}; the count equals d1 - rank(B).
     """
-    rank = op.rank(tol)
+    rank = op.rank()
     if rank == op.d1:
         return HarmonicSpace(basis=np.zeros((op.d1, 0)), dim_h1=0)
     basis = _block_solve_t(op.L2, op._edge_blocks, op._svd[0][:, rank:])
     return HarmonicSpace(basis=basis, dim_h1=op.d1 - rank)
 
 
-def global_section_basis(op: CoboundaryOperator, tol: float = RANK_TOL) -> SectionSpace:
+def global_section_basis(op: CoboundaryOperator) -> SectionSpace:
     """M1-orthonormal basis of ker delta (the global sections)."""
-    rank = op.rank(tol)
+    rank = op.rank()
     if rank == op.d0:
         return SectionSpace(basis=np.zeros((op.d0, 0)), dim_h0=0)
     basis = _block_solve_t(op.L1, op._vertex_blocks, op._svd[2][rank:, :].T)

@@ -2,7 +2,7 @@
 
 The node-level residual of the diffusion dynamics is
 
-    r(x) = -x' - Psi(x) = delta*(Phi(delta x)),
+    r(x) = -x' = delta*(Phi(delta x)),
 
 which is computable from trajectories alone; edge states y = delta x are
 always recomputed from node states through the coboundary, never measured
@@ -42,10 +42,12 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .errors import ConfigurationError, ParameterError, UsageError
-from .potentials import BasisForce, BoundedConfidence, EdgePotential, NodeField
+from .potentials import BasisForce, BoundedConfidence
 from .sheaf import RANK_TOL, CoboundaryOperator, Sheaf
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GRID_POINTS = 64  # log-spaced threshold grid before golden section
+_GOLDEN_TOL = 1e-10  # absolute width at which golden section stops
 
 
 @dataclass(frozen=True)
@@ -53,14 +55,13 @@ class ResidualDataset:
     """Sampled states, residuals, and recomputed edge states.
 
     ``source`` records how derivatives were obtained ("exact" or
-    "finite_difference"); ``noise_std`` the observation noise that was present.
+    "finite_difference").
     """
 
     states: np.ndarray  # (N, d0)
     residuals: np.ndarray  # (N, d0)
     edge_states: np.ndarray  # (N, d1)
     source: str
-    noise_std: float = 0.0
 
     @property
     def n_samples(self) -> int:
@@ -85,72 +86,49 @@ class EstimationResult:
     diagnostics: dict
 
 
-def residuals_exact(
-    op: CoboundaryOperator, traj: Trajectory, node_field: NodeField
-) -> ResidualDataset:
-    """Residuals from recorded exact derivatives: r_k = -x'_k - Psi(x_k)."""
+def residuals_exact(op: CoboundaryOperator, traj: Trajectory) -> ResidualDataset:
+    """Residuals from recorded exact derivatives: r_k = -x'_k."""
     if traj.derivs is None:
         raise UsageError("trajectory has no recorded derivatives")
-    residuals = -traj.derivs - node_field.grad(traj.states)
     return ResidualDataset(
         states=traj.states,
-        residuals=residuals,
+        residuals=-traj.derivs,
         edge_states=traj.states @ op.B.T,
         source="exact",
     )
 
 
-def _uniform_step(traj: Trajectory, min_samples: int, what: str) -> float:
-    """The sampling step of a trajectory with at least ``min_samples``
-    uniformly spaced samples; ``what`` names the method in the error."""
-    if traj.states.shape[0] < min_samples:
-        raise UsageError(f"{what} need at least {min_samples} samples")
-    dt = np.diff(traj.times)
-    if not np.allclose(dt, dt[0], rtol=1e-8, atol=1e-12):
-        raise UsageError(f"{what} require uniform sampling")
-    return dt[0]
-
-
-def residuals_fd(
-    op: CoboundaryOperator,
-    traj: Trajectory,
-    node_field: NodeField,
-    noise_std: float = 0.0,
-) -> ResidualDataset:
+def residuals_fd(op: CoboundaryOperator, traj: Trajectory) -> ResidualDataset:
     """Residuals with derivatives estimated by finite differences.
 
     Central differences on interior samples, one-sided second-order stencils
     at the ends; requires at least three uniformly spaced samples.
     """
     x = traj.states
-    h = _uniform_step(traj, 3, "finite differences")
+    if x.shape[0] < 3:
+        raise UsageError("finite differences need at least 3 samples")
+    dt = np.diff(traj.times)
+    if not np.allclose(dt, dt[0], rtol=1e-8, atol=1e-12):
+        raise UsageError("finite differences require uniform sampling")
+    h = dt[0]
     xdot = np.empty_like(x)
     xdot[1:-1] = (x[2:] - x[:-2]) / (2.0 * h)
     xdot[0] = (-3.0 * x[0] + 4.0 * x[1] - x[2]) / (2.0 * h)
     xdot[-1] = (3.0 * x[-1] - 4.0 * x[-2] + x[-3]) / (2.0 * h)
-    residuals = -xdot - node_field.grad(x)
     return ResidualDataset(
-        states=x,
-        residuals=residuals,
-        edge_states=x @ op.B.T,
-        source="finite_difference",
-        noise_std=noise_std,
+        states=x, residuals=-xdot, edge_states=x @ op.B.T, source="finite_difference"
     )
 
 
 def residual_dataset(
-    op: CoboundaryOperator,
-    trajectories: Sequence[Trajectory],
-    node_field: NodeField,
-    mode: str,
-    noise_std: float = 0.0,
+    op: CoboundaryOperator, trajectories: Sequence[Trajectory], mode: str
 ) -> ResidualDataset:
     """Merged residuals of every trajectory, from recorded derivatives
     (mode "observed") or finite differences (mode "finite_difference")."""
     if mode == "observed":
-        parts = [residuals_exact(op, t, node_field) for t in trajectories]
+        parts = [residuals_exact(op, t) for t in trajectories]
     elif mode == "finite_difference":
-        parts = [residuals_fd(op, t, node_field, noise_std=noise_std) for t in trajectories]
+        parts = [residuals_fd(op, t) for t in trajectories]
     else:
         raise ConfigurationError(f"unknown residual mode '{mode}'")
     return merge_datasets(parts)
@@ -167,7 +145,6 @@ def merge_datasets(datasets: Sequence[ResidualDataset]) -> ResidualDataset:
         residuals=np.concatenate([d.residuals for d in datasets]),
         edge_states=np.concatenate([d.edge_states for d in datasets]),
         source=datasets[0].source,
-        noise_std=max(d.noise_std for d in datasets),
     )
 
 
@@ -177,12 +154,10 @@ def _sensitivities(op: CoboundaryOperator, forces: np.ndarray) -> np.ndarray:
     return forces @ op.delta_star_matrix.T @ op.L1
 
 
-def _information(
-    columns: np.ndarray, tol: float
-) -> tuple[IdentifiabilityReport, np.ndarray, np.ndarray]:
+def _information(columns: np.ndarray) -> tuple[IdentifiabilityReport, np.ndarray, np.ndarray]:
     """Information matrix of whitened sensitivity columns, one per parameter.
 
-    Returns the report, with the verdict lambda_min > tol * lambda_max > 0,
+    Returns the report, with the verdict lambda_min > RANK_TOL * lambda_max > 0,
     and the one eigendecomposition (ascending eigenvalues, eigenvectors)
     that the report, the estimator's solve and its diagnostics share.
     """
@@ -190,7 +165,7 @@ def _information(
     eigs, vecs = np.linalg.eigh(gram)
     lam_min = float(max(eigs[0], 0.0))
     lam_max = float(eigs[-1])
-    identifiable = bool(lam_min > tol * lam_max and lam_max > 0.0)
+    identifiable = bool(lam_min > RANK_TOL * lam_max and lam_max > 0.0)
     return IdentifiabilityReport(gram, lam_min, lam_max, identifiable), eigs, vecs
 
 
@@ -218,7 +193,7 @@ def information_scalar(
     it vanishes exactly when no sample excites the below-threshold branch.
     """
     jac = model.param_jacobian(data.edge_states)[..., 0]
-    return _information(_sensitivities(op, jac).reshape(-1, 1), RANK_TOL)[0]
+    return _information(_sensitivities(op, jac).reshape(-1, 1))[0]
 
 
 def fit_linear(
@@ -226,14 +201,13 @@ def fit_linear(
     basis: Sequence[BasisForce],
     data: ResidualDataset,
     ridge: float = 0.0,
-    tol: float = RANK_TOL,
 ) -> EstimationResult:
     """Least-squares fit of a linear-in-parameters force family.
 
     With ridge = 0 a singular Gram is handled by eigenvalue truncation at
-    tol * lambda_max: the returned theta is the minimum-norm minimizer and the
-    report's identifiable flag is lowered.  With ridge > 0 every eigenvalue
-    is kept and shifted by the ridge weight.
+    RANK_TOL * lambda_max: the returned theta is the minimum-norm minimizer
+    and the report's identifiable flag is lowered.  With ridge > 0 every
+    eigenvalue is kept and shifted by the ridge weight.
     """
     if data.n_samples == 0:
         raise UsageError("empty dataset")
@@ -244,9 +218,9 @@ def fit_linear(
     cols = [_sensitivities(op, bf.force(data.edge_states)) for bf in basis]
     columns = np.stack(cols, axis=-1).reshape(-1, len(basis))
     target = (data.residuals @ op.L1).ravel()
-    report, eigs, vecs = _information(columns, tol)
+    report, eigs, vecs = _information(columns)
 
-    keep = eigs > (tol * max(eigs[-1], 0.0) if ridge == 0.0 else -np.inf)
+    keep = eigs > (RANK_TOL * max(eigs[-1], 0.0) if ridge == 0.0 else -np.inf)
     rank = int(np.count_nonzero(keep))
     coeff = (vecs[:, keep].T @ (columns.T @ target)) / (eigs[keep] + ridge)
     theta = vecs[:, keep] @ coeff
@@ -309,11 +283,7 @@ def threshold_objective(terms: ThresholdTerms, epsilon: float) -> float:
 
 
 def fit_threshold(
-    op: CoboundaryOperator,
-    data: ResidualDataset,
-    bracket: tuple[float, float],
-    grid_points: int = 64,
-    tol: float = 1e-10,
+    op: CoboundaryOperator, data: ResidualDataset, bracket: tuple[float, float]
 ) -> EstimationResult:
     """Recover the bounded-confidence threshold from residual data.
 
@@ -328,18 +298,18 @@ def fit_threshold(
         raise UsageError("empty dataset")
 
     terms = threshold_terms(op, data)
-    grid = np.geomspace(lo, hi, grid_points)
+    grid = np.geomspace(lo, hi, _GRID_POINTS)
     losses = np.array([threshold_objective(terms, e) for e in grid])
     best = int(np.argmin(losses))
     a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, grid_points - 1)]
+    b = grid[min(best + 1, _GRID_POINTS - 1)]
 
     # Golden-section refinement on [a, b].
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc = threshold_objective(terms, c)
     fd = threshold_objective(terms, d)
-    while (b - a) > tol:
+    while (b - a) > _GOLDEN_TOL:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -357,22 +327,3 @@ def fit_threshold(
         "refined_bracket": (float(a), float(b)),
     }
     return EstimationResult(np.array([eps_hat]), value, report, diagnostics)
-
-
-def integrated_residual_objective(
-    op: CoboundaryOperator,
-    model: EdgePotential,
-    node_field: NodeField,
-    traj: Trajectory,
-) -> float:
-    """Derivative-free misfit: state increments vs. trapezoid-rule integrals.
-
-    Sums |x(t_{k+1}) - x(t_k) + integral of [delta* Phi(delta x) + Psi(x)]|^2
-    in the M1 metric over consecutive sample pairs, with the integral
-    approximated by the trapezoid rule on the recorded samples.
-    """
-    x = traj.states
-    h = _uniform_step(traj, 2, "integrated residuals")
-    g = model.force(x @ op.B.T) @ op.delta_star_matrix.T + node_field.grad(x)
-    incr = (x[1:] - x[:-1] + 0.5 * h * (g[1:] + g[:-1])) @ op.L1
-    return float(np.sum(incr * incr))

@@ -22,7 +22,6 @@ from sheaf_sysid import (
     ResidualDataset,
     ShiftedQuadratic,
     SimConfig,
-    ZeroField,
     apply_delta,
     apply_delta_star,
     build_coboundary,
@@ -42,8 +41,6 @@ from sheaf_sysid import (
     run_formation_transfer,
 )
 from sheaf_sysid.cli import main as cli_main
-
-ZERO = ZeroField()
 
 
 class criterion:
@@ -205,7 +202,6 @@ def test_criterion_6_property_suite():
             traj = integrate(
                 op,
                 model,
-                ZERO,
                 0.3 * rng.standard_normal(op.d0),
                 SimConfig(horizon=1.0, step=0.005),
             )
@@ -219,7 +215,7 @@ def test_criterion_6_property_suite():
             b = rng.standard_normal(op.d1)
             x0 = rng.standard_normal(op.d0)
             traj = integrate(
-                op, ShiftedQuadratic(sheaf, b), ZERO, x0, SimConfig(horizon=horizon)
+                op, ShiftedQuadratic(sheaf, b), x0, SimConfig(horizon=horizon)
             )
             assert np.abs(
                 traj.states[-1] - equilibrium_projection(op, b, x0)
@@ -233,7 +229,7 @@ def test_criterion_6_property_suite():
 
         def terminal(step):
             return integrate(
-                op, model, ZERO, x0, SimConfig(horizon=1.0, step=step)
+                op, model, x0, SimConfig(horizon=1.0, step=step)
             ).states[-1]
 
         reference = terminal(0.01 / 16)
@@ -306,7 +302,6 @@ def test_criterion_7_rerun_determinism(tmp_path):
                 "trajectories": str(sim_dir),
                 "family": {"kind": "threshold", "bracket": [0.25, 4.0]},
                 "residuals": "finite_difference",
-                "noise_std": 0.005,
             },
             "experiment": {
                 "command": "experiment",

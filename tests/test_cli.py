@@ -353,9 +353,10 @@ def test_identify_refuses_the_seed_flag_and_key(tmp_path, capsys):
     assert run_cli("identify", cfg, tmp_path / "o", ("--seed", "1")) == 1
     assert capsys.readouterr().err.startswith("error: --seed does not apply to identify")
     payload = json.loads(cfg.read_text())
-    seeded = write_config(tmp_path, "id_seed.json", {**payload, "seed": 0})
-    assert run_cli("identify", seeded, tmp_path / "o") == 1
-    assert "unknown keys in config: ['seed']" in capsys.readouterr().err
+    for key, value in (("seed", 0), ("noise_std", 0.005)):
+        keyed = write_config(tmp_path, f"id_{key}.json", {**payload, key: value})
+        assert run_cli("identify", keyed, tmp_path / "o") == 1
+        assert f"unknown keys in config: ['{key}']" in capsys.readouterr().err
     assert run_cli("identify", cfg, tmp_path / "o") == 0
 
 

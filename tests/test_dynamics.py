@@ -21,7 +21,6 @@ from sheaf_sysid import (
     StructuralError,
     Trajectory,
     UsageError,
-    ZeroField,
     apply_delta,
     build_coboundary,
     equilibrium_projection,
@@ -32,11 +31,10 @@ from sheaf_sysid import (
     make_cycle_sheaf,
     monomial_basis,
     monomial_potential,
+    residuals_exact,
     save_trajectory_csv,
     simulate_ensemble,
 )
-
-ZERO = ZeroField()
 
 
 def test_quadratic_laplacian_is_linear(identity_cycle):
@@ -70,10 +68,30 @@ def test_harmonic_shift_does_not_change_laplacian(identity_cycle):
         assert np.abs(a - c).max() <= 1e-12
 
 
+@pytest.mark.parametrize("variant", ["identity", "rotated"])
+@pytest.mark.parametrize("alpha", [1.0, 0.7])
+def test_vector_field_is_the_scaled_laplacian_bit_for_bit(variant, alpha):
+    # x' = -alpha * delta*(Phi(delta x)) and r = -x', signed zeros included
+    sheaf = make_cycle_sheaf(5, variant)
+    op = build_coboundary(sheaf)
+    starts = np.vstack([np.zeros(op.d0), np.random.default_rng(6).standard_normal((3, op.d0))])
+    cfg = SimConfig(horizon=0.2, alpha=alpha)
+    laws = (
+        BoundedConfidence(sheaf, 1.0),
+        monomial_potential(sheaf, [1.0, 0.25, 0.03]),
+        Antagonistic(sheaf, [0, 2]),
+    )
+    for model in laws:
+        for traj in integrate(op, model, starts, cfg):
+            field = -alpha * laplacian_apply(op, model, traj.states)
+            assert traj.derivs.tobytes() == field.tobytes()
+            assert residuals_exact(op, traj).residuals.tobytes() == (-traj.derivs).tobytes()
+
+
 def test_constant_trajectory_from_global_section(identity_cycle):
     sheaf, op = identity_cycle
     x0 = np.tile([0.5, -1.0], 3)
-    traj = integrate(op, Quadratic(sheaf), ZERO, x0, SimConfig(horizon=1.0))
+    traj = integrate(op, Quadratic(sheaf), x0, SimConfig(horizon=1.0))
     assert np.abs(traj.states - x0).max() <= 1e-14
     assert np.abs(traj.derivs).max() <= 1e-14
 
@@ -85,7 +103,7 @@ def test_linear_dynamics_match_eigen_solution(identity_cycle):
     eigvals, eigvecs = np.linalg.eigh(L)
     rng = np.random.default_rng(2)
     x0 = rng.standard_normal(op.d0)
-    traj = integrate(op, Quadratic(sheaf), ZERO, x0, SimConfig(horizon=2.0))
+    traj = integrate(op, Quadratic(sheaf), x0, SimConfig(horizon=2.0))
     for k in (50, 120, 200):
         t = traj.times[k]
         expected = eigvecs @ (np.exp(-eigvals * t) * (eigvecs.T @ x0))
@@ -96,7 +114,7 @@ def test_linear_dynamics_converge_to_section_projection(identity_cycle):
     sheaf, op = identity_cycle
     rng = np.random.default_rng(3)
     x0 = rng.standard_normal(op.d0)
-    traj = integrate(op, Quadratic(sheaf), ZERO, x0, SimConfig(horizon=12.0))
+    traj = integrate(op, Quadratic(sheaf), x0, SimConfig(horizon=12.0))
     sections = global_section_basis(op)
     proj = sections.basis @ (sections.basis.T @ (op.M1 @ x0))
     assert np.abs(traj.states[-1] - proj).max() <= 1e-9
@@ -111,8 +129,8 @@ def test_rk4_step_halving_on_threshold_dynamics(rotated_cycle):
     model = BoundedConfidence(sheaf, 1.0)
     rng = np.random.default_rng(4)
     x0 = 0.8 * rng.standard_normal(op.d0)
-    coarse = integrate(op, model, ZERO, x0, SimConfig(horizon=5.0, step=0.01))
-    fine = integrate(op, model, ZERO, x0, SimConfig(horizon=5.0, step=0.005))
+    coarse = integrate(op, model, x0, SimConfig(horizon=5.0, step=0.01))
+    fine = integrate(op, model, x0, SimConfig(horizon=5.0, step=0.005))
     assert np.abs(coarse.states[-1] - fine.states[-1]).max() <= 1e-8
 
 
@@ -123,7 +141,7 @@ def test_rk4_is_fourth_order(identity_cycle):
     x0 = rng.standard_normal(op.d0)
 
     def terminal(step):
-        return integrate(op, model, ZERO, x0, SimConfig(horizon=1.0, step=step)).states[-1]
+        return integrate(op, model, x0, SimConfig(horizon=1.0, step=step)).states[-1]
 
     reference = terminal(0.01 / 16)
     err_coarse = np.linalg.norm(terminal(0.01) - reference)
@@ -158,7 +176,7 @@ def test_shifted_quadratic_converges_to_predicted_equilibrium(variant, horizon):
     b = rng.standard_normal(op.d1)
     x0 = rng.standard_normal(op.d0)
     traj = integrate(
-        op, ShiftedQuadratic(sheaf, b), ZERO, x0, SimConfig(horizon=horizon)
+        op, ShiftedQuadratic(sheaf, b), x0, SimConfig(horizon=horizon)
     )
     predicted = equilibrium_projection(op, b, x0)
     assert np.abs(traj.states[-1] - predicted).max() <= 1e-6
@@ -177,7 +195,7 @@ def test_energy_dissipates_along_noiseless_trajectories():
             monomial_potential(sheaf, [1.0, 0.25, 0.03]),
         ][trial % 4]
         x0 = 0.3 * rng.standard_normal(op.d0)
-        traj = integrate(op, model, ZERO, x0, SimConfig(horizon=2.0, step=0.005))
+        traj = integrate(op, model, x0, SimConfig(horizon=2.0, step=0.005))
         energies = model.value(apply_delta(op, traj.states))
         assert np.all(np.diff(energies) <= 1e-9)
 
@@ -187,7 +205,7 @@ def test_divergence_raises_with_time(identity_cycle):
     model = Antagonistic(sheaf, [0, 1, 2])
     x0 = np.array([1.0, 0.0, -1.0, 0.5, 0.3, -0.2])
     with pytest.raises(DivergenceError) as info:
-        integrate(op, model, ZERO, x0, SimConfig(horizon=300.0))
+        integrate(op, model, x0, SimConfig(horizon=300.0))
     assert info.value.time is not None and info.value.time > 0.0
 
 
@@ -195,11 +213,11 @@ def test_ensemble_empty_and_deterministic(rotated_cycle):
     sheaf, op = rotated_cycle
     model = BoundedConfidence(sheaf, 1.0)
     cfg = SimConfig(horizon=0.5, seed=3, noise_std=1e-3)
-    assert simulate_ensemble(op, model, ZERO, [], cfg) == []
+    assert simulate_ensemble(op, model, [], cfg) == []
     rng = np.random.default_rng(10)
     ics = [rng.standard_normal(op.d0) for _ in range(3)]
-    first = simulate_ensemble(op, model, ZERO, ics, cfg)
-    second = simulate_ensemble(op, model, ZERO, ics, cfg)
+    first = simulate_ensemble(op, model, ics, cfg)
+    second = simulate_ensemble(op, model, ics, cfg)
     for a, b in zip(first, second):
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.derivs, b.derivs)
@@ -215,7 +233,7 @@ def test_ensemble_contains_divergence_without_aborting(identity_cycle):
     benign = np.tile([0.1, 0.1], 3)  # a global section: stays put
     hot = np.array([1.0, 0.0, -1.0, 0.5, 0.3, -0.2])
     results = simulate_ensemble(
-        op, model, ZERO, [hot, benign], SimConfig(horizon=300.0)
+        op, model, [hot, benign], SimConfig(horizon=300.0)
     )
     assert isinstance(results[0], DivergenceError)
     assert isinstance(results[1], Trajectory)
@@ -239,19 +257,19 @@ def test_batched_rows_are_bit_identical_to_solo_runs(batch_case):
     rng = np.random.default_rng(21)
     starts = 0.8 * rng.standard_normal((37, op.d0))
     cfg = SimConfig(horizon=0.1)
-    solo = [integrate(op, model, ZERO, x0, cfg) for x0 in starts]
+    solo = [integrate(op, model, x0, cfg) for x0 in starts]
     for size in (1, 7, 37):
         for first in range(0, 37, size):
-            batch = integrate(op, model, ZERO, starts[first : first + size], cfg)
+            batch = integrate(op, model, starts[first : first + size], cfg)
             assert len(batch) == min(size, 37 - first)
             for i, traj in enumerate(batch, start=first):
                 assert np.array_equal(traj.states, solo[i].states)
                 assert np.array_equal(traj.derivs, solo[i].derivs)
     # Row i's noise is that of a solo run with the derived seed (seed..., i).
     noisy = replace(cfg, seed=(3, 1), noise_std=1e-3)
-    batch = integrate(op, model, ZERO, starts, noisy)
+    batch = integrate(op, model, starts, noisy)
     for i in (0, 17, 36):
-        alone = integrate(op, model, ZERO, starts[i], replace(noisy, seed=(3, 1, i)))
+        alone = integrate(op, model, starts[i], replace(noisy, seed=(3, 1, i)))
         assert np.array_equal(batch[i].states, alone.states)
         assert np.array_equal(batch[i].derivs, alone.derivs)
 
@@ -264,17 +282,17 @@ def test_diverging_rows_keep_their_solo_times_and_spare_their_neighbours(rotated
     d = rng.standard_normal(op.d0)
     starts = np.stack([d, 6.0 * d, 0.5 * rng.standard_normal(op.d0), 3.0 * d])
     cfg = SimConfig(horizon=1.0)
-    batch = integrate(op, model, ZERO, starts, cfg)
+    batch = integrate(op, model, starts, cfg)
     times = []
     for i in (1, 3):
         with pytest.raises(DivergenceError) as solo:
-            integrate(op, model, ZERO, starts[i], cfg)
+            integrate(op, model, starts[i], cfg)
         assert isinstance(batch[i], DivergenceError)
         assert batch[i].time == solo.value.time
         times.append(batch[i].time)
     assert times[0] < times[1]  # the rows blow up at different steps
     for i in (0, 2):
-        alone = integrate(op, model, ZERO, starts[i], cfg)
+        alone = integrate(op, model, starts[i], cfg)
         assert np.array_equal(batch[i].states, alone.states)
         assert np.array_equal(batch[i].derivs, alone.derivs)
         assert np.abs(alone.states[-1] - alone.states[0]).max() > 0.1
@@ -282,7 +300,7 @@ def test_diverging_rows_keep_their_solo_times_and_spare_their_neighbours(rotated
 
 def _solo(op, model, x0, cfg):
     try:
-        return integrate(op, model, ZERO, x0, cfg)
+        return integrate(op, model, x0, cfg)
     except DivergenceError as exc:
         return exc
 
@@ -327,7 +345,7 @@ def test_row_parameter_batches_keep_every_row_on_its_solo_bits(seed, family, n_r
 
         starts[hot] *= 50.0  # the cubic term overshoots RK4's stability limit
     cfg = SimConfig(horizon=0.3)
-    batch = integrate(op, law(params), ZERO, starts, cfg)
+    batch = integrate(op, law(params), starts, cfg)
     assert isinstance(batch[hot], DivergenceError)
     if family == "basis":
         assert batch[hot].time > 0  # mid-run: the survivors' parameters are subset
@@ -359,10 +377,10 @@ def test_integrate_rejects_misshapen_starts(identity_cycle):
     cfg = SimConfig(horizon=0.1)
     for bad in (np.zeros(op.d0 + 1), np.zeros((2, op.d0 - 1)), np.zeros((1, 1, op.d0))):
         with pytest.raises(StructuralError):
-            integrate(op, Quadratic(sheaf), ZERO, bad, cfg)
+            integrate(op, Quadratic(sheaf), bad, cfg)
     with pytest.raises(StructuralError):
-        simulate_ensemble(op, Quadratic(sheaf), ZERO, [np.zeros(op.d0), np.zeros(2)], cfg)
-    assert integrate(op, Quadratic(sheaf), ZERO, np.zeros((0, op.d0)), cfg) == []
+        simulate_ensemble(op, Quadratic(sheaf), [np.zeros(op.d0), np.zeros(2)], cfg)
+    assert integrate(op, Quadratic(sheaf), np.zeros((0, op.d0)), cfg) == []
 
 
 def test_simulating_never_computes_an_svd(monkeypatch):
@@ -374,8 +392,8 @@ def test_simulating_never_computes_an_svd(monkeypatch):
     op = build_coboundary(sheaf)
     model = BoundedConfidence(sheaf, 1.0)
     x0 = np.random.default_rng(22).standard_normal(op.d0)
-    integrate(op, model, ZERO, x0, SimConfig(horizon=0.1))
-    simulate_ensemble(op, model, ZERO, [x0, -x0], SimConfig(horizon=0.1))
+    integrate(op, model, x0, SimConfig(horizon=0.1))
+    simulate_ensemble(op, model, [x0, -x0], SimConfig(horizon=0.1))
     laplacian_apply(op, model, x0)
     monkeypatch.undo()
     assert op.rank() == op.d0  # the first rank query computes it
@@ -386,9 +404,9 @@ def test_noise_is_observation_only(rotated_cycle):
     model = BoundedConfidence(sheaf, 1.0)
     rng = np.random.default_rng(11)
     x0 = 0.6 * rng.standard_normal(op.d0)
-    clean = integrate(op, model, ZERO, x0, SimConfig(horizon=1.0, seed=5))
+    clean = integrate(op, model, x0, SimConfig(horizon=1.0, seed=5))
     noisy = integrate(
-        op, model, ZERO, x0, SimConfig(horizon=1.0, seed=5, noise_std=0.01)
+        op, model, x0, SimConfig(horizon=1.0, seed=5, noise_std=0.01)
     )
     # derivatives are recorded from the clean dynamics
     assert np.array_equal(clean.derivs, noisy.derivs)
@@ -396,7 +414,7 @@ def test_noise_is_observation_only(rotated_cycle):
     assert 0.005 <= np.std(jitter) <= 0.02
     # seeded: same config reproduces the same noise
     again = integrate(
-        op, model, ZERO, x0, SimConfig(horizon=1.0, seed=5, noise_std=0.01)
+        op, model, x0, SimConfig(horizon=1.0, seed=5, noise_std=0.01)
     )
     assert np.array_equal(noisy.states, again.states)
 
@@ -405,7 +423,7 @@ def test_trajectory_csv_roundtrip(tmp_path, identity_cycle):
     sheaf, op = identity_cycle
     rng = np.random.default_rng(12)
     traj = integrate(
-        op, Quadratic(sheaf), ZERO, rng.standard_normal(op.d0), SimConfig(horizon=0.2)
+        op, Quadratic(sheaf), rng.standard_normal(op.d0), SimConfig(horizon=0.2)
     )
     path = tmp_path / "traj.csv"
     save_trajectory_csv(traj, path)
@@ -460,8 +478,8 @@ def test_row_parameters_must_match_the_batch(rotated_cycle, family):
     cfg = SimConfig(horizon=0.1)
     for starts, n in ((np.zeros((3, op.d0)), 3), (np.zeros(op.d0), 1)):
         with pytest.raises(StructuralError, match=f"2 parameter rows for a batch of {n} "):
-            integrate(op, model, ZERO, starts, cfg)
-    assert len(integrate(op, model, ZERO, np.zeros((2, op.d0)), cfg)) == 2
+            integrate(op, model, starts, cfg)
+    assert len(integrate(op, model, np.zeros((2, op.d0)), cfg)) == 2
 
 
 @pytest.mark.parametrize("horizon, step", [(0.105, 0.01), (1.0, 0.3), (0.5, 0.2), (2.0, 0.3)])
@@ -475,5 +493,5 @@ def test_horizon_must_be_a_whole_number_of_steps(horizon, step):
 )
 def test_horizon_of_whole_steps_up_to_rounding_is_accepted(rotated_cycle, horizon, step, steps):
     sheaf, op = rotated_cycle
-    traj = integrate(op, Quadratic(sheaf), ZERO, np.ones(op.d0), SimConfig(horizon, step))
+    traj = integrate(op, Quadratic(sheaf), np.ones(op.d0), SimConfig(horizon, step))
     assert traj.times.size == steps + 1

@@ -15,7 +15,6 @@ from sheaf_sysid import (
     Sheaf,
     SimConfig,
     UsageError,
-    ZeroField,
     build_coboundary,
     force_mse,
     harmonic_basis,
@@ -300,9 +299,9 @@ def test_a_sweep_makes_four_integrate_calls_for_any_seed_count(monkeypatch, stud
     # one per (true law, record length) and one per (fitted basis, record length)
     rows = []
 
-    def counting(op, model, node_field, x0, cfg):
+    def counting(op, model, x0, cfg):
         rows.append(len(x0))
-        return integrate(op, model, node_field, x0, cfg)
+        return integrate(op, model, x0, cfg)
 
     monkeypatch.setattr(experiments, "integrate", counting)
     short = dict(n_training=3, training_horizon=0.2, n_holdout=2)
@@ -353,7 +352,7 @@ def _first_error_of_the_pair_loop(plan):
             return theta
         hold = _initial_conditions(op, cond.coverage, seed, (3, 2))[1]
         sim = SimConfig(horizon=2.0, step=cfg.step)
-        for result in integrate(op, law(cond, theta), ZeroField(), np.asarray(hold), sim):
+        for result in integrate(op, law(cond, theta), np.asarray(hold), sim):
             if isinstance(result, DivergenceError):
                 return result
     raise AssertionError("the plan never fails")

@@ -18,7 +18,6 @@ from sheaf_sysid import (
     ShiftedQuadratic,
     SimConfig,
     UsageError,
-    ZeroField,
     build_coboundary,
     design_matrix,
     equilibrium_projection,
@@ -26,7 +25,6 @@ from sheaf_sysid import (
     fit_threshold,
     information_scalar,
     integrate,
-    integrated_residual_objective,
     make_cycle_sheaf,
     merge_datasets,
     monomial_basis,
@@ -40,8 +38,6 @@ from sheaf_sysid import (
 from sheaf_sysid import sysid
 from sheaf_sysid.dynamics import Trajectory
 from sheaf_sysid.sheaf import CoboundaryOperator
-
-ZERO = ZeroField()
 
 
 def forward_dataset(op, model, states):
@@ -61,9 +57,9 @@ def test_exact_residuals_negate_derivatives(identity_cycle):
     sheaf, op = identity_cycle
     rng = np.random.default_rng(0)
     traj = integrate(
-        op, Quadratic(sheaf), ZERO, rng.standard_normal(op.d0), SimConfig(horizon=0.5)
+        op, Quadratic(sheaf), rng.standard_normal(op.d0), SimConfig(horizon=0.5)
     )
-    data = residuals_exact(op, traj, ZERO)
+    data = residuals_exact(op, traj)
     assert np.array_equal(data.residuals, -traj.derivs)
     assert data.source == "exact"
 
@@ -72,9 +68,9 @@ def test_exact_residuals_match_linear_laplacian(identity_cycle):
     sheaf, op = identity_cycle
     rng = np.random.default_rng(1)
     traj = integrate(
-        op, Quadratic(sheaf), ZERO, rng.standard_normal(op.d0), SimConfig(horizon=0.5)
+        op, Quadratic(sheaf), rng.standard_normal(op.d0), SimConfig(horizon=0.5)
     )
-    data = residuals_exact(op, traj, ZERO)
+    data = residuals_exact(op, traj)
     L = op.delta_star_matrix @ op.B
     assert np.abs(data.residuals - traj.states @ L.T).max() <= 1e-12
 
@@ -84,8 +80,8 @@ def test_residuals_vanish_at_equilibrium(identity_cycle):
     rng = np.random.default_rng(2)
     b = rng.standard_normal(op.d1)
     x_eq = equilibrium_projection(op, b, rng.standard_normal(op.d0))
-    traj = integrate(op, ShiftedQuadratic(sheaf, b), ZERO, x_eq, SimConfig(horizon=0.2))
-    data = residuals_exact(op, traj, ZERO)
+    traj = integrate(op, ShiftedQuadratic(sheaf, b), x_eq, SimConfig(horizon=0.2))
+    data = residuals_exact(op, traj)
     assert np.abs(data.residuals).max() <= 1e-9
 
 
@@ -93,7 +89,7 @@ def test_exact_residuals_require_derivatives(identity_cycle):
     _, op = identity_cycle
     traj = Trajectory(times=np.array([0.0, 0.1]), states=np.zeros((2, op.d0)))
     with pytest.raises(UsageError):
-        residuals_exact(op, traj, ZERO)
+        residuals_exact(op, traj)
 
 
 def test_fd_residuals_exact_on_affine_trajectories(identity_cycle):
@@ -103,7 +99,7 @@ def test_fd_residuals_exact_on_affine_trajectories(identity_cycle):
     a, v = rng.standard_normal(op.d0), rng.standard_normal(op.d0)
     states = a[None, :] + times[:, None] * v[None, :]
     traj = Trajectory(times=times, states=states)
-    data = residuals_fd(op, traj, ZERO)
+    data = residuals_fd(op, traj)
     assert np.abs(data.residuals + v).max() <= 1e-12
 
 
@@ -111,8 +107,8 @@ def test_fd_derivative_error_is_second_order(rotated_cycle):
     sheaf, op = rotated_cycle
     rng = np.random.default_rng(4)
     x0 = 0.8 * rng.standard_normal(op.d0)
-    traj = integrate(op, BoundedConfidence(sheaf, 1.0), ZERO, x0, SimConfig(horizon=2.0))
-    data = residuals_fd(op, traj, ZERO)
+    traj = integrate(op, BoundedConfidence(sheaf, 1.0), x0, SimConfig(horizon=2.0))
+    data = residuals_fd(op, traj)
     err = np.abs(data.residuals[1:-1] + traj.derivs[1:-1]).max()
     assert 1e-8 <= err <= 1e-3  # h^2-scale truncation for h = 0.01
 
@@ -123,12 +119,12 @@ def test_fd_noise_propagation_scale(rotated_cycle):
     rng = np.random.default_rng(5)
     x0 = 0.8 * rng.standard_normal(op.d0)
     sigma, h = 5e-3, 0.01
-    clean = integrate(op, BoundedConfidence(sheaf, 1.0), ZERO, x0, SimConfig(horizon=5.0))
+    clean = integrate(op, BoundedConfidence(sheaf, 1.0), x0, SimConfig(horizon=5.0))
     noisy = Trajectory(
         times=clean.times,
         states=clean.states + rng.normal(0.0, sigma, clean.states.shape),
     )
-    data = residuals_fd(op, noisy, ZERO, noise_std=sigma)
+    data = residuals_fd(op, noisy)
     err = data.residuals[1:-1] + clean.derivs[1:-1]
     expected = sigma / (np.sqrt(2.0) * h)
     assert 0.5 * expected <= np.std(err) <= 1.5 * expected
@@ -140,10 +136,10 @@ def test_fd_requires_uniform_times(identity_cycle):
         times=np.array([0.0, 0.01, 0.05]), states=np.zeros((3, op.d0))
     )
     with pytest.raises(UsageError):
-        residuals_fd(op, traj, ZERO)
+        residuals_fd(op, traj)
     with pytest.raises(UsageError):
         residuals_fd(
-            op, Trajectory(times=np.array([0.0, 0.01]), states=np.zeros((2, op.d0))), ZERO
+            op, Trajectory(times=np.array([0.0, 0.01]), states=np.zeros((2, op.d0)))
         )
 
 
@@ -264,13 +260,12 @@ def test_fit_threshold_round_trips(eps_true, rotated_cycle):
         integrate(
             op,
             truth,
-            ZERO,
             scale * rng.standard_normal(op.d0) / np.sqrt(2.0),
             SimConfig(horizon=4.0),
         )
         for scale in (0.4 * eps_true, 0.8 * eps_true, 1.2 * eps_true)
     ]
-    data = merge_datasets([residuals_exact(op, t, ZERO) for t in trajs])
+    data = merge_datasets([residuals_exact(op, t) for t in trajs])
     result = fit_threshold(op, data, (0.25, 4.0))
     assert abs(result.theta_hat[0] - eps_true) <= 1e-6
     assert result.report.identifiable
@@ -292,45 +287,6 @@ def test_fit_threshold_validates_bracket(rotated_cycle):
 
     with pytest.raises(ParameterError):
         fit_threshold(op, data, (1.0, 0.5))
-
-
-# --- integrated-residual objective ----------------------------------------------
-
-
-def test_integrated_objective_small_at_truth(identity_cycle):
-    sheaf, op = identity_cycle
-    rng = np.random.default_rng(15)
-    theta = np.array([1.0, 0.25, 0.03])
-    truth = monomial_potential(sheaf, theta)
-    traj = integrate(op, truth, ZERO, rng.standard_normal(op.d0), SimConfig(horizon=2.0))
-    value = integrated_residual_objective(op, truth, ZERO, traj)
-    assert value / (traj.n_samples - 1) <= 1e-6
-
-
-def test_integrated_objective_larger_off_truth(identity_cycle):
-    sheaf, op = identity_cycle
-    rng = np.random.default_rng(16)
-    truth = monomial_potential(sheaf, [1.0, 0.25, 0.03])
-    traj = integrate(op, truth, ZERO, rng.standard_normal(op.d0), SimConfig(horizon=2.0))
-    at_truth = integrated_residual_objective(op, truth, ZERO, traj)
-    off = integrated_residual_objective(
-        op, monomial_potential(sheaf, [2.0, 0.0, 0.0]), ZERO, traj
-    )
-    assert off > 100.0 * at_truth
-
-
-def test_integrated_objective_zero_on_constant_trajectory(identity_cycle):
-    sheaf, op = identity_cycle
-    x0 = np.tile([0.4, -0.1], 3)  # global section, so the state never moves
-    traj = integrate(op, Quadratic(sheaf), ZERO, x0, SimConfig(horizon=0.01))
-    assert integrated_residual_objective(op, Quadratic(sheaf), ZERO, traj) <= 1e-28
-
-
-def test_integrated_objective_needs_two_samples(identity_cycle):
-    sheaf, op = identity_cycle
-    traj = Trajectory(times=np.array([0.0]), states=np.zeros((1, op.d0)))
-    with pytest.raises(UsageError):
-        integrated_residual_objective(op, Quadratic(sheaf), ZERO, traj)
 
 
 # --- structural invariants -------------------------------------------------------
@@ -396,8 +352,8 @@ def test_fd_fits_converge_to_exact_fits_as_step_shrinks(identity_cycle):
     x0 = rng.standard_normal(op.d0)
     errors = []
     for h in (0.01, 0.005, 0.0025):
-        traj = integrate(op, truth, ZERO, x0, SimConfig(horizon=2.0, step=h))
-        data = merge_datasets([residuals_fd(op, traj, ZERO)])
+        traj = integrate(op, truth, x0, SimConfig(horizon=2.0, step=h))
+        data = merge_datasets([residuals_fd(op, traj)])
         fd_fit = fit_linear(op, monomial_basis(sheaf), data)
         errors.append(np.linalg.norm(fd_fit.theta_hat - theta))
     assert errors[0] > errors[1] > errors[2]
@@ -406,22 +362,22 @@ def test_fd_fits_converge_to_exact_fits_as_step_shrinks(identity_cycle):
 def test_merge_datasets_rejects_mixed_sources(identity_cycle):
     sheaf, op = identity_cycle
     rng = np.random.default_rng(20)
-    traj = integrate(op, Quadratic(sheaf), ZERO, rng.standard_normal(op.d0), SimConfig(horizon=0.1))
+    traj = integrate(op, Quadratic(sheaf), rng.standard_normal(op.d0), SimConfig(horizon=0.1))
     with pytest.raises(UsageError):
-        merge_datasets([residuals_exact(op, traj, ZERO), residuals_fd(op, traj, ZERO)])
+        merge_datasets([residuals_exact(op, traj), residuals_fd(op, traj)])
 
 
 def test_residual_dataset_merges_per_trajectory_residuals(identity_cycle):
     sheaf, op = identity_cycle
     starts = np.random.default_rng(21).standard_normal((3, op.d0))
-    trajs = integrate(op, Quadratic(sheaf), ZERO, starts, SimConfig(horizon=0.1))
+    trajs = integrate(op, Quadratic(sheaf), starts, SimConfig(horizon=0.1))
     for mode, one in (("observed", residuals_exact), ("finite_difference", residuals_fd)):
-        data = residual_dataset(op, trajs, ZERO, mode, 0.0)
-        parts = [one(op, t, ZERO) for t in trajs]
+        data = residual_dataset(op, trajs, mode)
+        parts = [one(op, t) for t in trajs]
         assert data.source == parts[0].source
         assert np.array_equal(data.residuals, np.concatenate([d.residuals for d in parts]))
     with pytest.raises(ConfigurationError, match="residual mode"):
-        residual_dataset(op, trajs, ZERO, "smoothed")
+        residual_dataset(op, trajs, "smoothed")
 
 
 # --- whitened C0 products on a weighted metric -------------------------------------
@@ -473,15 +429,6 @@ def test_whitened_products_match_the_m1_formulas(mixed_sheaf):
         eigs = np.linalg.eigvalsh(result.report.gram)
         spectrum = result.diagnostics["gram_eigenvalues"]
         assert np.allclose(spectrum, eigs, rtol=0.0, atol=1e-12 * eigs[-1])
-
-    times = 0.05 * np.arange(data.n_samples)
-    traj = Trajectory(times=times, states=data.states)
-    x = data.states
-    g = model.force(x @ op.B.T) @ ds_t
-    incr = x[1:] - x[:-1] + 0.025 * (g[1:] + g[:-1])
-    assert integrated_residual_objective(op, model, ZERO, traj) == pytest.approx(
-        c0(op, incr, incr).sum(), rel=1e-10
-    )
 
 
 def test_any_factor_of_m1_gives_the_same_fits(mixed_sheaf):
