@@ -13,6 +13,7 @@ from .dynamics import (
     integrate,
     laplacian_apply,
     load_trajectory_csv,
+    observe,
     save_trajectory_csv,
     simulate_ensemble,
 )
@@ -73,7 +74,6 @@ from .sysid import (
     EstimationResult,
     IdentifiabilityReport,
     ResidualDataset,
-    design_matrix,
     fit_linear,
     fit_threshold,
     information_scalar,

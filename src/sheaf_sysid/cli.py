@@ -12,6 +12,7 @@ configuration error, 2 numerical divergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -25,6 +26,7 @@ from .dynamics import (
     SimConfig,
     Trajectory,
     load_trajectory_csv,
+    observe,
     save_trajectory_csv,
     simulate_ensemble,
 )
@@ -229,9 +231,9 @@ def cmd_simulate(config: dict, out_dir: Path, quiet: bool) -> int:
         horizon=_number(config, "horizon", 10.0),
         step=_number(config, "step", 0.01),
         alpha=_number(config, "alpha", 1.0),
-        seed=_number(config, "seed", 0, low=0, integer=True),
-        noise_std=_number(config, "noise_std", 0.0),
     )
+    seed = _number(config, "seed", 0, low=0, integer=True)
+    noise_std = _number(config, "noise_std", 0.0, low=0.0)
     ics = _initial_states(config, op.d0)
     results = simulate_ensemble(op, model, ics, cfg)
 
@@ -240,7 +242,7 @@ def cmd_simulate(config: dict, out_dir: Path, quiet: bool) -> int:
     for i, result in enumerate(results):
         if isinstance(result, Trajectory):
             name = f"trajectory_{tag}_{i:03d}.csv"
-            save_trajectory_csv(result, out_dir / name)
+            save_trajectory_csv(observe(result, noise_std, (seed, i)), out_dir / name)
             files.append(name)
         else:
             failures.append({"index": i, "time": result.time, "error": str(result)})
@@ -249,7 +251,7 @@ def cmd_simulate(config: dict, out_dir: Path, quiet: bool) -> int:
         "seed": config.get("seed", 0),
         "step": cfg.step,
         "horizon": cfg.horizon,
-        "noise_std": cfg.noise_std,
+        "noise_std": noise_std,
         "trajectories": files,
         "diverged": failures,
     }
@@ -327,46 +329,24 @@ def cmd_identify(config: dict, out_dir: Path, quiet: bool) -> int:
     return 0
 
 
-_EXPERIMENT_KEYS = {
-    "command",
-    "experiment",
-    "seeds",
-    "base_seed",
-    "cycle_length",
-    "coverage",
-    "residual_mode",
-    "basis_variant",
-    "noise_std",
-    "training_horizon",
-    "n_training",
-    "n_holdout",
-}
+# Every ExperimentConfig field is a config key of the same name, except
+# experiment_id, which the config calls "experiment".
+_EXPERIMENT_FIELDS = [
+    f.name for f in dataclasses.fields(experiments.ExperimentConfig) if f.name != "experiment_id"
+]
 
 
 def cmd_experiment(config: dict, out_dir: Path, quiet: bool) -> int:
-    _require_keys(config, _EXPERIMENT_KEYS, "config")
-    name = config.get("experiment")
-    seeds = config.get("seeds")
+    _require_keys(config, {"command", "experiment", "base_seed", *_EXPERIMENT_FIELDS}, "config")
+    kwargs = {key: config[key] for key in _EXPERIMENT_FIELDS if key in config}
+    seeds = kwargs.pop("seeds", None)
     if seeds is None:
         base = _number(config, "base_seed", 0, low=0, integer=True)
         seeds = list(range(base, base + 8))
     if not isinstance(seeds, list):
         raise ConfigurationError("seeds must be a list of integers")
-    kwargs = {}
-    for key in (
-        "cycle_length",
-        "coverage",
-        "residual_mode",
-        "basis_variant",
-        "noise_std",
-        "training_horizon",
-        "n_training",
-        "n_holdout",
-    ):
-        if key in config:
-            kwargs[key] = config[key]
     cfg = experiments.ExperimentConfig(
-        experiment_id=str(name), seeds=tuple(seeds), **kwargs
+        experiment_id=str(config.get("experiment")), seeds=tuple(seeds), **kwargs
     )
     output = experiments.run_experiment(cfg)
 
@@ -432,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
     except DivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SheafSysIdError as exc:
+    except (SheafSysIdError, OSError) as exc:  # OSError: an unreadable input, an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

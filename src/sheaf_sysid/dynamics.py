@@ -1,11 +1,10 @@
 """Sheaf diffusion dynamics: x' = -alpha * delta*(Phi(delta x)).
 
 Integration is classical fixed-step RK4 over a batch of starts in one loop.
-The integrator records the exact vector field value at every sample;
-observation noise, when requested, is added to the recorded states only.
-Every product in the vector field is elementwise or an einsum, never BLAS, so
-a row's bits do not depend on its batch.  A batch derives one child seed per
-row from the config seed, so results are reproducible however starts are grouped.
+The integrator records the exact vector field value at every sample.  Every
+product in the vector field is elementwise or an einsum, never BLAS, so a
+row's bits do not depend on its batch.  Observation noise is a separate step,
+``observe``, applied to a finished trajectory's states from its own seed.
 """
 
 from __future__ import annotations
@@ -29,17 +28,11 @@ def whole_steps(horizon: float, step: float) -> bool:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Fixed-step integration settings.
-
-    ``seed`` may be an int or a tuple of ints (a derived seed path); it feeds
-    the observation-noise generator only.
-    """
+    """Fixed-step integration settings: record length, RK4 step and rate."""
 
     horizon: float
     step: float = 0.01
     alpha: float = 1.0
-    seed: int | tuple[int, ...] = 0
-    noise_std: float = 0.0
 
     def __post_init__(self):
         if not self.step > 0:
@@ -50,8 +43,6 @@ class SimConfig:
             raise ParameterError(
                 f"horizon {self.horizon!r} is not a whole number of steps of {self.step!r}"
             )
-        if self.noise_std < 0:
-            raise ParameterError("noise_std must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -90,10 +81,9 @@ def integrate(
     ``x0`` is one start (d0,) or a batch of starts (N, d0), all stepped in one
     loop.  A single start returns its Trajectory, or raises DivergenceError
     (with the offending time) as soon as the state or its derivative stops
-    being finite; its noise uses cfg.seed.  A batch returns one Trajectory or
-    DivergenceError per row, in input order: a diverging row stops at its own
-    blow-up time and the others carry on.  Row i's noise uses the derived
-    seed (cfg.seed..., i), and its bits are those of the row integrated alone.
+    being finite.  A batch returns one Trajectory or DivergenceError per row,
+    in input order: a diverging row stops at its own blow-up time and the
+    others carry on.  Each row's bits are those of the row integrated alone.
     A model with row parameters (see ``potentials``) has one row per start;
     the rows it keeps past a divergence come from ``model.take_rows``.
     """
@@ -146,17 +136,10 @@ def integrate(
                 k4 = f(x + h * k3)
                 x = x + (h / 6.0) * (fx + 2.0 * k2 + 2.0 * k3 + k4)
 
-    base = cfg.seed if isinstance(cfg.seed, tuple) else (cfg.seed,)
-    results: list[Trajectory | DivergenceError] = []
-    for i in range(n):
-        if i in failures:
-            results.append(failures[i])
-            continue
-        recorded = states[i]
-        if cfg.noise_std > 0:
-            rng = np.random.default_rng(cfg.seed if single else base + (i,))
-            recorded = recorded + rng.normal(0.0, cfg.noise_std, size=recorded.shape)
-        results.append(Trajectory(times=times, states=recorded, derivs=derivs[i]))
+    results = [
+        failures[i] if i in failures else Trajectory(times, states[i], derivs[i])
+        for i in range(n)
+    ]
     if single and isinstance(results[0], DivergenceError):
         raise results[0]
     return results[0] if single else results
@@ -170,15 +153,25 @@ def simulate_ensemble(
 ) -> list[Trajectory | DivergenceError]:
     """Integrate one trajectory per initial condition, as one batch.
 
-    Trajectory i uses the derived seed (cfg.seed..., i), so an ensemble is
-    reproducible from cfg.seed alone.  A diverging trajectory contributes its
-    DivergenceError in place without aborting the rest; results are ordered by
-    input index.
+    A diverging trajectory contributes its DivergenceError in place without
+    aborting the rest; results are ordered by input index.
     """
     starts = [np.asarray(x0, dtype=float) for x0 in initial_conditions]
     if any(x0.shape != (op.d0,) for x0 in starts):
         raise StructuralError(f"every initial state must have shape ({op.d0},)")
     return integrate(op, model, x0=np.reshape(starts, (-1, op.d0)), cfg=cfg)
+
+
+def observe(traj: Trajectory, sigma: float, seed: int | tuple[int, ...]) -> Trajectory:
+    """traj with Gaussian observation noise of std sigma added to its states.
+
+    The noise is drawn from ``default_rng(seed)``; the derivatives stay the
+    exact ones.  At sigma 0 traj itself is returned.
+    """
+    if sigma == 0:
+        return traj
+    noise = np.random.default_rng(seed).normal(0.0, sigma, traj.states.shape)
+    return Trajectory(times=traj.times, states=traj.states + noise, derivs=traj.derivs)
 
 
 def equilibrium_projection(

@@ -37,7 +37,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import SimConfig, Trajectory, integrate, whole_steps
+from .dynamics import SimConfig, Trajectory, integrate, observe, whole_steps
 from .errors import ConfigurationError, DivergenceError, SheafSysIdError, UsageError
 from .potentials import (
     BoundedConfidence,
@@ -57,7 +57,7 @@ from .sheaf import (
 )
 from .sysid import fit_linear, fit_threshold, residual_dataset
 
-STEP = 0.01
+STEP = 0.01  # every study's RK4 step
 FORMATION_HORIZON = 4.0
 TRAINING_HORIZON = 10.0
 # Localized coverage means the *observed samples* sit in the annulus: few
@@ -141,11 +141,11 @@ class ExperimentConfig:
     coverage / residual_mode / basis_variant restrict the swept conditions
     when set; None sweeps everything the experiment defines.  Each filter
     must name a value of the study's _SWEEPS rows, and together they must
-    select at least one row.  step may not exceed, and must divide, the
-    record length of every selected condition (or FORMATION_HORIZON for
-    formation_transfer).  bounded_confidence runs on the rotated cycle, so
-    its cycle_length may not be a multiple of 8.  A field no selected
-    condition reads must keep its default.
+    select at least one row.  Every study steps at STEP, so where a selected
+    condition reads training_horizon it must be a whole number (at least one)
+    of steps.  bounded_confidence runs on the rotated cycle, so its
+    cycle_length may not be a multiple of 8.  A field no selected condition
+    reads must keep its default, and seeds may not repeat.
     """
 
     experiment_id: str
@@ -155,7 +155,6 @@ class ExperimentConfig:
     residual_mode: str | None = None
     basis_variant: str | None = None
     noise_std: float | None = None
-    step: float = STEP
     training_horizon: float = TRAINING_HORIZON
     n_training: int | None = None  # per-experiment default when unset
     n_holdout: int = N_HOLDOUT
@@ -175,21 +174,17 @@ class ExperimentConfig:
             config_number(self.n_training, "n_training", 1, integer=True)
         if self.noise_std is not None:
             config_number(self.noise_std, "noise_std", 0.0)
-        if not config_number(self.step, "step") > 0:
-            raise ConfigurationError("step must be positive")
         config_number(self.training_horizon, "training_horizon")
         if not self.seeds:
             raise ConfigurationError("at least one seed required")
         for seed in self.seeds:
             config_number(seed, "seeds", 0, integer=True)
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigurationError(f"seeds must not repeat a seed, got {list(self.seeds)}")
         if self.experiment_id == "formation_transfer":
             for f in fields(self):
                 if f.name in _FORMATION_FIXED and getattr(self, f.name) != f.default:
                     raise ConfigurationError(f"formation_transfer takes no {f.name}")
-            if self.step > FORMATION_HORIZON:
-                raise ConfigurationError(
-                    f"step must be at most the formation horizon {FORMATION_HORIZON:g}"
-                )
         rows = _SWEEPS.get(self.experiment_id, ())
         for axis, key in enumerate(("basis_variant", "coverage", "residual_mode"), 1):
             value = getattr(self, key)
@@ -197,28 +192,15 @@ class ExperimentConfig:
                 raise ConfigurationError(f"{self.experiment_id} sweeps no {key} {value!r}")
         if rows and not _selected(self):
             raise ConfigurationError(f"the {self.experiment_id} filters select no condition")
-        # step against the record length of every selected condition
+        # every record but a localized one runs training_horizon
         coverages = {row[2] for row in _selected(self)}
-        if "localized" in coverages and self.step > LOCALIZED_HORIZON:
+        horizon = self.training_horizon
+        if coverages - {"localized"} and not (horizon >= STEP and whole_steps(horizon, STEP)):
             raise ConfigurationError(
-                f"step must be at most the localized horizon {LOCALIZED_HORIZON:g}"
+                f"training_horizon must be a whole number (at least 1) of steps of {STEP:g},"
+                f" got {horizon!r}"
             )
-        if coverages - {"localized"} and self.training_horizon < self.step:
-            raise ConfigurationError("training_horizon must be at least step")
-        records = {}
-        if self.experiment_id == "formation_transfer":
-            records["formation horizon"] = FORMATION_HORIZON
-        if "localized" in coverages:
-            records["localized horizon"] = LOCALIZED_HORIZON
-        if coverages - {"localized"}:
-            records["training_horizon"] = self.training_horizon
-        for name, horizon in records.items():
-            if not whole_steps(horizon, self.step):
-                raise ConfigurationError(
-                    f"step {self.step!r} does not divide the {name} {horizon!r}"
-                )
-        # localized records run LOCALIZED_HORIZON: reject a key no condition reads
-        if coverages == {"localized"} and self.training_horizon != TRAINING_HORIZON:
+        if coverages == {"localized"} and horizon != TRAINING_HORIZON:
             raise ConfigurationError(
                 f"{self.experiment_id} on localized coverage alone takes no training_horizon"
             )
@@ -414,7 +396,7 @@ def run_formation_transfer(cfg: ExperimentConfig) -> ExperimentOutput:
             true_law = ShiftedQuadratic(sheaf, b)
             perturbed_law = ShiftedQuadratic(sheaf, b - beta * c)
 
-            sim = SimConfig(horizon=FORMATION_HORIZON, step=cfg.step)
+            sim = SimConfig(horizon=FORMATION_HORIZON, step=STEP)
             rollout_true = integrate(op, true_law, x0=x0, cfg=sim)
             rollout_pert = integrate(op, perturbed_law, x0=x0, cfg=sim)
             max_diff = float(np.max(np.abs(rollout_true.states - rollout_pert.states)))
@@ -483,7 +465,7 @@ def _initial_conditions(op, coverage, seed, counts):
     return [_localized_initial_conditions(op, rng, n) for rng, n in zip(rngs, counts)]
 
 
-def _grouped_rollouts(op, step, jobs, model) -> list[list]:
+def _grouped_rollouts(op, jobs, model) -> list[list]:
     """Noiseless rollouts of many start sets, one integrate call per group.
 
     ``jobs`` lists (group, horizon, starts); the jobs that share a group and a
@@ -496,7 +478,7 @@ def _grouped_rollouts(op, step, jobs, model) -> list[list]:
     out = [None] * len(jobs)
     for (group, horizon), index in groups.items():
         sets = [jobs[i][2] for i in index]
-        sim = SimConfig(horizon=horizon, step=step)
+        sim = SimConfig(horizon=horizon, step=STEP)
         results = integrate(op, model(group, index), x0=np.concatenate(sets), cfg=sim)
         ends = np.cumsum([len(starts) for starts in sets])
         for i, starts, end in zip(index, sets, ends):
@@ -504,7 +486,7 @@ def _grouped_rollouts(op, step, jobs, model) -> list[list]:
     return out
 
 
-def _fitted_rollouts(op, step, fits, law) -> list[list]:
+def _fitted_rollouts(op, fits, law) -> list[list]:
     """Per fit (condition, holdout starts, parameters, metrics), the rollouts
     of its fitted law from its holdout starts.
 
@@ -518,7 +500,7 @@ def _fitted_rollouts(op, step, fits, law) -> list[list]:
         return law(picked[0][0], np.repeat([p for _, _, p, _ in picked], counts, axis=0))
 
     jobs = [(cond.basis, cond.horizon, starts) for cond, starts, _, _ in fits]
-    return _grouped_rollouts(op, step, jobs, rows)
+    return _grouped_rollouts(op, jobs, rows)
 
 
 def _raise_divergence(results) -> None:
@@ -526,24 +508,6 @@ def _raise_divergence(results) -> None:
     for r in results:
         if isinstance(r, DivergenceError):
             raise r
-
-
-def _with_observation_noise(trajs, sigma, seed_key):
-    """Noisy copies of clean trajectories, one derived noise seed each.
-
-    Derivatives are dropped: a noisy record only supports finite differences.
-    """
-    noisy = []
-    for i, t in enumerate(trajs):
-        rng = np.random.default_rng(seed_key + (i,))
-        noisy.append(
-            Trajectory(
-                times=t.times,
-                states=t.states + rng.normal(0.0, sigma, size=t.states.shape),
-                derivs=None,
-            )
-        )
-    return noisy
 
 
 def _rollout_rmse(reference: list[Trajectory], candidate: list[Trajectory]) -> float:
@@ -557,8 +521,9 @@ def _sweep(cfg, sheaf, conditions, fit, law, stats, noise_std, noise_tag) -> Exp
 
     Per condition and seed: roll out the true law from the training and
     holdout starts (shared by the conditions with the same seed, coverage and
-    law), build residuals (finite differences add node noise first, seeded by
-    (seed, coverage id, mode id) + noise_tag), fit them with
+    law), build residuals (finite differences first observe training record i
+    under noise of std noise_std, seeded by (seed, coverage id, mode id,
+    *noise_tag, i)), fit them with
     fit(condition, op, data) -> (parameters, metrics), and roll the fitted law
     law(condition, parameters) out from the holdout starts.  A summary row
     holds the condition's columns, each "<metric>_mean" or "<metric>_std"
@@ -585,7 +550,7 @@ def _sweep(cfg, sheaf, conditions, fit, law, stats, noise_std, noise_tag) -> Exp
             starts[key] = (cond.horizon, *_initial_conditions(op, cond.coverage, seed, counts))
 
     jobs = [(key[2], horizon, train + hold) for key, (horizon, train, hold) in starts.items()]
-    truth = dict(zip(starts, _grouped_rollouts(op, cfg.step, jobs, lambda law, _: law)))
+    truth = dict(zip(starts, _grouped_rollouts(op, jobs, lambda law, _: law)))
 
     fits = []  # per pair, in order: (condition, holdout starts, parameters, metrics)
     pooled = []
@@ -596,17 +561,17 @@ def _sweep(cfg, sheaf, conditions, fit, law, stats, noise_std, noise_tag) -> Exp
             _, train_ics, hold_ics = starts[key]
             train = truth[key][: len(train_ics)]
             if cond.mode == "finite_difference":
-                noise_key = (_COVERAGE_IDS[cond.coverage], _MODE_IDS[cond.mode]) + noise_tag
-                train = _with_observation_noise(train, noise_std, (seed, *noise_key))
+                tag = (seed, _COVERAGE_IDS[cond.coverage], _MODE_IDS[cond.mode], *noise_tag)
+                train = [observe(t, noise_std, (*tag, i)) for i, t in enumerate(train)]
             data = residual_dataset(op, train, cond.mode)
             fits.append((cond, hold_ics, *fit(cond, op, data)))
             pooled.append(data.edge_states)
     except SheafSysIdError:
         # the fitted rollouts of the pairs before this one come first
-        for results in _fitted_rollouts(op, cfg.step, fits, law):
+        for results in _fitted_rollouts(op, fits, law):
             _raise_divergence(results)
         raise
-    candidates = _fitted_rollouts(op, cfg.step, fits, law)
+    candidates = _fitted_rollouts(op, fits, law)
 
     runs = []
     for cond in conditions:

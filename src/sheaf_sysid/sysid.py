@@ -169,20 +169,6 @@ def _information(columns: np.ndarray) -> tuple[IdentifiabilityReport, np.ndarray
     return IdentifiabilityReport(gram, lam_min, lam_max, identifiable), eigs, vecs
 
 
-def design_matrix(
-    op: CoboundaryOperator, basis: Sequence[BasisForce], data: ResidualDataset
-) -> np.ndarray:
-    """Stacked design matrix, N*d0 rows and one column per basis force.
-
-    The columns are unweighted, so A @ theta stacks the predicted residuals.
-    """
-    if not basis:
-        raise UsageError("empty basis")
-    ds_t = op.delta_star_matrix.T
-    cols = [bf.force(data.edge_states) @ ds_t for bf in basis]
-    return np.stack(cols, axis=-1).reshape(-1, len(basis))
-
-
 def information_scalar(
     op: CoboundaryOperator, model: BoundedConfidence, data: ResidualDataset
 ) -> IdentifiabilityReport:

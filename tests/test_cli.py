@@ -7,10 +7,14 @@ import numpy as np
 import pytest
 
 from sheaf_sysid import (
+    BoundedConfidence,
+    SimConfig,
     build_coboundary,
     global_section_basis,
+    integrate,
     load_trajectory_csv,
     make_cycle_sheaf,
+    observe,
 )
 from sheaf_sysid.cli import main
 
@@ -197,6 +201,33 @@ def test_simulate_reruns_are_byte_identical(tmp_path):
     assert run_cli("simulate", cfg, out1) == 0
     assert run_cli("simulate", cfg, out2) == 0
     assert tree_bytes(out1) == tree_bytes(out2)
+
+
+def test_simulate_writes_trajectory_i_observed_under_seed_path_seed_i(tmp_path):
+    sigma, seed, scale = 0.005, 3, 0.8
+    payload = _simulate_config(
+        sheaf={"builtin": "cycle", "cycle_length": 3, "variant": "rotated"},
+        potential={"kind": "bounded_confidence", "epsilon": 1.0},
+        random_initial_states={"count": 3, "scale": scale},
+        horizon=0.5,
+        noise_std=sigma,
+        seed=seed,
+    )
+    out = tmp_path / "noisy"
+    assert run_cli("simulate", write_config(tmp_path, "noisy.json", payload), out) == 0
+    sheaf = make_cycle_sheaf(3, "rotated")
+    op = build_coboundary(sheaf)
+    rng = np.random.default_rng([seed, 17])  # the CLI's start stream
+    starts = np.array([scale * rng.standard_normal(op.d0) for _ in range(3)])
+    clean = integrate(op, BoundedConfidence(sheaf, 1.0), starts, SimConfig(horizon=0.5))
+    files = sorted(out.glob("trajectory_*.csv"))
+    assert len(files) == 3
+    for i, path in enumerate(files):
+        written, expected = load_trajectory_csv(path), observe(clean[i], sigma, (seed, i))
+        assert np.array_equal(written.times, expected.times)
+        assert np.array_equal(written.states, expected.states)
+        assert np.array_equal(written.derivs, clean[i].derivs)
+        assert not np.array_equal(written.states, clean[i].states)
 
 
 def test_simulate_divergence_returns_2_with_partial_outputs(tmp_path):
@@ -501,9 +532,25 @@ def test_sheaf_file_with_non_object_edges_exits_1(tmp_path, capsys):
 
 
 def test_experiment_rejects_bad_numbers(tmp_path, capsys):
-    for key, value in (("cycle_length", "x"), ("n_holdout", 0), ("seeds", [0, "1"])):
+    cases = (("cycle_length", "x"), ("n_holdout", 0), ("seeds", [0, "1"]), ("seeds", [0, 0]))
+    for key, value in cases + (("step", 0.01),):  # every study steps at 0.01
         payload = {"command": "experiment", "experiment": "finite_basis", key: value}
         _assert_config_error(tmp_path, capsys, "experiment", payload, key)
+
+
+def test_simulate_rejects_a_negative_noise_std(tmp_path, capsys):
+    payload = _simulate_config(noise_std=-0.1)
+    _assert_config_error(tmp_path, capsys, "simulate", payload, "noise_std must be")
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_an_output_path_through_a_file_exits_1(tmp_path, capsys, out):
+    (tmp_path / "afile").write_text("kept\n")
+    payload = {"command": "cohomology", "sheaf": {"builtin": "cycle", "cycle_length": 3}}
+    cfg = write_config(tmp_path, "c.json", payload)
+    assert run_cli("cohomology", cfg, tmp_path / out) == 1
+    assert capsys.readouterr().err.startswith("error:")
+    assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 def test_experiment_filters_selecting_nothing_exit_1(tmp_path, capsys):

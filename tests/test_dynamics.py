@@ -1,7 +1,5 @@
 """Integration, equilibria, ensembles, and trajectory files."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from conftest import random_sheaf
@@ -31,6 +29,7 @@ from sheaf_sysid import (
     make_cycle_sheaf,
     monomial_basis,
     monomial_potential,
+    observe,
     residuals_exact,
     save_trajectory_csv,
     simulate_ensemble,
@@ -212,7 +211,7 @@ def test_divergence_raises_with_time(identity_cycle):
 def test_ensemble_empty_and_deterministic(rotated_cycle):
     sheaf, op = rotated_cycle
     model = BoundedConfidence(sheaf, 1.0)
-    cfg = SimConfig(horizon=0.5, seed=3, noise_std=1e-3)
+    cfg = SimConfig(horizon=0.5)
     assert simulate_ensemble(op, model, [], cfg) == []
     rng = np.random.default_rng(10)
     ics = [rng.standard_normal(op.d0) for _ in range(3)]
@@ -221,10 +220,6 @@ def test_ensemble_empty_and_deterministic(rotated_cycle):
     for a, b in zip(first, second):
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.derivs, b.derivs)
-    # distinct trajectories get distinct noise draws
-    assert not np.array_equal(
-        first[0].states - ics[0], first[1].states - ics[1]
-    )
 
 
 def test_ensemble_contains_divergence_without_aborting(identity_cycle):
@@ -265,13 +260,6 @@ def test_batched_rows_are_bit_identical_to_solo_runs(batch_case):
             for i, traj in enumerate(batch, start=first):
                 assert np.array_equal(traj.states, solo[i].states)
                 assert np.array_equal(traj.derivs, solo[i].derivs)
-    # Row i's noise is that of a solo run with the derived seed (seed..., i).
-    noisy = replace(cfg, seed=(3, 1), noise_std=1e-3)
-    batch = integrate(op, model, starts, noisy)
-    for i in (0, 17, 36):
-        alone = integrate(op, model, starts[i], replace(noisy, seed=(3, 1, i)))
-        assert np.array_equal(batch[i].states, alone.states)
-        assert np.array_equal(batch[i].derivs, alone.derivs)
 
 
 def test_diverging_rows_keep_their_solo_times_and_spare_their_neighbours(rotated_cycle):
@@ -404,19 +392,30 @@ def test_noise_is_observation_only(rotated_cycle):
     model = BoundedConfidence(sheaf, 1.0)
     rng = np.random.default_rng(11)
     x0 = 0.6 * rng.standard_normal(op.d0)
-    clean = integrate(op, model, x0, SimConfig(horizon=1.0, seed=5))
-    noisy = integrate(
-        op, model, x0, SimConfig(horizon=1.0, seed=5, noise_std=0.01)
-    )
-    # derivatives are recorded from the clean dynamics
-    assert np.array_equal(clean.derivs, noisy.derivs)
+    clean = integrate(op, model, x0, SimConfig(horizon=1.0))
+    noisy = observe(clean, 0.01, 5)
+    # derivatives stay the exact ones of the clean dynamics
+    assert noisy.derivs is clean.derivs and noisy.times is clean.times
     jitter = noisy.states - clean.states
     assert 0.005 <= np.std(jitter) <= 0.02
-    # seeded: same config reproduces the same noise
-    again = integrate(
-        op, model, x0, SimConfig(horizon=1.0, seed=5, noise_std=0.01)
+    # the noise is the seed's normal draw
+    expected = np.random.default_rng(5).normal(0.0, 0.01, clean.states.shape)
+    assert np.array_equal(noisy.states, clean.states + expected)
+    # seeded: the same seed reproduces the same noise
+    assert np.array_equal(observe(clean, 0.01, 5).states, noisy.states)
+    # sigma 0 observes nothing
+    assert observe(clean, 0.0, 5) is clean
+
+
+def test_observe_gives_distinct_indices_distinct_draws(rotated_cycle):
+    sheaf, op = rotated_cycle
+    rng = np.random.default_rng(10)
+    batch = simulate_ensemble(
+        op, BoundedConfidence(sheaf, 1.0), rng.standard_normal((3, op.d0)), SimConfig(horizon=0.5)
     )
-    assert np.array_equal(noisy.states, again.states)
+    noise = [observe(t, 1e-3, (3, i)).states - t.states for i, t in enumerate(batch)]
+    assert not np.array_equal(noise[0], noise[1])
+    assert not np.array_equal(noise[1], noise[2])
 
 
 def test_trajectory_csv_roundtrip(tmp_path, identity_cycle):

@@ -22,6 +22,7 @@ from sheaf_sysid import (
     make_cycle_sheaf,
     monomial_basis,
     monomial_potential,
+    observe,
     run_bounded_confidence,
     run_finite_basis,
     run_experiment,
@@ -29,7 +30,9 @@ from sheaf_sysid import (
 )
 from sheaf_sysid import experiments
 from sheaf_sysid.experiments import (
+    BASIS_NOISE_STD,
     LOCALIZED_BAND,
+    STEP,
     TAIL_ROTATION_ANGLE,
     TRUE_MONOMIAL_THETA,
     _broad_initial_conditions,
@@ -314,6 +317,33 @@ def test_a_sweep_makes_four_integrate_calls_for_any_seed_count(monkeypatch, stud
     assert rows == expected
 
 
+@pytest.mark.parametrize("coverage, cov_id", [("broad", 0), ("limited", 2)])
+def test_finite_difference_records_are_observed_under_their_seed_path(
+    monkeypatch, coverage, cov_id
+):
+    records, real = [], experiments.residual_dataset
+
+    def spy(op, trajectories, mode):
+        records.append(trajectories)
+        return real(op, trajectories, mode)
+
+    monkeypatch.setattr(experiments, "residual_dataset", spy)
+    cfg = ExperimentConfig(
+        experiment_id="finite_basis", seeds=(2,), coverage=coverage,
+        residual_mode="finite_difference", training_horizon=0.2, n_training=3, n_holdout=1,
+    )
+    run_experiment(cfg)
+    sheaf = make_cycle_sheaf(3, "identity")
+    op = build_coboundary(sheaf)
+    train, _ = _initial_conditions(op, coverage, 2, (3, 1))
+    truth = monomial_potential(sheaf, np.asarray(TRUE_MONOMIAL_THETA))
+    clean = integrate(op, truth, np.asarray(train), SimConfig(horizon=0.2))
+    (observed,) = records
+    # (seed, coverage id, finite-difference mode id, the study's tag 9, record index)
+    for i, (got, t) in enumerate(zip(observed, clean)):
+        assert np.array_equal(got.states, observe(t, BASIS_NOISE_STD, (2, cov_id, 1, 9, i)).states)
+
+
 def _diverging_sweep(plan):
     """The config, conditions, fit and law of a two-condition, two-seed
     monomial sweep whose fit returns, pair by pair in sweep order, the
@@ -351,7 +381,7 @@ def _first_error_of_the_pair_loop(plan):
         if isinstance(theta, Exception):
             return theta
         hold = _initial_conditions(op, cond.coverage, seed, (3, 2))[1]
-        sim = SimConfig(horizon=2.0, step=cfg.step)
+        sim = SimConfig(horizon=2.0, step=STEP)
         for result in integrate(op, law(cond, theta), np.asarray(hold), sim):
             if isinstance(result, DivergenceError):
                 return result
@@ -432,71 +462,16 @@ def test_formation_transfer_rejects_fields_it_does_not_read(key, value):
 
 
 def test_formation_transfer_accepts_the_fields_it_reads():
-    cfg = ExperimentConfig(experiment_id="formation_transfer", seeds=(3,), step=0.02)
-    assert cfg.step == 0.02 and cfg.seeds == (3,)
+    cfg = ExperimentConfig(experiment_id="formation_transfer", seeds=(3,))
+    assert cfg.seeds == (3,)
     ExperimentConfig(experiment_id="formation_transfer", cycle_length=3, n_holdout=4)
 
 
-@pytest.mark.parametrize(
-    "study, settings, message",
-    [
-        ("formation_transfer", {"step": 5.0}, "step must be at most the formation horizon 4"),
-        ("formation_transfer", {"step": 20.0}, "step must be at most the formation horizon 4"),
-        ("bounded_confidence", {"step": 0.6}, "step must be at most the localized horizon 0.5"),
-        (
-            "bounded_confidence",
-            {"step": 0.6, "coverage": "localized", "training_horizon": 1.0},
-            "step must be at most the localized horizon 0.5",
-        ),
-        (
-            "bounded_confidence",
-            {"coverage": "broad", "training_horizon": 0.005},
-            "training_horizon must be at least step",
-        ),
-        ("finite_basis", {"step": 0.5, "training_horizon": 0.4}, "training_horizon must be at"),
-    ],
-)
-def test_step_is_checked_against_the_horizons_the_study_runs(study, settings, message):
-    with pytest.raises(ConfigurationError, match=message):
-        ExperimentConfig(experiment_id=study, **settings)
-
-
-def test_step_may_reach_each_horizon_the_study_runs():
-    ExperimentConfig(experiment_id="formation_transfer", step=4.0)
-    ExperimentConfig(experiment_id="bounded_confidence", step=0.5, training_horizon=0.5)
-    # only localized records stop at 0.5
-    ExperimentConfig(
-        experiment_id="bounded_confidence", coverage="broad", step=0.6, training_horizon=6.0
-    )
-
-
-@pytest.mark.parametrize(
-    "study, settings, record",
-    [
-        ("finite_basis", {"step": 0.03}, "training_horizon 10.0"),
-        ("finite_basis", {"step": 0.3, "training_horizon": 1.0}, "training_horizon 1.0"),
-        ("bounded_confidence", {"coverage": "broad", "step": 0.6}, "training_horizon 10.0"),
-        ("bounded_confidence", {"coverage": "localized", "step": 0.3}, "localized horizon 0.5"),
-        ("bounded_confidence", {"step": 0.15, "training_horizon": 0.6}, "localized horizon 0.5"),
-        ("formation_transfer", {"step": 0.03}, "formation horizon 4.0"),
-    ],
-)
-def test_step_must_divide_every_record_length_the_study_runs(study, settings, record):
-    step = settings["step"]
-    with pytest.raises(ConfigurationError, match=f"^step {step} does not divide the {record}$"):
-        ExperimentConfig(experiment_id=study, **settings)
-
-
-def test_step_that_divides_each_record_length_up_to_rounding_is_accepted():
-    ExperimentConfig(experiment_id="finite_basis", step=0.02)
-    # 0.3 / 0.1 is 2.9999999999999996 steps
-    ExperimentConfig(experiment_id="finite_basis", step=0.1, training_horizon=0.3)
-    ExperimentConfig(experiment_id="bounded_confidence", step=0.05, training_horizon=0.6)
-    ExperimentConfig(experiment_id="bounded_confidence", coverage="localized", step=0.25)
-    ExperimentConfig(experiment_id="formation_transfer", step=0.025)
-    # every step too long for a selected record keeps its own message
-    with pytest.raises(ConfigurationError, match="step must be at most the localized horizon"):
-        ExperimentConfig(experiment_id="bounded_confidence", step=0.7)
+def test_training_horizon_of_whole_steps_up_to_rounding_is_accepted():
+    # 0.29 / 0.01 is 28.999999999999996 steps, 0.07 / 0.01 is 7.000000000000001
+    ExperimentConfig(experiment_id="finite_basis", training_horizon=0.29)
+    ExperimentConfig(experiment_id="bounded_confidence", training_horizon=0.07)
+    ExperimentConfig(experiment_id="finite_basis", coverage="limited", training_horizon=STEP)
 
 
 @pytest.mark.parametrize("n", [8, 16, 64])
@@ -532,9 +507,9 @@ def test_rotated_cycle_check_agrees_with_the_sheaf_it_builds():
         ("training_horizon", 0.005),
         ("training_horizon", math.inf),
         ("training_horizon", "10"),
-        ("step", 0.0),
-        ("step", -0.01),
-        ("step", math.nan),
+        ("training_horizon", 0.015),  # not a whole number of steps
+        ("training_horizon", 1.005),
+        ("seeds", (0, 0)),
         ("noise_std", -1e-3),
         ("noise_std", math.inf),
         ("noise_std", "0.1"),
@@ -542,6 +517,7 @@ def test_rotated_cycle_check_agrees_with_the_sheaf_it_builds():
         ("seeds", (1.5,)),
         ("seeds", (-1,)),
         ("seeds", (True,)),
+        ("training_horizon", 0.0),  # zero steps
     ],
 )
 def test_experiment_config_rejects_bad_numbers(key, value):
@@ -557,10 +533,9 @@ def test_experiment_config_accepts_edge_numbers():
         n_training=1,
         n_holdout=1,
         noise_std=0.0,
-        step=0.25,
-        training_horizon=0.25,
+        training_horizon=STEP,
     )
-    assert cfg.training_horizon == cfg.step
+    assert cfg.training_horizon == STEP
 
 
 def test_localized_threshold_sweep_rejects_the_training_horizon_it_never_reads():

@@ -19,12 +19,12 @@ from sheaf_sysid import (
     SimConfig,
     UsageError,
     build_coboundary,
-    design_matrix,
     equilibrium_projection,
     fit_linear,
     fit_threshold,
     information_scalar,
     integrate,
+    laplacian_apply,
     make_cycle_sheaf,
     merge_datasets,
     monomial_basis,
@@ -146,10 +146,20 @@ def test_fd_requires_uniform_times(identity_cycle):
 # --- design and identifiability matrices --------------------------------------
 
 
+def design_columns(op, basis, data):
+    """Stacked design matrix, N*d0 rows: column m holds the predicted residuals
+    delta*(f_m(delta x)) of basis force m alone, from laplacian_apply."""
+    columns = [
+        laplacian_apply(op, LinearBasisPotential(op.sheaf, basis, unit), data.states).ravel()
+        for unit in np.eye(len(basis))
+    ]
+    return np.stack(columns, axis=-1)
+
+
 def test_design_matrix_zero_at_origin(identity_cycle):
     sheaf, op = identity_cycle
     data = forward_dataset(op, Quadratic(sheaf), np.zeros((1, op.d0)))
-    A = design_matrix(op, monomial_basis(sheaf), data)
+    A = design_columns(op, monomial_basis(sheaf), data)
     assert A.shape == (op.d0, 3)
     assert np.array_equal(A, np.zeros_like(A))
 
@@ -162,7 +172,7 @@ def test_harmonic_design_column_is_identically_zero(identity_cycle):
     )
     c = np.tile([1.0, 0.0], 3)
     basis = monomial_basis(sheaf) + (ConstantEdgeForce(sheaf, c),)
-    A = design_matrix(op, basis, data)
+    A = design_columns(op, basis, data)
     assert np.array_equal(A[:, 3], np.zeros(A.shape[0]))
 
 
@@ -171,7 +181,7 @@ def test_design_matrix_forward_consistency(identity_cycle):
     rng = np.random.default_rng(7)
     theta = np.array([1.0, 0.25, 0.03])
     data = forward_dataset(op, monomial_potential(sheaf, theta), rng.standard_normal((11, op.d0)))
-    A = design_matrix(op, monomial_basis(sheaf), data)
+    A = design_columns(op, monomial_basis(sheaf), data)
     assert np.abs(A @ theta - data.residuals.ravel()).max() <= 1e-10
 
 
@@ -283,8 +293,6 @@ def test_fit_threshold_flags_missing_excitation(rotated_cycle):
 def test_fit_threshold_validates_bracket(rotated_cycle):
     sheaf, op = rotated_cycle
     data = forward_dataset(op, BoundedConfidence(sheaf, 1.0), np.zeros((1, op.d0)))
-    from sheaf_sysid import ParameterError
-
     with pytest.raises(ParameterError):
         fit_threshold(op, data, (1.0, 0.5))
 
@@ -302,8 +310,8 @@ def test_harmonic_augmentation_never_changes_predictions():
     c = np.tile([0.3, -0.8], 3)
     augmented_basis = monomial_basis(sheaf) + (ConstantEdgeForce(sheaf, c),)
     augmented = fit_linear(op, augmented_basis, data)
-    A_base = design_matrix(op, monomial_basis(sheaf), data)
-    A_aug = design_matrix(op, augmented_basis, data)
+    A_base = design_columns(op, monomial_basis(sheaf), data)
+    A_aug = design_columns(op, augmented_basis, data)
     pred_base = A_base @ base.theta_hat
     pred_aug = A_aug @ augmented.theta_hat
     assert np.abs(pred_base - pred_aug).max() <= 1e-10
