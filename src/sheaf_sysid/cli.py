@@ -338,6 +338,8 @@ _EXPERIMENT_FIELDS = [
 
 def cmd_experiment(config: dict, out_dir: Path, quiet: bool) -> int:
     _require_keys(config, {"command", "experiment", "base_seed", *_EXPERIMENT_FIELDS}, "config")
+    if "seeds" in config and "base_seed" in config:
+        raise ConfigurationError("config gives both seeds and base_seed; give one")
     kwargs = {key: config[key] for key in _EXPERIMENT_FIELDS if key in config}
     seeds = kwargs.pop("seeds", None)
     if seeds is None:

@@ -74,7 +74,11 @@ def _laplacian(op, model, x):
 
 
 def integrate(
-    op: CoboundaryOperator, model: EdgePotential, x0: np.ndarray, cfg: SimConfig
+    op: CoboundaryOperator,
+    model: EdgePotential,
+    x0: np.ndarray,
+    cfg: SimConfig,
+    ends: Sequence[float] | None = None,
 ) -> Trajectory | list[Trajectory | DivergenceError]:
     """Integrate the diffusion ODE with classical RK4 at fixed step cfg.step.
 
@@ -83,9 +87,12 @@ def integrate(
     (with the offending time) as soon as the state or its derivative stops
     being finite.  A batch returns one Trajectory or DivergenceError per row,
     in input order: a diverging row stops at its own blow-up time and the
-    others carry on.  Each row's bits are those of the row integrated alone.
+    others carry on.  ``ends`` gives each row its own horizon, a whole number
+    of steps up to cfg.horizon (the default for every row): a row stops at its
+    end as at a blow-up, and its record and any divergence are those of a run
+    at that horizon.  Each row's bits are those of the row integrated alone.
     A model with row parameters (see ``potentials``) has one row per start;
-    the rows it keeps past a divergence come from ``model.take_rows``.
+    the rows it keeps past a divergence or an end come from ``model.take_rows``.
     """
     x = np.array(x0, dtype=float)
     single = x.ndim == 1
@@ -102,15 +109,28 @@ def integrate(
     h = cfg.step
     steps = int(round(cfg.horizon / h))
     times = h * np.arange(steps + 1)
+    stops = np.full(n, steps)  # the last step index of every row still being stepped
+    if ends is not None:
+        ends = np.asarray(ends, dtype=float)
+        if ends.shape != (n,) or not all(
+            h <= e <= cfg.horizon and whole_steps(e, h) for e in ends.tolist()
+        ):
+            raise ParameterError(
+                f"ends must be {n} whole numbers of steps of {h!r} up to {cfg.horizon!r}"
+            )
+        stops = np.rint(ends / h).astype(int)
+    retire = set(stops[stops < steps].tolist())  # the steps at which some row ends
     alpha = cfg.alpha
 
     # The unchecked product: the shape was checked once for the whole batch.
     def f(state):
         return -alpha * _laplacian(op, model, state)
 
-    # Row-major per start, so each returned trajectory is one contiguous block.
-    states = np.empty((n, steps + 1, op.d0))
-    derivs = np.empty((n, steps + 1, op.d0))
+    # Each row's own samples as one contiguous block, the rows one after another.
+    size = stops + 1
+    first = np.cumsum(size) - size  # each row's first sample
+    states = np.empty((int(size.sum()), op.d0))
+    derivs = np.empty_like(states)
     failures: dict[int, DivergenceError] = {}
     live = np.arange(n)  # input index of every row still being stepped
     # Blow-ups are detected and reported; silence the transient inf/nan noise.
@@ -125,11 +145,15 @@ def integrate(
                     failures[int(i)] = DivergenceError(
                         f"state diverged at t = {times[k]:.6g}", time=float(times[k])
                     )
-                live, x, fx = live[ok], x[ok], fx[ok]
+                live, x, fx, stops = live[ok], x[ok], fx[ok], stops[ok]
                 model = model.take_rows(ok)
-            rows = slice(None) if live.size == n else live
-            states[rows, k] = x
-            derivs[rows, k] = fx
+            at = first[live] + k
+            states[at] = x
+            derivs[at] = fx
+            if k in retire:
+                ok = stops != k
+                live, x, fx, stops = live[ok], x[ok], fx[ok], stops[ok]
+                model = model.take_rows(ok)
             if k < steps:
                 k2 = f(x + 0.5 * h * fx)
                 k3 = f(x + 0.5 * h * k2)
@@ -137,8 +161,9 @@ def integrate(
                 x = x + (h / 6.0) * (fx + 2.0 * k2 + 2.0 * k3 + k4)
 
     results = [
-        failures[i] if i in failures else Trajectory(times, states[i], derivs[i])
-        for i in range(n)
+        failures[i] if i in failures
+        else Trajectory(times[:m], states[a : a + m], derivs[a : a + m])
+        for i, (a, m) in enumerate(zip(first.tolist(), size.tolist()))
     ]
     if single and isinstance(results[0], DivergenceError):
         raise results[0]

@@ -16,11 +16,11 @@ The two recovery studies are one experiment, run by one sweep driver over
 each study's table of conditions (_SWEEPS): per condition and seed, simulate
 the true law, build residuals, fit, and compare the fitted law with the truth
 on held-out rollouts and on force.  A study supplies only its table, its true
-laws and its fit family (a scalar threshold or a linear basis).  The driver
-runs each study's rollouts in a few RK4 batches: every truth start set of one
-true law and record length in one call, and every fitted law of one basis and
-record length in one call, with the fitted parameters as the law's row axis.
-Rows keep their solo bits, so batching changes no output.  Summaries
+laws, its fit family (a scalar threshold or a linear basis) and a row family
+that holds any of its laws as one row of one model.  The driver runs each
+study's rollouts in two RK4 batches, one for every truth start set and one
+for every fitted law, each row stopping at its own record length.  Rows keep
+their solo bits, so batching changes no output.  Summaries
 aggregate mean +/- std over a sorted seed list; force-law checks report
 per-condition medians of the force MSE on three evaluation sets (per-seed
 holdout edge states, the pool of every training edge state seen in the
@@ -465,42 +465,23 @@ def _initial_conditions(op, coverage, seed, counts):
     return [_localized_initial_conditions(op, rng, n) for rng, n in zip(rngs, counts)]
 
 
-def _grouped_rollouts(op, jobs, model) -> list[list]:
-    """Noiseless rollouts of many start sets, one integrate call per group.
+def _rollouts(op, rows, jobs) -> list[list]:
+    """Noiseless rollouts of many start sets in one integrate call.
 
-    ``jobs`` lists (group, horizon, starts); the jobs that share a group and a
-    horizon run in one call of the law model(group, their indices in jobs).
-    Returns per job its results, a Trajectory or a DivergenceError per start.
+    ``jobs`` lists (law, horizon, starts).  Every start is one row of the
+    row-parameter model rows(the law of every start), and stops at its job's
+    horizon.  Returns per job its results, a Trajectory or a DivergenceError
+    per start, each with the bits of that start run alone.
     """
-    groups: dict = {}
-    for i, (group, horizon, _) in enumerate(jobs):
-        groups.setdefault((group, horizon), []).append(i)
-    out = [None] * len(jobs)
-    for (group, horizon), index in groups.items():
-        sets = [jobs[i][2] for i in index]
-        sim = SimConfig(horizon=horizon, step=STEP)
-        results = integrate(op, model(group, index), x0=np.concatenate(sets), cfg=sim)
-        ends = np.cumsum([len(starts) for starts in sets])
-        for i, starts, end in zip(index, sets, ends):
-            out[i] = results[end - len(starts) : end]
-    return out
-
-
-def _fitted_rollouts(op, fits, law) -> list[list]:
-    """Per fit (condition, holdout starts, parameters, metrics), the rollouts
-    of its fitted law from its holdout starts.
-
-    The fits of one basis and record length run in one integrate call, each
-    fit's parameters repeated over its starts as rows of the law's parameters.
-    """
-
-    def rows(basis, index):
-        picked = [fits[i] for i in index]
-        counts = [len(starts) for _, starts, _, _ in picked]
-        return law(picked[0][0], np.repeat([p for _, _, p, _ in picked], counts, axis=0))
-
-    jobs = [(cond.basis, cond.horizon, starts) for cond, starts, _, _ in fits]
-    return _grouped_rollouts(op, jobs, rows)
+    if not jobs:
+        return []
+    models = [law for law, _, starts in jobs for _ in starts]
+    ends = [horizon for _, horizon, starts in jobs for _ in starts]
+    x0 = np.concatenate([starts for _, _, starts in jobs])
+    sim = SimConfig(horizon=max(ends), step=STEP)
+    results = integrate(op, rows(models), x0=x0, cfg=sim, ends=ends)
+    bounds = np.cumsum([0] + [len(starts) for _, _, starts in jobs]).tolist()
+    return [results[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _raise_divergence(results) -> None:
@@ -510,13 +491,15 @@ def _raise_divergence(results) -> None:
             raise r
 
 
-def _rollout_rmse(reference: list[Trajectory], candidate: list[Trajectory]) -> float:
+def _rollout_rmse(reference: list[Trajectory], candidate: list) -> float:
+    """RMSE of candidate rollouts against the reference; a divergence raises."""
+    _raise_divergence(candidate)
     diffs = [r.states - c.states for r, c in zip(reference, candidate)]
     stacked = np.concatenate([d.ravel() for d in diffs])
     return float(np.sqrt(np.mean(stacked**2)))
 
 
-def _sweep(cfg, sheaf, conditions, fit, law, stats, noise_std, noise_tag) -> ExperimentOutput:
+def _sweep(cfg, sheaf, conditions, fit, law, rows, stats, noise_std, noise_tag) -> ExperimentOutput:
     """Run every condition on each of its seeds, then aggregate over seeds.
 
     Per condition and seed: roll out the true law from the training and
@@ -532,11 +515,12 @@ def _sweep(cfg, sheaf, conditions, fit, law, stats, noise_std, noise_tag) -> Exp
     sweep as the pooled set.  A true law's forces on the pooled set and the
     grid are evaluated once.
 
-    The rollouts run in batches, as rows are independent of their batch:
-    one integrate call per (true law, record length) for every truth start
-    set, then the fits in (condition, seed) order, then one call per (fitted
-    basis, record length) for every fitted law, whose parameters ``law``
-    takes with a leading row axis.  A divergence raises the error the
+    The rollouts run in two integrate calls, as rows are independent of their
+    batch and each row stops at its own record length: one for every truth
+    start set, then the fits in (condition, seed) order, then one for every
+    fitted law.  ``rows(models)`` is the study's row-parameter family: one
+    model whose row i is the law models[i], bit for bit, for any true or
+    fitted law of the study.  A divergence raises the error the
     condition-by-condition order meets first: per (condition, seed) its
     truth rollout, its fit, then its fitted rollout.
     """
@@ -550,9 +534,9 @@ def _sweep(cfg, sheaf, conditions, fit, law, stats, noise_std, noise_tag) -> Exp
             starts[key] = (cond.horizon, *_initial_conditions(op, cond.coverage, seed, counts))
 
     jobs = [(key[2], horizon, train + hold) for key, (horizon, train, hold) in starts.items()]
-    truth = dict(zip(starts, _grouped_rollouts(op, jobs, lambda law, _: law)))
+    truth = dict(zip(starts, _rollouts(op, rows, jobs)))
 
-    fits = []  # per pair, in order: (condition, holdout starts, parameters, metrics)
+    fits = []  # per pair, in order: (fitted law, horizon, holdout starts, metrics)
     pooled = []
     try:
         for cond, seed in pairs:
@@ -564,27 +548,28 @@ def _sweep(cfg, sheaf, conditions, fit, law, stats, noise_std, noise_tag) -> Exp
                 tag = (seed, _COVERAGE_IDS[cond.coverage], _MODE_IDS[cond.mode], *noise_tag)
                 train = [observe(t, noise_std, (*tag, i)) for i, t in enumerate(train)]
             data = residual_dataset(op, train, cond.mode)
-            fits.append((cond, hold_ics, *fit(cond, op, data)))
+            params, metrics = fit(cond, op, data)
+            fits.append((law(cond, params), cond.horizon, hold_ics, metrics))
             pooled.append(data.edge_states)
     except SheafSysIdError:
         # the fitted rollouts of the pairs before this one come first
-        for results in _fitted_rollouts(op, fits, law):
+        for results in _rollouts(op, rows, [job[:3] for job in fits]):
             _raise_divergence(results)
         raise
-    candidates = _fitted_rollouts(op, fits, law)
+    candidates = _rollouts(op, rows, [job[:3] for job in fits])
 
     runs = []
     for cond in conditions:
         runs.append([])  # [(metrics, fitted law, holdout edge states)]
         for seed in cond.seeds:
-            # popped, so that no rollout outlives its score into the force checks
-            (_, _, params, metrics), candidate = fits.pop(0), candidates.pop(0)
-            _raise_divergence(candidate)
+            # popped and never named, so that no fitted rollout, nor the batch
+            # buffer its samples share, outlives its score into the force checks
+            fitted, _, _, metrics = fits.pop(0)
             key = (seed, cond.coverage, cond.truth)
             reference = truth[key][len(starts[key][1]) :]
-            metrics["rollout_rmse"] = _rollout_rmse(reference, candidate)
+            metrics["rollout_rmse"] = _rollout_rmse(reference, candidates.pop(0))
             holdout = np.concatenate([t.states @ op.B.T for t in reference])
-            runs[-1].append((metrics, law(cond, params), holdout))
+            runs[-1].append((metrics, fitted, holdout))
 
     pooled, grid = np.concatenate(pooled), reference_grid(sheaf)
     true_forces: dict = {}  # law -> its forces on the seed-independent sets
@@ -660,7 +645,10 @@ def run_bounded_confidence(cfg: ExperimentConfig) -> ExperimentOutput:
     def law(cond, epsilon):
         return BoundedConfidence(sheaf, epsilon)
 
-    return _sweep(cfg, sheaf, conditions, fit, law, stats, noise_std, noise_tag=())
+    def rows(models):
+        return BoundedConfidence(sheaf, [m.epsilon for m in models])
+
+    return _sweep(cfg, sheaf, conditions, fit, law, rows, stats, noise_std, noise_tag=())
 
 
 def run_finite_basis(cfg: ExperimentConfig) -> ExperimentOutput:
@@ -716,7 +704,16 @@ def run_finite_basis(cfg: ExperimentConfig) -> ExperimentOutput:
     def law(cond, theta):
         return LinearBasisPotential(sheaf, laws[cond.basis][0], theta)
 
-    return _sweep(cfg, sheaf, conditions, fit, law, stats, noise_std, noise_tag=(9,))
+    def rows(models):
+        # the correct basis leads the augmented one: its laws carry harmonic
+        # coefficient 0.0, which leaves their rows' bits as they are
+        augmented = laws["augmented"][0]
+        thetas = np.zeros((len(models), len(augmented)))
+        for row, model in zip(thetas, models):
+            row[: model.theta.size] = model.theta
+        return LinearBasisPotential(sheaf, augmented, thetas)
+
+    return _sweep(cfg, sheaf, conditions, fit, law, rows, stats, noise_std, noise_tag=(9,))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:

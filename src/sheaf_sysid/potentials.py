@@ -16,8 +16,8 @@ The parametric laws also take a leading row axis on their parameters: a
 ``BoundedConfidence`` epsilon of shape (N,) or a ``LinearBasisPotential`` theta
 of shape (N, p) evaluates a batch (N, d1) with row i's own parameters, bit for
 bit as the scalar model with those parameters.  ``take_rows`` restricts such a
-model to a subset of its rows (the integrator drops diverged rows with it);
-on a model without row parameters it is the model itself.
+model to a subset of its rows (the integrator drops diverged and ended rows
+with it); on a model without row parameters it is the model itself.
 """
 
 from __future__ import annotations
@@ -117,7 +117,8 @@ class BoundedConfidence(EdgePotential):
     so the force is y_e (1 - u/eps^2)^2 below the threshold and exactly zero
     above it, continuous (with continuous slope) at the seam.  The threshold
     is the model's single parameter; param_jacobian returns d force / d eps.
-    An epsilon of shape (N,) holds one threshold per row of a batch (N, d1).
+    An epsilon of shape (N,) holds one threshold per row of a batch (N, d1),
+    and each row is bit for bit the scalar model at its threshold.
     """
 
     def __init__(self, sheaf: Sheaf, epsilon):
@@ -153,11 +154,9 @@ class BoundedConfidence(EdgePotential):
         return psi.sum(-1)
 
     def gain(self, u):
-        """Per-edge force factor (1 - u/eps^2)^2 of squared norms u, zero
-        above the threshold; the force is y_e times it."""
-        # u > eps^2 gives u/eps^2 >= 1, so the clamp is exactly the cutoff;
-        # fmax, unlike maximum, also sends a NaN norm to 0 as a cutoff test would
-        return np.fmax(1.0 - u / self._e2, 0.0) ** 2
+        """Per-edge force factor of squared norms u (see ``confidence_gain``);
+        the force is y_e times it."""
+        return confidence_gain(u, self._e2)
 
     def force(self, y):
         y = np.asarray(y, dtype=float)
@@ -169,6 +168,20 @@ class BoundedConfidence(EdgePotential):
         e2 = self._e2
         factor = np.where(u <= e2, 4.0 * (1.0 - u / e2) * u / self._power(3), 0.0)
         return (y * self.sheaf.spread(factor))[..., None]
+
+
+def confidence_gain(u: np.ndarray, e2) -> np.ndarray:
+    """The bounded-confidence gain (1 - u/eps^2)^2 of squared norms u, zero
+    above the threshold, at e2 = eps^2: a Python float, or a row column (N, 1).
+
+    The one gain path of the law and of the threshold loss.
+    """
+    # u > eps^2 gives u/eps^2 >= 1, so the clamp is exactly the cutoff;
+    # fmax, unlike maximum, also sends a NaN norm to 0 as a cutoff test would
+    gain = np.divide(u, e2)
+    np.subtract(1.0, gain, out=gain)
+    np.fmax(gain, 0.0, out=gain)
+    return np.square(gain, out=gain)
 
 
 class BasisForce:

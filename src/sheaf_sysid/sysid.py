@@ -42,8 +42,8 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .errors import ConfigurationError, ParameterError, UsageError
-from .potentials import BasisForce, BoundedConfidence
-from .sheaf import RANK_TOL, CoboundaryOperator, Sheaf
+from .potentials import BasisForce, BoundedConfidence, confidence_gain
+from .sheaf import RANK_TOL, CoboundaryOperator
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_POINTS = 64  # log-spaced threshold grid before golden section
@@ -225,7 +225,6 @@ def fit_linear(
 class ThresholdTerms(NamedTuple):
     """The epsilon-free parts of the threshold loss, computed once per fit."""
 
-    sheaf: Sheaf
     edge_states: np.ndarray  # y (N, d1)
     sq_norms: np.ndarray  # per-edge squared norms u of y over each stalk (N, d1)
     residuals: np.ndarray  # whitened residuals r @ L1 (N, d0)
@@ -237,7 +236,6 @@ def threshold_terms(op: CoboundaryOperator, data: ResidualDataset) -> ThresholdT
     whitened residuals and the whitened map from edge forces to 0-cochains."""
     y = data.edge_states
     return ThresholdTerms(
-        op.sheaf,
         y,
         op.sheaf.spread(op.sheaf.edge_sq_norms(y)),
         data.residuals @ op.L1,
@@ -259,8 +257,12 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
 
 def threshold_objective(terms: ThresholdTerms, epsilon: float) -> float:
     """Mean squared residual misfit of the bounded-confidence law at epsilon:
-    the law's gain on the precomputed norms, one product and a sum of squares."""
-    forces = BoundedConfidence(terms.sheaf, epsilon).gain(terms.sq_norms)
+    the law's gain on the precomputed norms, one product and a sum of squares.
+    The gain is the law's own (``confidence_gain`` at the Python float
+    epsilon**2), with no model built per evaluation."""
+    if not epsilon > 0:
+        raise ParameterError(f"epsilon must be positive, got {epsilon}")
+    forces = confidence_gain(terms.sq_norms, float(epsilon) ** 2)
     forces *= terms.edge_states
     misfit = forces @ terms.sensitivity
     np.subtract(terms.residuals, misfit, out=misfit)

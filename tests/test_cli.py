@@ -468,6 +468,18 @@ def test_seed_override_changes_experiment_seeds(tmp_path):
     assert abs(v1 - v2) <= 1e-9
 
 
+def test_experiment_rejects_seeds_together_with_base_seed(tmp_path, capsys):
+    payload = {"command": "experiment", "experiment": "formation_transfer", "seeds": [1]}
+    both = write_config(tmp_path, "both.json", {**payload, "base_seed": 5})
+    assert run_cli("experiment", both, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seeds" in err and "base_seed" in err
+    assert not list((tmp_path / "out").iterdir())
+    # the --seed flag replaces seeds with base_seed, so it still applies
+    seeds = write_config(tmp_path, "seeds.json", payload)
+    assert run_cli("experiment", seeds, tmp_path / "flag", extra=["--seed", "5"]) == 0
+
+
 # --- malformed numbers and files fail with a library error, not a traceback ---------
 
 

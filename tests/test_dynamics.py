@@ -360,6 +360,103 @@ def test_take_rows_subsets_row_parameters_and_keeps_scalar_models(rotated_cycle)
     assert LinearBasisPotential(sheaf, basis, theta).take_rows([1]).theta.tolist() == [theta[1].tolist()]
 
 
+def _assert_same_record(got, alone):
+    """got and alone are the same DivergenceError, or the same trajectory with
+    every time, state and derivative bit for bit (signs of zero included)."""
+    assert type(got) is type(alone)
+    if isinstance(alone, DivergenceError):
+        assert (str(got), got.time) == (str(alone), alone.time)
+        return
+    for a, b in ((got.times, alone.times), (got.states, alone.states), (got.derivs, alone.derivs)):
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_rows_with_their_own_ends_keep_the_bits_of_a_solo_run_at_that_horizon(batch_case):
+    op, model = batch_case
+    starts = 0.8 * np.random.default_rng(22).standard_normal((9, op.d0))
+    ends = [0.01, 0.2, 0.05, 0.2, 0.13, 0.01, 0.07, 0.2, 0.05]
+    batch = integrate(op, model, x0=starts, cfg=SimConfig(horizon=0.2), ends=ends)
+    for got, x0, end in zip(batch, starts, ends):
+        assert got.n_samples == round(end / 0.01) + 1
+        _assert_same_record(got, integrate(op, model, x0, SimConfig(horizon=end)))
+
+
+def test_a_divergence_after_a_rows_end_is_never_seen(rotated_cycle):
+    sheaf, op = rotated_cycle
+    model = monomial_potential(sheaf, [-300.0, 0.0, 0.0])  # anti-diffusion overflows
+    x0 = np.random.default_rng(40).standard_normal(op.d0)
+    with pytest.raises(DivergenceError) as blowup:
+        integrate(op, model, x0, SimConfig(horizon=0.5))
+    k = round(blowup.value.time / 0.01)
+    assert k > 1
+    ends = [0.01 * (k - 1), 0.01 * k, 0.5]
+    batch = integrate(op, model, np.stack([x0] * 3), SimConfig(horizon=0.5), ends=ends)
+    assert isinstance(batch[0], Trajectory) and batch[0].n_samples == k
+    assert batch[1].time == batch[2].time == blowup.value.time
+    for got, end in zip(batch, ends):
+        _assert_same_record(got, _solo(op, model, x0, SimConfig(horizon=end)))
+
+
+@pytest.mark.parametrize(
+    "ends",
+    [
+        [0.05, 0.105],  # not a whole number of steps
+        [0.1, 0.0],
+        [0.1, 0.005],  # below one step
+        [0.1, -0.1],
+        [0.1, 0.3],  # beyond the horizon
+        [0.1, np.nan],
+        [0.1, np.inf],
+        [0.1],  # not one per row
+        [0.1, 0.1, 0.1],
+        [[0.1, 0.1]],
+    ],
+)
+def test_ends_must_be_whole_steps_up_to_the_horizon_one_per_row(rotated_cycle, ends):
+    sheaf, op = rotated_cycle
+    with pytest.raises(ParameterError, match="ends must be 2 whole numbers of steps"):
+        integrate(op, Quadratic(sheaf), np.ones((2, op.d0)), SimConfig(horizon=0.2), ends=ends)
+
+
+@pytest.mark.parametrize("family", ["threshold", "basis"])
+def test_row_parameter_models_follow_rows_that_end_and_rows_that_diverge(mixed_sheaf, family):
+    # Rows retire at their ends before and after another row's divergence;
+    # each survivor must keep its own parameters through both kinds of take_rows.
+    sheaf = mixed_sheaf
+    op = build_coboundary(sheaf)
+    rng = np.random.default_rng(23)
+    starts = 0.5 * rng.standard_normal((6, op.d0))
+    if family == "threshold":
+        params = rng.uniform(0.25, 4.0, 6)
+
+        def law(p):
+            return BoundedConfidence(sheaf, p)
+
+        starts[3, 0] = np.inf  # the bounded law cannot blow up, so this row starts non-finite
+    else:
+        basis = monomial_basis(sheaf) + (ConstantEdgeForce(sheaf, rng.standard_normal(sheaf.d1)),)
+        params = np.column_stack(
+            [
+                rng.uniform(0.5, 1.0, 6),
+                rng.uniform(0.0, 0.5, 6),
+                rng.uniform(0.1, 0.5, 6),
+                [0.0, 1.0, 0.0, 1.0, 1.0, -0.0],  # zero-constant rows among constant ones
+            ]
+        )
+        params[3, :3] = (-300.0, 0.0, 0.0)  # anti-diffusion: row 3 blows up mid-run
+
+        def law(p):
+            return LinearBasisPotential(sheaf, basis, p)
+
+    ends = [0.05, 0.3, 0.1, 0.3, 0.01, 0.2]
+    batch = integrate(op, law(params), starts, SimConfig(horizon=0.3), ends=ends)
+    assert isinstance(batch[3], DivergenceError)
+    if family == "basis":
+        assert 0.05 < batch[3].time < 0.2  # between the ends of other rows
+    for i, got in enumerate(batch):
+        _assert_same_record(got, _solo(op, law(params[i]), starts[i], SimConfig(horizon=ends[i])))
+
+
 def test_integrate_rejects_misshapen_starts(identity_cycle):
     sheaf, op = identity_cycle
     cfg = SimConfig(horizon=0.1)

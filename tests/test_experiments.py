@@ -299,21 +299,22 @@ def test_filtered_sweep_rows_equal_the_unfiltered_rows(study, filters, unfiltere
 @pytest.mark.parametrize("study", ["bounded_confidence", "finite_basis"])
 @pytest.mark.parametrize("seeds", [(0,), (1, 0)])
 def test_a_sweep_makes_four_integrate_calls_for_any_seed_count(monkeypatch, study, seeds):
-    # one per (true law, record length) and one per (fitted basis, record length)
+    # two calls, whatever the laws and record lengths: one for every truth
+    # start set, one for every fitted law
     rows = []
 
-    def counting(op, model, x0, cfg):
+    def counting(op, model, x0, cfg, ends=None):
         rows.append(len(x0))
-        return integrate(op, model, x0, cfg)
+        return integrate(op, model, x0, cfg, ends)
 
     monkeypatch.setattr(experiments, "integrate", counting)
     short = dict(n_training=3, training_horizon=0.2, n_holdout=2)
     run_experiment(ExperimentConfig(experiment_id=study, seeds=seeds, **short))
     n = len(seeds)
     if study == "bounded_confidence":  # broad and localized records, two fits each
-        expected = [5 * n, 5 * n, 4 * n, 4 * n]
+        expected = [10 * n, 8 * n]
     else:  # the correct law on two coverages, the augmented law on one seed
-        expected = [10 * n, 5, 8 * n, 2]
+        expected = [10 * n + 5, 8 * n + 2]
     assert rows == expected
 
 
@@ -345,8 +346,8 @@ def test_finite_difference_records_are_observed_under_their_seed_path(
 
 
 def _diverging_sweep(plan):
-    """The config, conditions, fit and law of a two-condition, two-seed
-    monomial sweep whose fit returns, pair by pair in sweep order, the
+    """The config, conditions, fit, law and row family of a two-condition,
+    two-seed monomial sweep whose fit returns, pair by pair in sweep order, the
     coefficients in ``plan``; an exception in the plan is raised by that
     pair's fit instead."""
     sheaf = make_cycle_sheaf(3, "identity")
@@ -369,12 +370,15 @@ def _diverging_sweep(plan):
     def law(cond, theta):
         return LinearBasisPotential(sheaf, monomial_basis(sheaf), theta)
 
-    return cfg, conditions, fit, law
+    def rows(models):
+        return LinearBasisPotential(sheaf, monomial_basis(sheaf), [m.theta for m in models])
+
+    return cfg, conditions, fit, law, rows
 
 
 def _first_error_of_the_pair_loop(plan):
     """The error a loop that rolls out each pair's fitted law alone meets first."""
-    cfg, conditions, _, law = _diverging_sweep(plan)
+    cfg, conditions, _, law, _ = _diverging_sweep(plan)
     op = build_coboundary(conditions[0].truth.sheaf)
     pairs = [(cond, seed) for cond in conditions for seed in cond.seeds]
     for (cond, seed), theta in zip(pairs, plan):
@@ -405,13 +409,22 @@ _SLOW, _FAST = (-300.0, 0.0, 0.0), (-3000.0, 0.0, 0.0)
 )
 def test_a_batched_sweep_raises_the_error_the_pair_loop_meets_first(plan):
     expected = _first_error_of_the_pair_loop(plan)
-    cfg, conditions, fit, law = _diverging_sweep(plan)
+    cfg, conditions, fit, law, rows = _diverging_sweep(plan)
     sheaf = conditions[0].truth.sheaf
     with pytest.raises(type(expected)) as raised:
-        _sweep(cfg, sheaf, conditions, fit, law, ("rollout_rmse_mean",), 1e-4, (9,))
+        _sweep(cfg, sheaf, conditions, fit, law, rows, ("rollout_rmse_mean",), 1e-4, (9,))
     assert str(raised.value) == str(expected)
     if isinstance(expected, DivergenceError):
         assert raised.value.time == expected.time > 0
+
+
+def test_a_sweep_whose_first_fit_fails_raises_that_error():
+    # no fitted law precedes it, so there is no fitted rollout to run first
+    plan = [UsageError("first fit failed"), _STABLE, _STABLE, _STABLE]
+    cfg, conditions, fit, law, rows = _diverging_sweep(plan)
+    sheaf = conditions[0].truth.sheaf
+    with pytest.raises(UsageError, match="first fit failed"):
+        _sweep(cfg, sheaf, conditions, fit, law, rows, ("rollout_rmse_mean",), 1e-4, (9,))
 
 
 def test_the_two_diverging_fits_blow_up_in_the_opposite_order_of_time():

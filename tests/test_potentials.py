@@ -362,6 +362,33 @@ def test_row_theta_gives_each_row_its_scalar_bits(identity_cycle, degrees, theta
             assert np.array_equal(np.signbit(got[i]), np.signbit(alone))
 
 
+@pytest.mark.parametrize("harmonic_row", [False, True], ids=["zero-rows-only", "beside-a-harmonic-row"])
+def test_augmented_rows_with_zero_harmonic_coefficient_are_the_correct_law(identity_cycle, harmonic_row):
+    # The finite_basis sweep rolls a correct-basis law out as an augmented-basis
+    # row whose harmonic coefficient is 0.0: the row model then adds no constant,
+    # or -0.0 beside a row that carries the harmonic force, and no bit changes.
+    sheaf, _ = identity_cycle
+    basis = monomial_basis(sheaf)
+    augmented = basis + (ConstantEdgeForce(sheaf, np.tile([1.0, 0.0], 3)),)
+    rng = np.random.default_rng(50)
+    thetas = rng.uniform(-1.0, 1.0, (6, 3))
+    thetas[1] = (-0.0, 0.0, -0.0)
+    thetas[2, 0] = -0.0
+    thetas[3, 1:] = (-0.0, 0.0)
+    y = rng.standard_normal((7, sheaf.d1))
+    y[1] = -0.0
+    y[2, :2] = 0.0
+    y[3, 2:4] = -0.0
+    rows = np.column_stack([thetas, np.zeros(6)])
+    rows = np.vstack([rows, (1.0, 0.25, 0.03, 0.5) if harmonic_row else (0.5, -0.0, 0.1, 0.0)])
+    got = LinearBasisPotential(sheaf, augmented, rows).force(y)
+    for i, theta in enumerate(rows):
+        fit_basis = augmented if theta[3] else basis
+        alone = LinearBasisPotential(sheaf, fit_basis, theta[: len(fit_basis)]).force(y[i])
+        assert np.array_equal(got[i], alone)
+        assert np.array_equal(np.signbit(got[i]), np.signbit(alone))
+
+
 def test_row_epsilon_gives_each_row_its_scalar_bits(mixed_sheaf):
     rng = np.random.default_rng(49)
     # The array power of 2.759 squared and of 3.3 and 0.356 cubed can round

@@ -573,6 +573,27 @@ def test_fit_threshold_grid_losses_are_bit_equal_to_the_row_major_loss():
     assert widths == {False, True}  # both ways of summing a sample's terms
 
 
+def test_threshold_losses_build_no_model_and_keep_the_gain_of_the_law(monkeypatch):
+    # weighted sheaf with mixed stalks; every grid loss equals, bit for bit, the
+    # plain loss through BoundedConfidence(sheaf, epsilon).gain
+    rng = np.random.default_rng(47)
+    sheaf = random_sheaf(rng, 3, 8)
+    op = build_coboundary(sheaf)
+    states = 0.8 * rng.standard_normal((300, op.d0))
+    clean = forward_dataset(op, BoundedConfidence(sheaf, 1.0), states)
+    noisy = clean.residuals + 1e-3 * rng.standard_normal(states.shape)
+    data = ResidualDataset(states, noisy, clean.edge_states, "exact")
+    grid = np.geomspace(0.25, 4.0, 64)
+    expected = [row_major_threshold_loss(op, data, e) for e in grid]
+    terms = threshold_terms(op, data)
+
+    def no_model(*args, **kwargs):
+        raise AssertionError("a loss evaluation builds no model")
+
+    monkeypatch.setattr(BoundedConfidence, "__init__", no_model)
+    assert [threshold_objective(terms, e) for e in grid] == expected
+
+
 @pytest.mark.parametrize("d", range(1, 8))
 def test_numpy_adds_fewer_than_8_terms_in_order(d):
     # sysid._row_sums relies on this rule to sum a sample's terms column by column
