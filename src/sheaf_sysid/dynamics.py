@@ -63,8 +63,8 @@ def laplacian_apply(
 ) -> np.ndarray:
     """Evaluate delta*(Phi(delta x)) over leading axes, each row on its own bits."""
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != op.d0:
-        raise StructuralError(f"state has length {x.shape[-1]}, expected {op.d0}")
+    if x.shape[-1:] != (op.d0,):
+        raise StructuralError(f"state has shape {x.shape}, expected a last axis of length {op.d0}")
     return _laplacian(op, model, x)
 
 
@@ -91,8 +91,9 @@ def integrate(
     of steps up to cfg.horizon (the default for every row): a row stops at its
     end as at a blow-up, and its record and any divergence are those of a run
     at that horizon.  Each row's bits are those of the row integrated alone.
-    A model with row parameters (see ``potentials``) has one row per start;
-    the rows it keeps past a divergence or an end come from ``model.take_rows``.
+    A model with row parameters (see ``potentials``) has one row per start,
+    or its first evaluation raises StructuralError; the rows it keeps past a
+    divergence or an end come from ``model.take_rows``.
     """
     x = np.array(x0, dtype=float)
     single = x.ndim == 1
@@ -102,10 +103,6 @@ def integrate(
         )
     x = x.reshape(-1, op.d0)
     n = x.shape[0]
-    if model.row_count not in (None, n):
-        raise StructuralError(
-            f"model has {model.row_count} parameter rows for a batch of {n} starts"
-        )
     h = cfg.step
     steps = int(round(cfg.horizon / h))
     times = h * np.arange(steps + 1)
@@ -155,10 +152,15 @@ def integrate(
                 live, x, fx, stops = live[ok], x[ok], fx[ok], stops[ok]
                 model = model.take_rows(ok)
             if k < steps:
-                k2 = f(x + 0.5 * h * fx)
-                k3 = f(x + 0.5 * h * k2)
-                k4 = f(x + h * k3)
-                x = x + (h / 6.0) * (fx + 2.0 * k2 + 2.0 * k3 + k4)
+                # x + h/2 fx, x + h/2 k2, x + h k3 and x + h/6 (fx + 2 k2 + 2 k3
+                # + k4), each product and sum in place with its operands in order
+                t = np.multiply(0.5 * h, fx)
+                k2 = f(np.add(x, t, out=t))
+                k3 = f(np.add(x, np.multiply(0.5 * h, k2, out=t), out=t))
+                k4 = f(np.add(x, np.multiply(h, k3, out=t), out=t))
+                acc = np.add(fx, np.multiply(2.0, k2, out=k2), out=k2)
+                np.add(np.add(acc, np.multiply(2.0, k3, out=k3), out=acc), k4, out=acc)
+                np.add(x, np.multiply(h / 6.0, acc, out=acc), out=x)
 
     results = [
         failures[i] if i in failures

@@ -7,17 +7,19 @@ Gram weights.  Radial laws are written in u = |y_e|^2 (edge-Gram squared norm)
 so their forces take the form y_e * g(u).
 
 All evaluators accept batches: a trailing axis of length d1, arbitrary leading
-axes.  Per-edge norms come from ``Sheaf.edge_sq_norms`` and per-edge factors
-are spread back over the stalks with ``Sheaf.spread``, one code path for every
-stalk layout.  Models are immutable, and every force works row by row with
-elementwise arithmetic, so a row's force does not depend on its batch.
+axes.  Per-edge norms come from ``Sheaf.edge_sq_norms`` and a radial force
+scales each edge block by its gain with ``Sheaf.edge_scale``, one code path on
+the sheaf's block views for every stalk layout.  Models are immutable, and
+every force works row by row with elementwise arithmetic, so a row's force
+does not depend on its batch.
 
 The parametric laws also take a leading row axis on their parameters: a
 ``BoundedConfidence`` epsilon of shape (N,) or a ``LinearBasisPotential`` theta
 of shape (N, p) evaluates a batch (N, d1) with row i's own parameters, bit for
-bit as the scalar model with those parameters.  ``take_rows`` restricts such a
-model to a subset of its rows (the integrator drops diverged and ended rows
-with it); on a model without row parameters it is the model itself.
+bit as the scalar model with those parameters, and rejects any other batch.
+``take_rows`` restricts such a model to a subset of its rows (the integrator
+drops diverged and ended rows with it); on a model without row parameters it
+is the model itself.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, UsageError
+from .errors import ParameterError, StructuralError, UsageError
 from .sheaf import Sheaf
 
 
@@ -52,6 +54,16 @@ class EdgePotential:
         """The model on the batch rows picked by ``rows`` (an index array or a
         boolean mask); a model without row parameters is the same on every row."""
         return self
+
+    def _batch(self, y) -> np.ndarray:
+        """y as a float array; with row parameters, a batch (row_count, d1)."""
+        y = np.asarray(y, dtype=float)
+        if self.row_count is not None and (y.ndim != 2 or len(y) != self.row_count):
+            batch = f"{len(y)} rows" if y.ndim == 2 else f"shape {y.shape}"
+            raise StructuralError(
+                f"model has {self.row_count} parameter rows for a batch of {batch}"
+            )
+        return y
 
 
 class Quadratic(EdgePotential):
@@ -146,7 +158,7 @@ class BoundedConfidence(EdgePotential):
         return BoundedConfidence(self.sheaf, self.epsilon[rows])
 
     def value(self, y):
-        u = self.sheaf.edge_sq_norms(y)
+        u = self.sheaf.edge_sq_norms(self._batch(y))
         e2 = self._e2
         psi = np.where(
             u <= e2, 0.5 * u - u**2 / (2 * e2) + u**3 / (6 * e2 * e2), e2 / 6.0
@@ -159,15 +171,15 @@ class BoundedConfidence(EdgePotential):
         return confidence_gain(u, self._e2)
 
     def force(self, y):
-        y = np.asarray(y, dtype=float)
-        return y * self.sheaf.spread(self.gain(self.sheaf.edge_sq_norms(y)))
+        y = self._batch(y)
+        return self.sheaf.edge_scale(y, self.gain(self.sheaf.edge_sq_norms(y)))
 
     def param_jacobian(self, y):
-        y = np.asarray(y, dtype=float)
+        y = self._batch(y)
         u = self.sheaf.edge_sq_norms(y)
         e2 = self._e2
         factor = np.where(u <= e2, 4.0 * (1.0 - u / e2) * u / self._power(3), 0.0)
-        return (y * self.sheaf.spread(factor))[..., None]
+        return self.sheaf.edge_scale(y, factor)[..., None]
 
 
 def confidence_gain(u: np.ndarray, e2) -> np.ndarray:
@@ -212,9 +224,7 @@ class RadialMonomialForce(BasisForce):
 
     def force(self, y):
         y = np.asarray(y, dtype=float)
-        if self.degree == 0:
-            return y.copy()
-        return y * self.sheaf.spread(self.sheaf.edge_sq_norms(y) ** self.degree)
+        return self.sheaf.edge_scale(y, self.sheaf.edge_sq_norms(y) ** self.degree)
 
 
 class ConstantEdgeForce(BasisForce):
@@ -254,11 +264,15 @@ class LinearBasisPotential(EdgePotential):
         self.row_count = len(self.theta) if self.theta.ndim == 2 else None
         # one coefficient per basis force: a scalar, or a column (N, 1) of rows
         coefs = self.theta.T[..., None] if self.theta.ndim == 2 else self.theta
-        self._degrees = []
+        # The gain sums its terms from 0.0 (which turns a -0.0 first term into
+        # +0.0); the leading degree-0 terms (u**0 is 1) are summed once here.
+        self._lead, self._degrees = 0.0, []
         constant = np.zeros(sheaf.d1)
         for coef, bf in zip(coefs, self.basis):
-            if isinstance(bf, RadialMonomialForce):
+            if isinstance(bf, RadialMonomialForce) and (bf.degree or self._degrees):
                 self._degrees.append((coef, bf.degree))
+            elif isinstance(bf, RadialMonomialForce):
+                self._lead = self._lead + coef
             elif isinstance(bf, ConstantEdgeForce):
                 constant = constant + coef * bf.cochain
             else:
@@ -279,29 +293,27 @@ class LinearBasisPotential(EdgePotential):
         return LinearBasisPotential(self.sheaf, self.basis, self.theta[rows])
 
     def value(self, y):
+        y = self._batch(y)
         total = 0.0
         for coef, bf in zip(self.theta.T, self.basis):
             total = total + coef * bf.value(y)
         return total
 
     def force(self, y):
-        y = np.asarray(y, dtype=float)
+        y = self._batch(y)
         u = self.sheaf.edge_sq_norms(y)
-        # A scalar zero start: a degree-0 term stays a scalar (u**0 is 1), and
-        # 0.0 + term still turns a -0.0 first term into +0.0.
-        gain = 0.0
+        gain = self._lead
         for coef, degree in self._degrees:
-            gain = gain + (coef * u**degree if degree else coef)
-        # per-edge factors spread over the stalks; degree-0 terms alone leave a
+            gain = gain + (coef * (u if degree == 1 else u**degree) if degree else coef)
+        # per-edge gains scale each edge block; degree-0 terms alone leave a
         # scalar (or a row column) that multiplies y as it is
-        if np.shape(gain)[-1:] == u.shape[-1:]:
-            gain = self.sheaf.spread(gain)
-        out = y * gain
+        out = self.sheaf.edge_scale(y, gain) if self._degrees else y * gain
         if self._constant is not None:
-            out = out + self._constant
+            out += self._constant
         return out
 
     def param_jacobian(self, y):
+        y = self._batch(y)
         cols = [bf.force(y) for bf in self.basis]
         return np.stack(cols, axis=-1)
 

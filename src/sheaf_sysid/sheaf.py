@@ -120,15 +120,14 @@ class Sheaf:
     (edge dim, tail-vertex dim).  Grams default to identities.
 
     ``M2`` is the block-diagonal (read-only) Gram matrix of the 1-cochains,
-    shared with every operator built from the sheaf.  Two methods serve every
-    per-edge computation, for any mix of stalk dimensions and Grams, batched
-    over leading axes: ``edge_sq_norms(y)`` maps a 1-cochain (..., d1) to its
-    per-edge squared Gram norms |y_e|^2 (..., edge_count), reading only each
-    edge's own Gram block so a row's result does not depend on its batch, and
-    ``spread(f)``
-    repeats a per-edge factor (..., edge_count) over each edge's stalk
-    (..., d1), so a radial force y_e g(|y_e|^2) is
-    ``y * spread(g(edge_sq_norms(y)))``.
+    shared with every operator built from the sheaf.  Per-edge work views a
+    1-cochain (..., d1) as blocks (..., E_k, k), one group per stalk width k:
+    a reshape on a uniform layout, a column gather per group on a mixed one.
+    ``edge_sq_norms(y)`` gives the squared Gram norms |y_e|^2 (..., edge_count)
+    bit for bit as ``np.add.reduceat``, each from its edge's own Gram block so
+    a row's result does not depend on its batch; ``edge_scale(y, g)`` scales
+    each block y_e by g_e, so a radial force y_e g(|y_e|^2) is
+    ``edge_scale(y, g(edge_sq_norms(y)))``; ``spread(f)`` repeats f_e over y_e.
     """
 
     def __init__(
@@ -156,42 +155,14 @@ class Sheaf:
         self.head_maps = tuple(np.asarray(m, dtype=float) for m in head_maps)
         self.tail_maps = tuple(np.asarray(m, dtype=float) for m in tail_maps)
         for e, (tail, head) in enumerate(graph.edges):
-            de = self.edge_stalk_dims[e]
-            want_h = (de, self.vertex_stalk_dims[head])
-            want_t = (de, self.vertex_stalk_dims[tail])
-            if self.head_maps[e].shape != want_h:
-                raise StructuralError(
-                    f"head map of edge {e} has shape {self.head_maps[e].shape}, "
-                    f"expected {want_h}"
-                )
-            if self.tail_maps[e].shape != want_t:
-                raise StructuralError(
-                    f"tail map of edge {e} has shape {self.tail_maps[e].shape}, "
-                    f"expected {want_t}"
-                )
-
-        if vertex_grams is None:
-            self.vertex_grams = tuple(np.eye(d) for d in self.vertex_stalk_dims)
-        else:
-            if len(vertex_grams) != graph.vertex_count:
-                raise StructuralError("one Gram matrix required per vertex")
-            self.vertex_grams = tuple(
-                _check_spd(g, f"vertex Gram {v}") for v, g in enumerate(vertex_grams)
-            )
-        if edge_grams is None:
-            self.edge_grams = tuple(np.eye(d) for d in self.edge_stalk_dims)
-        else:
-            if len(edge_grams) != graph.edge_count:
-                raise StructuralError("one Gram matrix required per edge")
-            self.edge_grams = tuple(
-                _check_spd(g, f"edge Gram {e}") for e, g in enumerate(edge_grams)
-            )
-        for v, g in enumerate(self.vertex_grams):
-            if g.shape[0] != self.vertex_stalk_dims[v]:
-                raise StructuralError(f"vertex Gram {v} does not match its stalk")
-        for e, g in enumerate(self.edge_grams):
-            if g.shape[0] != self.edge_stalk_dims[e]:
-                raise StructuralError(f"edge Gram {e} does not match its stalk")
+            for end, maps, v in (("head", self.head_maps, head), ("tail", self.tail_maps, tail)):
+                want = (self.edge_stalk_dims[e], self.vertex_stalk_dims[v])
+                if maps[e].shape != want:
+                    raise StructuralError(
+                        f"{end} map of edge {e} has shape {maps[e].shape}, expected {want}"
+                    )
+        self.vertex_grams = _stalk_grams(vertex_grams, self.vertex_stalk_dims, "vertex")
+        self.edge_grams = _stalk_grams(edge_grams, self.edge_stalk_dims, "edge")
 
         v_offsets = np.concatenate([[0], np.cumsum(self.vertex_stalk_dims)])
         e_offsets = np.concatenate([[0], np.cumsum(self.edge_stalk_dims)])
@@ -203,35 +174,90 @@ class Sheaf:
         self.edge_slices = tuple(
             slice(int(a), int(b)) for a, b in zip(e_offsets[:-1], e_offsets[1:])
         )
-        self._edge_starts = e_offsets[:-1].astype(np.intp)
-        self._edge_dims = np.asarray(self.edge_stalk_dims, dtype=np.intp)
         self.M2 = np.zeros((self.d1, self.d1))
         for sl, g in zip(self.edge_slices, self.edge_grams):
             self.M2[sl, sl] = g
         self.M2.flags.writeable = False
         # M2 in band storage: the main diagonal, then every nonzero diagonal
-        # at offset k (entries M2[j, j + k]), so M2 y costs O(d1) per band.
+        # at offset k (entries M2[j, j + k]), so M2 y costs O(d1) per band;
+        # none at all for identity Grams, as y * 1.0 is y bit for bit.
         width = max(self.edge_stalk_dims, default=0)
         offsets = [0] + [
             k for k in range(1 - width, width) if k and np.diagonal(self.M2, k).any()
         ]
-        self._gram_bands = tuple((k, np.diagonal(self.M2, k).copy()) for k in offsets)
+        bands = tuple((k, np.diagonal(self.M2, k).copy()) for k in offsets)
+        self._gram_bands = () if offsets == [0] and (bands[0][1] == 1.0).all() else bands
+        # The edges of each stalk width k and their columns (E_k, k); the one
+        # group of a uniform layout holds every edge in order, so its blocks
+        # are a reshape of the last axis to (..., E, k) rather than a gather.
+        groups = _grouped(np.asarray(self.edge_stalk_dims, dtype=np.intp))
+        self._width_groups = tuple(
+            (at, e_offsets[at, None] + np.arange(k)) for (k,), at in groups
+        )
+        self._uniform = self._width_groups[0][1].shape if len(groups) == 1 else None
 
     def edge_sq_norms(self, y: np.ndarray) -> np.ndarray:
         """Per-edge squared Gram norms of a 1-cochain, shape (..., edge_count)."""
         y = _check_len(y, self.d1, "1-cochain")
-        (_, main), *off_diagonal = self._gram_bands
-        gram_y = y * main
-        for k, band in off_diagonal:
-            if k > 0:
+        gram_y = y
+        for k, band in self._gram_bands:
+            if k == 0:
+                gram_y = y * band
+            elif k > 0:
                 gram_y[..., :-k] += band * y[..., k:]
             else:
                 gram_y[..., -k:] += band * y[..., :k]
-        return np.add.reduceat(gram_y * y, self._edge_starts, axis=-1)
+        p = gram_y * y
+        if self._uniform:
+            return _block_sums(p.reshape(p.shape[:-1] + self._uniform))
+        out = np.empty(y.shape[:-1] + (self.graph.edge_count,))
+        for at, cols in self._width_groups:
+            out[..., at] = _block_sums(p[..., cols])
+        return out
+
+    def edge_scale(self, y: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Each edge block y_e of a 1-cochain (..., d1) times its factor g_e
+        of g (..., edge_count): ``y * spread(g)``, bit for bit."""
+        if self._uniform:
+            scaled = y.reshape(y.shape[:-1] + self._uniform) * g[..., None]
+            return scaled.reshape(scaled.shape[:-2] + (self.d1,))
+        out = np.empty(np.broadcast_shapes(y.shape[:-1], g.shape[:-1]) + (self.d1,))
+        for at, cols in self._width_groups:
+            out[..., cols] = y[..., cols] * g[..., at, None]
+        return out
 
     def spread(self, f: np.ndarray) -> np.ndarray:
         """Repeat a per-edge factor (..., edge_count) over each edge stalk."""
-        return np.repeat(f, self._edge_dims, axis=-1)
+        f = _check_len(f, self.graph.edge_count, "per-edge factor")
+        return self.edge_scale(np.ones(self.d1), f)
+
+
+def _stalk_grams(grams, dims: tuple[int, ...], what: str) -> tuple[np.ndarray, ...]:
+    """One Gram per stalk, identities when grams is None, each checked to be
+    positive definite and to match its stalk."""
+    if grams is None:
+        return tuple(np.eye(d) for d in dims)
+    if len(grams) != len(dims):
+        raise StructuralError(f"one Gram matrix required per {what}")
+    grams = tuple(_check_spd(g, f"{what} Gram {i}") for i, g in enumerate(grams))
+    for i, g in enumerate(grams):
+        if g.shape[0] != dims[i]:
+            raise StructuralError(f"{what} Gram {i} does not match its stalk")
+    return grams
+
+
+def _block_sums(b: np.ndarray) -> np.ndarray:
+    """Sums over the last axis of blocks (..., k), bit for bit as reduceat
+    (NaN signs too): the tail b[1:] summed from its own first term, in order
+    below 8 terms and pairwise from 8 as np.sum does along a contiguous axis
+    (started from -0.0, since -0.0 + s is s and np.sum's own +0.0 start turns
+    an all -0.0 tail into +0.0), then plus b[0]."""
+    if b.shape[-1] > 8:
+        return np.ascontiguousarray(b[..., 1:]).sum(-1, initial=-0.0) + b[..., 0]
+    tail = b[..., 1] if b.shape[-1] > 1 else -0.0
+    for j in range(2, b.shape[-1]):
+        tail = tail + b[..., j]
+    return tail + b[..., 0]
 
 
 class CoboundaryOperator:
@@ -260,11 +286,11 @@ class CoboundaryOperator:
         self.M1 = M1
         self.M2 = M2
         v_dims = np.array(sheaf.vertex_stalk_dims, dtype=np.intp)
-        e_dims = sheaf._edge_dims
+        e_dims = np.array(sheaf.edge_stalk_dims, dtype=np.intp)
         v_starts = np.cumsum(v_dims) - v_dims
-        e_starts = sheaf._edge_starts
+        e_starts = np.cumsum(e_dims) - e_dims
         self._vertex_blocks = [_block_index(v_starts[at], d) for (d,), at in _grouped(v_dims)]
-        self._edge_blocks = [_block_index(e_starts[at], d) for (d,), at in _grouped(e_dims)]
+        self._edge_blocks = [(c[:, :, None], c[:, None, :]) for _, c in sheaf._width_groups]
         self.L1 = _block_factor(M1, self._vertex_blocks, "M1")
         self.L2 = _block_factor(M2, self._edge_blocks, "M2")
         # The nonzero blocks (e, v) of B: every edge's head block, and its tail
@@ -374,8 +400,8 @@ def build_coboundary(sheaf: Sheaf) -> CoboundaryOperator:
 
 def _check_len(x: np.ndarray, n: int, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape[-1] != n:
-        raise StructuralError(f"{what} has block length {x.shape[-1]}, expected {n}")
+    if x.shape[-1:] != (n,):
+        raise StructuralError(f"{what} has shape {x.shape}, expected a last axis of length {n}")
     return x
 
 

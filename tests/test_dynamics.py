@@ -578,6 +578,13 @@ def test_row_parameters_must_match_the_batch(rotated_cycle, family):
     assert len(integrate(op, model, np.zeros((2, op.d0)), cfg)) == 2
 
 
+@pytest.mark.parametrize("state", [1.0, np.zeros(5), np.zeros((2, 7))])
+def test_laplacian_rejects_a_state_of_the_wrong_shape(identity_cycle, state):
+    sheaf, op = identity_cycle
+    with pytest.raises(StructuralError, match="state has shape .*, expected a last axis of length 6"):
+        laplacian_apply(op, Quadratic(sheaf), state)
+
+
 @pytest.mark.parametrize("horizon, step", [(0.105, 0.01), (1.0, 0.3), (0.5, 0.2), (2.0, 0.3)])
 def test_horizon_must_be_a_whole_number_of_steps(horizon, step):
     with pytest.raises(ParameterError, match="not a whole number of steps"):

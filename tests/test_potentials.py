@@ -14,6 +14,7 @@ from sheaf_sysid import (
     Quadratic,
     RadialMonomialForce,
     ShiftedQuadratic,
+    StructuralError,
     UsageError,
     build_coboundary,
     monomial_basis,
@@ -427,3 +428,138 @@ def test_linear_basis_rejects_unsupported_family(identity_cycle):
 
     with pytest.raises(ParameterError):
         LinearBasisPotential(sheaf, (CubicForce(sheaf),), [1.0])
+
+
+# --- radial forces on the block view against the repeat form ------------------
+
+
+def probe_states(sheaf, rows: int = 8) -> np.ndarray:
+    """Random edge states with rows of +0.0, -0.0, mixed signed zeros, a
+    constant cochain and an edge-wise constant cochain."""
+    rng = np.random.default_rng(sheaf.d1)
+    y = rng.standard_normal((rows, sheaf.d1))
+    y[0] = 0.0
+    y[1] = -0.0
+    y[2] = rng.choice([0.0, -0.0], sheaf.d1)
+    y[3] = 0.7
+    for sl in sheaf.edge_slices:
+        y[4, sl] = rng.standard_normal()
+    return y
+
+
+def repeat_form(sheaf, y, gain):
+    """y * spread(gain) with the per-edge gain repeated by np.repeat."""
+    return y * np.repeat(gain, sheaf.edge_stalk_dims, axis=-1)
+
+
+def repeat_linear_force(model, y):
+    """LinearBasisPotential's force as a scalar-zero-start radial pass whose
+    per-edge gain is repeated over the stalks, plus the constant cochains."""
+    sheaf = model.sheaf
+    u = sheaf.edge_sq_norms(y)
+    coefs = model.theta.T[..., None] if model.theta.ndim == 2 else model.theta
+    gain, constant = 0.0, np.zeros(sheaf.d1)
+    for coef, bf in zip(coefs, model.basis):
+        if isinstance(bf, ConstantEdgeForce):
+            constant = constant + coef * bf.cochain
+        else:
+            gain = gain + (coef * u**bf.degree if bf.degree else coef)
+    radial = any(isinstance(bf, RadialMonomialForce) and bf.degree for bf in model.basis)
+    out = repeat_form(sheaf, y, gain) if radial else y * gain
+    nonzero = constant.any(-1)
+    if constant.ndim == 2:
+        constant[~nonzero] = -0.0
+    return out + constant if nonzero.any() else out
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+CYCLES_AND_MIXED = ["identity_cycle", "rotated_cycle", "mixed_sheaf"]
+
+
+def fixture_sheaf(request, name):
+    value = request.getfixturevalue(name)
+    return value[0] if isinstance(value, tuple) else value
+
+
+@pytest.mark.parametrize("name", CYCLES_AND_MIXED)
+@pytest.mark.parametrize("rows", [False, True], ids=["scalar-epsilon", "row-epsilon"])
+def test_confidence_force_equals_the_repeat_form(request, name, rows):
+    sheaf = fixture_sheaf(request, name)
+    y = probe_states(sheaf)
+    eps = np.linspace(0.3, 2.5, len(y)) if rows else 0.9
+    model = BoundedConfidence(sheaf, eps)
+    u = sheaf.edge_sq_norms(y)
+    # each row's power a Python-float power, as the scalar model takes it
+    e2, e3 = (np.array([e**k for e in eps.tolist()])[:, None] if rows else eps**k for k in (2, 3))
+    assert_same_bits(model.force(y), repeat_form(sheaf, y, model.gain(u)))
+    factor = np.where(u <= e2, 4.0 * (1.0 - u / e2) * u / e3, 0.0)
+    assert_same_bits(model.param_jacobian(y), repeat_form(sheaf, y, factor)[..., None])
+
+
+@pytest.mark.parametrize("name", CYCLES_AND_MIXED)
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_monomial_force_equals_the_repeat_form(request, name, degree):
+    sheaf = fixture_sheaf(request, name)
+    y = probe_states(sheaf)
+    u = sheaf.edge_sq_norms(y)
+    want = y.copy() if degree == 0 else repeat_form(sheaf, y, u**degree)
+    for batch in (y, y[5]):
+        got = RadialMonomialForce(sheaf, degree).force(batch)
+        assert_same_bits(got, want if batch.ndim == 2 else want[5])
+
+
+@pytest.mark.parametrize("name", CYCLES_AND_MIXED)
+@pytest.mark.parametrize(
+    "degrees, theta",
+    [
+        ((0, 1, 2), (1.0, 0.25, 0.03)),
+        ((0, 1, 2), (-0.0, -1.0, 0.0)),
+        ((0, 0, 1), (-0.0, -0.0, 0.5)),
+        ((2, 0), (-1.0, 0.5)),
+        ((1,), (-0.0,)),
+        ((0,), (-0.0,)),
+        ((0, 0), (0.5, -0.25)),
+        ((0, None), (-0.0, 0.7)),
+        ((None, 1), (0.7, 2.0)),
+    ],
+)
+@pytest.mark.parametrize("rows", [False, True], ids=["scalar-theta", "row-theta"])
+def test_linear_force_equals_the_repeat_form(request, name, degrees, theta, rows):
+    # None is a constant force; a degree-0-only basis leaves a scalar (or a
+    # row column) gain, and a -0.0 degree-0 lead must become 0.0 + -0.0 = +0.0
+    sheaf = fixture_sheaf(request, name)
+    y = probe_states(sheaf)
+    cochain = np.random.default_rng(3).standard_normal(sheaf.d1)
+    basis = tuple(
+        ConstantEdgeForce(sheaf, cochain) if m is None else RadialMonomialForce(sheaf, m)
+        for m in degrees
+    )
+    thetas = np.array(theta)
+    if rows:
+        thetas = thetas * np.linspace(-1.0, 2.0, len(y))[:, None]
+        thetas[0] = theta
+        thetas[1] = -0.0
+    model = LinearBasisPotential(sheaf, basis, thetas)
+    assert_same_bits(model.force(y), repeat_linear_force(model, y))
+
+
+@pytest.mark.parametrize("family", ["threshold", "basis"])
+def test_a_row_parameter_model_takes_only_its_own_batch(rotated_cycle, family):
+    sheaf, _ = rotated_cycle
+    if family == "threshold":
+        model = BoundedConfidence(sheaf, [1.0, 2.0])
+    else:
+        basis = monomial_basis(sheaf)
+        model = LinearBasisPotential(sheaf, basis, np.full((2, len(basis)), 0.5))
+    wrong = [np.ones(sheaf.d1), np.ones((1, sheaf.d1)), np.ones((3, sheaf.d1)),
+             np.ones((2, 2, sheaf.d1)), np.ones((0, sheaf.d1))]
+    for name in ("force", "value", "param_jacobian"):
+        for y in wrong:
+            with pytest.raises(StructuralError, match="2 parameter rows for a batch of "):
+                getattr(model, name)(y)
+        assert len(getattr(model, name)(np.ones((2, sheaf.d1)))) == 2

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from conftest import random_sheaf
+from conftest import random_sheaf, random_spd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -337,6 +337,148 @@ def test_edge_primitive_on_edgeless_sheaf():
 def test_edge_sq_norms_rejects_wrong_length(mixed_sheaf):
     with pytest.raises(StructuralError):
         mixed_sheaf.edge_sq_norms(np.zeros(mixed_sheaf.d1 + 1))
+
+
+def uniform_sheaf(width: int, grams: str) -> Sheaf:
+    """A directed 3-cycle with 2-D vertex stalks and edge stalks of one width;
+    grams "unit" (identities), "diagonal" (no off-diagonal band), "full", or
+    "unit-diagonal" (ones on the diagonal beside off-diagonal bands)."""
+    rng = np.random.default_rng(width)
+    graph = DirectedGraph(vertex_count=3, edges=((0, 1), (1, 2), (2, 0)))
+    maps = [rng.standard_normal((width, 2)) for _ in range(6)]
+    unit_diagonal = np.eye(width) + 0.4 * np.eye(width, k=1) + 0.4 * np.eye(width, k=-1)
+    edge_grams = {
+        "unit": None,
+        "diagonal": [np.diag(rng.uniform(0.5, 2.0, width)) for _ in range(3)],
+        "full": [random_spd(rng, width) for _ in range(3)],
+        "unit-diagonal": [unit_diagonal] * 3,
+    }[grams]
+    return Sheaf(graph, [2] * 3, [width] * 3, maps[:3], maps[3:], edge_grams=edge_grams)
+
+
+def reduceat_sq_norms(sheaf: Sheaf, y: np.ndarray) -> np.ndarray:
+    """The per-edge squared norms as np.add.reduceat over each edge's products
+    y_i (M2 y)_i, with M2 y built band by band: the main diagonal, then each
+    nonzero diagonal in increasing offset."""
+    y = np.asarray(y, dtype=float)
+    width = max(sheaf.edge_stalk_dims)
+    gram_y = y * np.diagonal(sheaf.M2)
+    for k in range(1 - width, width):
+        band = np.diagonal(sheaf.M2, k)
+        if k > 0 and band.any():
+            gram_y[..., :-k] += band * y[..., k:]
+        elif k < 0 and band.any():
+            gram_y[..., -k:] += band * y[..., :k]
+    starts = [sl.start for sl in sheaf.edge_slices]
+    return np.add.reduceat(gram_y * y, starts, axis=-1)
+
+
+def hard_cochains(sheaf: Sheaf, lead: tuple) -> np.ndarray:
+    """Random 1-cochains over 16 decades with rows of +0.0, of -0.0 and of
+    mixed signed zeros, a -0.0 first entry in every edge of one row, and one
+    row of infinities and NaNs of both signs."""
+    rng = np.random.default_rng(sum(sheaf.edge_stalk_dims) + len(lead))
+    shape = lead + (sheaf.d1,)
+    y = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    rows = y.reshape(-1, sheaf.d1)
+    if len(rows) >= 5:
+        rows[0] = 0.0
+        rows[1] = -0.0
+        rows[2] = rng.choice([0.0, -0.0], sheaf.d1)
+        rows[3, [sl.start for sl in sheaf.edge_slices]] = -0.0
+        rows[4] = rng.choice([np.inf, -np.inf, np.nan, -np.nan, 1.0], sheaf.d1)
+    return y
+
+
+def assert_same_bits(got, want):
+    """Equal values, NaNs in the same places, and the same sign bits."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def wide_mixed_sheaf() -> Sheaf:
+    sheaf = random_sheaf(np.random.default_rng(7), n_vertices=3, n_edges=4, max_dim=10)
+    assert max(sheaf.edge_stalk_dims) > 8 and len(set(sheaf.edge_stalk_dims)) > 1
+    return sheaf
+
+
+EDGE_LAYOUTS = [
+    (w, g) for w in range(1, 10) for g in ("unit", "diagonal", "full", "unit-diagonal")
+]
+
+
+@pytest.mark.parametrize("layout", EDGE_LAYOUTS + ["mixed", "wide mixed"])
+@pytest.mark.parametrize("lead", [(), (9,), (0,), (3, 4), (2, 0, 3)])
+def test_edge_sq_norms_equal_reduceat_bit_for_bit(mixed_sheaf, layout, lead):
+    # signed zeros included: the tail of each block is summed from its own
+    # first term (in order below 8 terms, pairwise from 8), not from +0.0
+    sheaf = {"mixed": mixed_sheaf, "wide mixed": wide_mixed_sheaf()}.get(layout)
+    sheaf = sheaf or uniform_sheaf(*layout)
+    y = hard_cochains(sheaf, lead)
+    with np.errstate(invalid="ignore"):  # inf - inf in the row of infinities
+        want = reduceat_sq_norms(sheaf, y)
+        assert want.shape == lead + (sheaf.graph.edge_count,)
+        assert_same_bits(sheaf.edge_sq_norms(y), want)
+        y_f = np.asfortranarray(y)
+        assert_same_bits(sheaf.edge_sq_norms(y_f), reduceat_sq_norms(sheaf, y_f))
+        if y.ndim == 2 and len(y):
+            # numpy's arithmetic may give a NaN another sign in a lone row or
+            # another memory order, so each is held to reduceat on the same input
+            assert_same_bits(
+                np.array([sheaf.edge_sq_norms(row) for row in y]),
+                np.array([reduceat_sq_norms(sheaf, row) for row in y]),
+            )
+
+
+@pytest.mark.parametrize("width", range(7, 10))
+def test_norms_of_negative_zero_products_keep_their_sign(width):
+    # Under a full Gram, y = -0.0 gives M2 y = +0.0 on some coordinates and so
+    # products y_i (M2 y)_i of -0.0: an edge whose products are all -0.0 has
+    # norm -0.0, which a tail sum started from +0.0 would turn into +0.0.
+    sheaf = uniform_sheaf(width, "full")
+    y = np.full((2, sheaf.d1), -0.0)
+    got, want = sheaf.edge_sq_norms(y), reduceat_sq_norms(sheaf, y)
+    assert np.signbit(want).any()
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("layout", [(2, "unit"), (9, "full"), "mixed", "wide mixed"])
+def test_edge_scale_and_spread_equal_repeat_bit_for_bit(mixed_sheaf, layout):
+    sheaf = {"mixed": mixed_sheaf, "wide mixed": wide_mixed_sheaf()}.get(layout)
+    sheaf = sheaf or uniform_sheaf(*layout)
+    dims = sheaf.edge_stalk_dims
+    rng = np.random.default_rng(5)
+    for lead in ((), (6,), (0,), (2, 3)):
+        y = hard_cochains(sheaf, lead)
+        g = rng.standard_normal(lead + (sheaf.graph.edge_count,))
+        g.reshape(-1, g.shape[-1])[:1] = -0.0
+        want = y * np.repeat(g, dims, axis=-1)
+        assert_same_bits(sheaf.edge_scale(y, g), want)
+        assert_same_bits(y * sheaf.spread(g), want)
+        assert_same_bits(sheaf.spread(g), np.repeat(g, dims, axis=-1))
+    # a per-row factor against one cochain, and one factor against a batch
+    y, g = hard_cochains(sheaf, ()), rng.standard_normal((5, sheaf.graph.edge_count))
+    assert_same_bits(sheaf.edge_scale(y, g), y * np.repeat(g, dims, axis=-1))
+    ys = hard_cochains(sheaf, (5,))
+    assert_same_bits(sheaf.edge_scale(ys, g[0]), ys * np.repeat(g[0], dims))
+
+
+def test_a_scalar_is_not_a_cochain(identity_cycle):
+    sheaf, op = identity_cycle
+    harmonic = harmonic_basis(op)
+    calls = [
+        (sheaf.edge_sq_norms, "1-cochain"),
+        (sheaf.spread, "per-edge factor"),
+        (lambda v: apply_delta(op, v), "0-cochain"),
+        (lambda v: apply_delta_star(op, v), "1-cochain"),
+        (lambda v: hodge_project(op, harmonic, v), "1-cochain"),
+        (lambda v: delta_pseudoinverse_apply(op, v), "1-cochain"),
+    ]
+    for call, what in calls:
+        for scalar in (1.0, np.float64(2.0), np.array(3.0)):
+            with pytest.raises(StructuralError, match=f"{what} has shape .*, expected a last axis"):
+                call(scalar)
 
 
 def test_operator_shares_the_sheaf_edge_gram(mixed_sheaf):
