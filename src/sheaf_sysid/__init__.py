@@ -26,7 +26,6 @@ from .errors import (
     UsageError,
 )
 from .experiments import (
-    EvaluationSets,
     ExperimentConfig,
     ExperimentOutput,
     force_mse,
@@ -53,8 +52,6 @@ from .sheaf import (
     RANK_TOL,
     CoboundaryOperator,
     DirectedGraph,
-    HarmonicSpace,
-    SectionSpace,
     Sheaf,
     apply_delta,
     apply_delta_star,

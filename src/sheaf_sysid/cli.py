@@ -162,8 +162,8 @@ def cmd_cohomology(config: dict, out_dir: Path, quiet: bool) -> int:
     lam_max = float(eigs.max()) if op.d0 else 0.0
 
     lines = [
-        f"dim H0 = {sections.dim_h0}",
-        f"dim H1 = {harm.dim_h1}",
+        f"dim H0 = {sections.shape[1]}",
+        f"dim H1 = {harm.shape[1]}",
         f"lambda range of delta*delta = [{lam_min!r}, {lam_max!r}]",
     ]
     if not quiet:
@@ -171,15 +171,13 @@ def cmd_cohomology(config: dict, out_dir: Path, quiet: bool) -> int:
     tag = config_hash(config)
     report = {
         "config_hash": tag,
-        "dim_h0": sections.dim_h0,
-        "dim_h1": harm.dim_h1,
+        "dim_h0": sections.shape[1],
+        "dim_h1": harm.shape[1],
         "laplacian_lambda_min": lam_min,
         "laplacian_lambda_max": lam_max,
     }
     _write_json(out_dir / f"cohomology_{tag}.json", report)
-    basis_rows = [
-        ",".join(repr(float(v)) for v in col) for col in harm.basis.T
-    ]
+    basis_rows = [",".join(repr(float(v)) for v in col) for col in harm.T]
     (out_dir / f"harmonic_basis_{tag}.csv").write_text(
         "\n".join(basis_rows) + ("\n" if basis_rows else "")
     )

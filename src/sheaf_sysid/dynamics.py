@@ -212,7 +212,7 @@ def equilibrium_projection(
     xb = delta_pseudoinverse_apply(op, b)
     sections = global_section_basis(op)
     residue = np.asarray(x0, dtype=float) - xb
-    proj = sections.basis @ (sections.basis.T @ (op.M1 @ residue))
+    proj = sections @ (sections.T @ (op.M1 @ residue))
     return xb + proj
 
 

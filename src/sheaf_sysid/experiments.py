@@ -16,11 +16,12 @@ The two recovery studies are one experiment, run by one sweep driver over
 each study's table of conditions (_SWEEPS): per condition and seed, simulate
 the true law, build residuals, fit, and compare the fitted law with the truth
 on held-out rollouts and on force.  A study supplies only its table, its true
-laws, its fit family (a scalar threshold or a linear basis) and a row family
-that holds any of its laws as one row of one model.  The driver runs each
-study's rollouts in two RK4 batches, one for every truth start set and one
-for every fitted law, each row stopping at its own record length.  Rows keep
-their solo bits, so batching changes no output.  Summaries
+parameters, its fit (a scalar threshold or a linear basis, returning
+parameters) and one law family: family(p) is the law with parameters p, and
+family of stacked parameters is one model holding each law as a row.  The
+sweep runs each study's rollouts in two RK4 batches, one for every truth
+start set and one for every fitted law, each row stopping at its own record
+length.  Rows keep their solo bits, so batching changes no output.  Summaries
 aggregate mean +/- std over a sorted seed list; force-law checks report
 per-condition medians of the force MSE on three evaluation sets (per-seed
 holdout edge states, the pool of every training edge state seen in the
@@ -30,6 +31,7 @@ experiment, and a fixed reference grid).  All randomness is derived from
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field, fields
@@ -54,6 +56,7 @@ from .sheaf import (
     build_coboundary,
     global_section_basis,
     harmonic_basis,
+    hodge_project,
 )
 from .sysid import fit_linear, fit_threshold, residual_dataset
 
@@ -206,15 +209,6 @@ class ExperimentConfig:
             )
 
 
-@dataclass(frozen=True)
-class EvaluationSets:
-    """Edge-state sets on which recovered force laws are compared."""
-
-    holdout: np.ndarray  # (-, d1) states from held-out trajectories
-    pooled: np.ndarray  # (-, d1) every training edge state in the experiment
-    grid: np.ndarray  # (-, d1) fixed, seed-independent reference grid
-
-
 @dataclass
 class ExperimentOutput:
     name: str
@@ -288,28 +282,13 @@ def reference_grid(sheaf: Sheaf) -> np.ndarray:
     return np.tile(pts, (1, sheaf.graph.edge_count))
 
 
-def force_mse(
-    model_true: EdgePotential,
-    model_fitted: EdgePotential,
-    sets: EvaluationSets,
-    true_forces: dict[str, np.ndarray] | None = None,
-) -> dict[str, float]:
-    """Mean over evaluation states of the summed per-edge force discrepancy.
-
-    ``true_forces`` may hold model_true's forces on some of the sets, keyed by
-    set name, so that many fits compared with one law evaluate it once.
-    """
-    sheaf = model_true.sheaf
-    known = true_forces or {}
-    out = {}
-    for name in ("holdout", "pooled", "grid"):
-        eval_states = getattr(sets, name)
-        if eval_states.shape[0] == 0:
-            raise UsageError(f"evaluation set '{name}' is empty")
-        truth = known[name] if name in known else model_true.force(eval_states)
-        diff = model_fitted.force(eval_states) - truth
-        out[name] = float(np.mean(sheaf.edge_sq_norms(diff).sum(-1)))
-    return out
+def force_mse(model: EdgePotential, states: np.ndarray, forces: np.ndarray) -> float:
+    """Mean over edge states (N, d1) of the summed per-edge squared norm of
+    model's force minus the reference forces on them; an empty set raises."""
+    if states.shape[0] == 0:
+        raise UsageError("evaluation set is empty")
+    diff = model.force(states) - forces
+    return float(np.mean(model.sheaf.edge_sq_norms(diff).sum(-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +329,7 @@ def _limited_ray(op, rng) -> np.ndarray:
     """Unit ray direction: no global-section part, max initial edge radius 1."""
     v = rng.standard_normal(op.d0)
     sections = global_section_basis(op)
-    v = v - sections.basis @ (sections.basis.T @ (op.M1 @ v))
+    v = v - sections @ (sections.T @ (op.M1 @ v))
     return v / np.sqrt(op.sheaf.edge_sq_norms(op.B @ v)).max()
 
 
@@ -389,8 +368,7 @@ def run_formation_transfer(cfg: ExperimentConfig) -> ExperimentOutput:
             rng = np.random.default_rng([seed, n, 0 if variant == "identity" else 1])
 
             x0 = rng.standard_normal(op.d0)
-            b = rng.standard_normal(op.d1)
-            b = b - harm.basis @ (harm.basis.T @ (op.M2 @ b))  # keep b reachable
+            b = hodge_project(op, harm, rng.standard_normal(op.d1))[0]  # keep b reachable
 
             c = constant_edge_cochain(sheaf, EDGE_CONSTANT)
             true_law = ShiftedQuadratic(sheaf, b)
@@ -402,8 +380,7 @@ def run_formation_transfer(cfg: ExperimentConfig) -> ExperimentOutput:
             max_diff = float(np.max(np.abs(rollout_true.states - rollout_pert.states)))
 
             eval_states = rollout_true.states @ op.B.T
-            diff = perturbed_law.force(eval_states) - true_law.force(eval_states)
-            mse = float(np.mean(sheaf.edge_sq_norms(diff).sum(-1)))
+            mse = force_mse(perturbed_law, eval_states, true_law.force(eval_states))
 
             label = f"{n}-cycle, Sheaf {'A' if variant == 'identity' else 'B'}"
             rows.append(
@@ -411,7 +388,7 @@ def run_formation_transfer(cfg: ExperimentConfig) -> ExperimentOutput:
                     "sheaf": label,
                     "cycle_length": n,
                     "variant": variant,
-                    "dim_h1": harm.dim_h1,
+                    "dim_h1": harm.shape[1],
                     "max_rollout_diff": max_diff,
                     "force_mse": mse,
                 }
@@ -429,13 +406,14 @@ def run_formation_transfer(cfg: ExperimentConfig) -> ExperimentOutput:
 
 
 class _Condition(NamedTuple):
-    """One row of a study's table, with the law, seeds and record to run it on."""
+    """One row of a study's table, with the true parameters, seeds and record
+    to run it on."""
 
     label: str
     basis: str | None  # the fitted basis variant; None for a threshold fit
     coverage: str
     mode: str
-    truth: EdgePotential
+    truth: float | tuple  # the true law's parameters
     seeds: Sequence[int]
     horizon: float
     n_training: int
@@ -465,21 +443,21 @@ def _initial_conditions(op, coverage, seed, counts):
     return [_localized_initial_conditions(op, rng, n) for rng, n in zip(rngs, counts)]
 
 
-def _rollouts(op, rows, jobs) -> list[list]:
+def _rollouts(op, family, jobs) -> list[list]:
     """Noiseless rollouts of many start sets in one integrate call.
 
-    ``jobs`` lists (law, horizon, starts).  Every start is one row of the
-    row-parameter model rows(the law of every start), and stops at its job's
-    horizon.  Returns per job its results, a Trajectory or a DivergenceError
-    per start, each with the bits of that start run alone.
+    ``jobs`` lists (parameters, horizon, starts).  Every start is one row of
+    the row-parameter model family(stacked parameters of every start), and
+    stops at its job's horizon.  Returns per job its results, a Trajectory or
+    a DivergenceError per start, each with the bits of that start run alone.
     """
     if not jobs:
         return []
-    models = [law for law, _, starts in jobs for _ in starts]
+    params = [p for p, _, starts in jobs for _ in starts]
     ends = [horizon for _, horizon, starts in jobs for _ in starts]
     x0 = np.concatenate([starts for _, _, starts in jobs])
     sim = SimConfig(horizon=max(ends), step=STEP)
-    results = integrate(op, rows(models), x0=x0, cfg=sim, ends=ends)
+    results = integrate(op, family(np.array(params)), x0=x0, cfg=sim, ends=ends)
     bounds = np.cumsum([0] + [len(starts) for _, _, starts in jobs]).tolist()
     return [results[a:b] for a, b in zip(bounds, bounds[1:])]
 
@@ -499,34 +477,35 @@ def _rollout_rmse(reference: list[Trajectory], candidate: list) -> float:
     return float(np.sqrt(np.mean(stacked**2)))
 
 
-def _sweep(cfg, sheaf, conditions, fit, law, rows, stats, noise_std, noise_tag) -> ExperimentOutput:
+def _sweep(cfg, sheaf, conditions, fit, family, stats, noise_std, noise_tag) -> ExperimentOutput:
     """Run every condition on each of its seeds, then aggregate over seeds.
 
-    Per condition and seed: roll out the true law from the training and
-    holdout starts (shared by the conditions with the same seed, coverage and
-    law), build residuals (finite differences first observe training record i
-    under noise of std noise_std, seeded by (seed, coverage id, mode id,
-    *noise_tag, i)), fit them with
+    ``family`` is the study's one law family: family(p) is the law with
+    parameters p (a condition's truth, or what fit returns), and family of
+    stacked parameters (N, ...) is one model whose row i is the law of row i,
+    bit for bit.  Per condition and seed: roll out the true law from the
+    training and holdout starts (shared by the conditions with the same seed,
+    coverage and truth), build residuals (finite differences first observe
+    training record i under noise of std noise_std, seeded by (seed, coverage
+    id, mode id, *noise_tag, i)), fit them with
     fit(condition, op, data) -> (parameters, metrics), and roll the fitted law
-    law(condition, parameters) out from the holdout starts.  A summary row
-    holds the condition's columns, each "<metric>_mean" or "<metric>_std"
-    column of ``stats`` over seeds, and n_seeds; a force-check row holds the
-    medians of force_mse over seeds, with every training edge state of the
-    sweep as the pooled set.  A true law's forces on the pooled set and the
-    grid are evaluated once.
+    out from the holdout starts.  A summary row holds the condition's columns,
+    each "<metric>_mean" or "<metric>_std" column of ``stats`` over seeds, and
+    n_seeds; a force-check row holds the medians over seeds of force_mse on
+    the holdout states, on every training edge state of the sweep (pooled) and
+    on the reference grid.  A true law's forces on the pooled set and the grid
+    are evaluated once.
 
     The rollouts run in two integrate calls, as rows are independent of their
     batch and each row stops at its own record length: one for every truth
     start set, then the fits in (condition, seed) order, then one for every
-    fitted law.  ``rows(models)`` is the study's row-parameter family: one
-    model whose row i is the law models[i], bit for bit, for any true or
-    fitted law of the study.  A divergence raises the error the
-    condition-by-condition order meets first: per (condition, seed) its
-    truth rollout, its fit, then its fitted rollout.
+    fitted law.  A divergence raises the error the condition-by-condition
+    order meets first: per (condition, seed) its truth rollout, its fit, then
+    its fitted rollout.
     """
     op = build_coboundary(sheaf)
     pairs = [(cond, seed) for cond in conditions for seed in cond.seeds]
-    starts: dict = {}  # (seed, coverage, law) -> (horizon, training, holdout starts)
+    starts: dict = {}  # (seed, coverage, truth) -> (horizon, training, holdout starts)
     for cond, seed in pairs:
         key = (seed, cond.coverage, cond.truth)
         if key not in starts:
@@ -534,9 +513,9 @@ def _sweep(cfg, sheaf, conditions, fit, law, rows, stats, noise_std, noise_tag) 
             starts[key] = (cond.horizon, *_initial_conditions(op, cond.coverage, seed, counts))
 
     jobs = [(key[2], horizon, train + hold) for key, (horizon, train, hold) in starts.items()]
-    truth = dict(zip(starts, _rollouts(op, rows, jobs)))
+    truth = dict(zip(starts, _rollouts(op, family, jobs)))
 
-    fits = []  # per pair, in order: (fitted law, horizon, holdout starts, metrics)
+    fits = []  # per pair, in order: (fitted parameters, horizon, holdout starts, metrics)
     pooled = []
     try:
         for cond, seed in pairs:
@@ -549,30 +528,30 @@ def _sweep(cfg, sheaf, conditions, fit, law, rows, stats, noise_std, noise_tag) 
                 train = [observe(t, noise_std, (*tag, i)) for i, t in enumerate(train)]
             data = residual_dataset(op, train, cond.mode)
             params, metrics = fit(cond, op, data)
-            fits.append((law(cond, params), cond.horizon, hold_ics, metrics))
+            fits.append((params, cond.horizon, hold_ics, metrics))
             pooled.append(data.edge_states)
     except SheafSysIdError:
         # the fitted rollouts of the pairs before this one come first
-        for results in _rollouts(op, rows, [job[:3] for job in fits]):
+        for results in _rollouts(op, family, [job[:3] for job in fits]):
             _raise_divergence(results)
         raise
-    candidates = _rollouts(op, rows, [job[:3] for job in fits])
+    candidates = _rollouts(op, family, [job[:3] for job in fits])
 
     runs = []
     for cond in conditions:
-        runs.append([])  # [(metrics, fitted law, holdout edge states)]
+        runs.append([])  # [(metrics, fitted parameters, holdout edge states)]
         for seed in cond.seeds:
             # popped and never named, so that no fitted rollout, nor the batch
             # buffer its samples share, outlives its score into the force checks
-            fitted, _, _, metrics = fits.pop(0)
+            params, _, _, metrics = fits.pop(0)
             key = (seed, cond.coverage, cond.truth)
             reference = truth[key][len(starts[key][1]) :]
             metrics["rollout_rmse"] = _rollout_rmse(reference, candidates.pop(0))
             holdout = np.concatenate([t.states @ op.B.T for t in reference])
-            runs[-1].append((metrics, fitted, holdout))
+            runs[-1].append((metrics, params, holdout))
 
     pooled, grid = np.concatenate(pooled), reference_grid(sheaf)
-    true_forces: dict = {}  # law -> its forces on the seed-independent sets
+    true_laws: dict = {}  # truth -> (its law, {set: (states, its forces)})
     summary, force_rows, details = [], [], {}
     for cond, cond_runs in zip(conditions, runs):
         # the columns after "setting" are also the condition's details key
@@ -586,15 +565,17 @@ def _sweep(cfg, sheaf, conditions, fit, law, rows, stats, noise_std, noise_tag) 
             values = np.asarray([m[metric] for m, _, _ in cond_runs], dtype=float)
             row[column] = float(values.mean() if stat == "mean" else values.std())
         summary.append({**row, "n_seeds": len(cond_runs)})
-        if cond.truth not in true_forces:
-            true_forces[cond.truth] = {
-                "pooled": cond.truth.force(pooled), "grid": cond.truth.force(grid)
+        if cond.truth not in true_laws:
+            law = family(cond.truth)
+            true_laws[cond.truth] = law, {
+                "pooled": (pooled, law.force(pooled)), "grid": (grid, law.force(grid))
             }
-        known = true_forces[cond.truth]
-        mses = [
-            force_mse(cond.truth, fitted, EvaluationSets(holdout, pooled, grid), known)
-            for _, fitted, holdout in cond_runs
-        ]
+        law, known = true_laws[cond.truth]
+        mses = []
+        for _, params, holdout in cond_runs:
+            fitted = family(params)
+            sets = {"holdout": (holdout, law.force(holdout)), **known}
+            mses.append({name: force_mse(fitted, *s) for name, s in sets.items()})
         force_rows.append({"experiment": cfg.experiment_id, "setting": cond.label})
         for name in ("holdout", "pooled", "grid"):
             force_rows[-1][f"{name}_mse_median"] = float(np.median([m[name] for m in mses]))
@@ -613,7 +594,6 @@ def run_bounded_confidence(cfg: ExperimentConfig) -> ExperimentOutput:
     if cfg.experiment_id != "bounded_confidence":
         raise ConfigurationError("config is not for bounded_confidence")
     sheaf = make_cycle_sheaf(cfg.cycle_length, "rotated")
-    truth = BoundedConfidence(sheaf, TRUE_THRESHOLD)
 
     def fit(cond, op, data):
         result = fit_threshold(op, data, THRESHOLD_BRACKET)
@@ -632,7 +612,7 @@ def run_bounded_confidence(cfg: ExperimentConfig) -> ExperimentOutput:
         conditions.append(
             _Condition(
                 *row,
-                truth=truth,
+                truth=TRUE_THRESHOLD,
                 seeds=sorted(cfg.seeds),
                 horizon=_horizon(cfg, row[2]),
                 n_training=default_n if cfg.n_training is None else cfg.n_training,
@@ -641,14 +621,8 @@ def run_bounded_confidence(cfg: ExperimentConfig) -> ExperimentOutput:
     noise_std = THRESHOLD_NOISE_STD if cfg.noise_std is None else cfg.noise_std
     stats = ("threshold_error_mean", "threshold_error_std", "rollout_rmse_mean")
     stats += ("rollout_rmse_std", "information_mean", "information_std")
-
-    def law(cond, epsilon):
-        return BoundedConfidence(sheaf, epsilon)
-
-    def rows(models):
-        return BoundedConfidence(sheaf, [m.epsilon for m in models])
-
-    return _sweep(cfg, sheaf, conditions, fit, law, rows, stats, noise_std, noise_tag=())
+    family = functools.partial(BoundedConfidence, sheaf)
+    return _sweep(cfg, sheaf, conditions, fit, family, stats, noise_std, noise_tag=())
 
 
 def run_finite_basis(cfg: ExperimentConfig) -> ExperimentOutput:
@@ -660,25 +634,27 @@ def run_finite_basis(cfg: ExperimentConfig) -> ExperimentOutput:
     the fitting basis; since that force is annihilated by delta*, its design
     column is identically zero, the Gram matrix is singular, and the
     minimum-norm fit deterministically drops the harmonic coefficient.  That
-    row therefore runs on a single seed.
+    row therefore runs on a single seed.  Every law is written in the
+    augmented basis: a correct-basis law has harmonic coefficient 0.0, which
+    leaves its force bits as they are.
     """
     if cfg.experiment_id != "finite_basis":
         raise ConfigurationError("config is not for finite_basis")
     sheaf = make_cycle_sheaf(cfg.cycle_length, "identity")
     basis = monomial_basis(sheaf)
-    theta = np.asarray(TRUE_MONOMIAL_THETA)
     harmonic = ConstantEdgeForce(sheaf, constant_edge_cochain(sheaf, EDGE_CONSTANT))
-    laws = {
-        "correct": (basis, theta),
-        "augmented": (basis + (harmonic,), np.concatenate([theta, [HARMONIC_COEFFICIENT]])),
+    augmented = basis + (harmonic,)
+    truths = {
+        "correct": (*TRUE_MONOMIAL_THETA, 0.0),
+        "augmented": (*TRUE_MONOMIAL_THETA, HARMONIC_COEFFICIENT),
     }
-    truths = {v: LinearBasisPotential(sheaf, b, t) for v, (b, t) in laws.items()}
 
     def fit(cond, op, data):
-        fit_basis, target = laws[cond.basis]
+        fit_basis = augmented if cond.basis == "augmented" else basis
         result = fit_linear(op, fit_basis, data)
         theta_hat = result.theta_hat
-        return theta_hat, {
+        target = np.asarray(truths[cond.basis][: len(fit_basis)])
+        return np.pad(theta_hat, (0, len(augmented) - theta_hat.size)), {
             "param_error": float(np.linalg.norm(theta_hat - target) / np.linalg.norm(target)),
             "lambda_min": result.report.lambda_min,
             "lambda_max": result.report.lambda_max,
@@ -700,20 +676,8 @@ def run_finite_basis(cfg: ExperimentConfig) -> ExperimentOutput:
     noise_std = BASIS_NOISE_STD if cfg.noise_std is None else cfg.noise_std
     stats = ("param_error_mean", "param_error_std", "rollout_rmse_mean", "rollout_rmse_std")
     stats += ("lambda_min_mean", "lambda_min_std", "lambda_max_mean")
-
-    def law(cond, theta):
-        return LinearBasisPotential(sheaf, laws[cond.basis][0], theta)
-
-    def rows(models):
-        # the correct basis leads the augmented one: its laws carry harmonic
-        # coefficient 0.0, which leaves their rows' bits as they are
-        augmented = laws["augmented"][0]
-        thetas = np.zeros((len(models), len(augmented)))
-        for row, model in zip(thetas, models):
-            row[: model.theta.size] = model.theta
-        return LinearBasisPotential(sheaf, augmented, thetas)
-
-    return _sweep(cfg, sheaf, conditions, fit, law, rows, stats, noise_std, noise_tag=(9,))
+    family = functools.partial(LinearBasisPotential, sheaf, augmented)
+    return _sweep(cfg, sheaf, conditions, fit, family, stats, noise_std, noise_tag=(9,))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:

@@ -167,12 +167,12 @@ class BoundedConfidence(EdgePotential):
 
     def gain(self, u):
         """Per-edge force factor of squared norms u (see ``confidence_gain``);
-        the force is y_e times it."""
-        return confidence_gain(u, self._e2)
+        the force is y_e times it.  With row parameters u is (row_count, E)."""
+        return confidence_gain(self._batch(u), self._e2)
 
     def force(self, y):
         y = self._batch(y)
-        return self.sheaf.edge_scale(y, self.gain(self.sheaf.edge_sq_norms(y)))
+        return self.sheaf.edge_scale(y, confidence_gain(self.sheaf.edge_sq_norms(y), self._e2))
 
     def param_jacobian(self, y):
         y = self._batch(y)

@@ -364,22 +364,6 @@ def _block_solve_t(factor: np.ndarray, blocks, x: np.ndarray) -> np.ndarray:
     return z.reshape(x.shape)
 
 
-@dataclass(frozen=True)
-class HarmonicSpace:
-    """M2-orthonormal basis of ker delta*, isomorphic to the first cohomology."""
-
-    basis: np.ndarray  # d1 x dim_h1
-    dim_h1: int
-
-
-@dataclass(frozen=True)
-class SectionSpace:
-    """M1-orthonormal basis of ker delta, the space of global sections."""
-
-    basis: np.ndarray  # d0 x dim_h0
-    dim_h0: int
-
-
 def build_coboundary(sheaf: Sheaf) -> CoboundaryOperator:
     """Assemble B and M1 from the sheaf data; M2 is the sheaf's own array.
 
@@ -427,40 +411,44 @@ def c1_inner(op: CoboundaryOperator, a: np.ndarray, b: np.ndarray) -> np.ndarray
     return np.einsum("...i,ij,...j->...", a, op.M2, b)
 
 
-def harmonic_basis(op: CoboundaryOperator) -> HarmonicSpace:
-    """M2-orthonormal basis of ker delta*.
+def harmonic_basis(op: CoboundaryOperator) -> np.ndarray:
+    """M2-orthonormal basis of ker delta*, the first cohomology: an array
+    (d1, dim H1) whose column count is d1 - rank(B).
 
     Whitened left singular vectors with singular value <= RANK_TOL * sigma_max
-    are mapped back through L2^{-T}; the count equals d1 - rank(B).
+    are mapped back through L2^{-T}.
     """
     rank = op.rank()
     if rank == op.d1:
-        return HarmonicSpace(basis=np.zeros((op.d1, 0)), dim_h1=0)
-    basis = _block_solve_t(op.L2, op._edge_blocks, op._svd[0][:, rank:])
-    return HarmonicSpace(basis=basis, dim_h1=op.d1 - rank)
+        return np.zeros((op.d1, 0))
+    return _block_solve_t(op.L2, op._edge_blocks, op._svd[0][:, rank:])
 
 
-def global_section_basis(op: CoboundaryOperator) -> SectionSpace:
-    """M1-orthonormal basis of ker delta (the global sections)."""
+def global_section_basis(op: CoboundaryOperator) -> np.ndarray:
+    """M1-orthonormal basis of ker delta, the global sections: an array
+    (d0, dim H0) whose column count is d0 - rank(B)."""
     rank = op.rank()
     if rank == op.d0:
-        return SectionSpace(basis=np.zeros((op.d0, 0)), dim_h0=0)
-    basis = _block_solve_t(op.L1, op._vertex_blocks, op._svd[2][rank:, :].T)
-    return SectionSpace(basis=basis, dim_h0=op.d0 - rank)
+        return np.zeros((op.d0, 0))
+    return _block_solve_t(op.L1, op._vertex_blocks, op._svd[2][rank:, :].T)
 
 
 def hodge_project(
-    op: CoboundaryOperator, harmonic: HarmonicSpace, y: np.ndarray
+    op: CoboundaryOperator, harmonic: np.ndarray, y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Split y into its im-delta and harmonic components.
+    """Split y into its im-delta and harmonic components, given the harmonic
+    basis (d1, dim H1) of ``harmonic_basis``; anything not 2-D with d1 rows
+    raises StructuralError.
 
     Returns (im_delta_part, harmonic_part); the two are M2-orthogonal.
     """
     y = _check_len(y, op.d1, "1-cochain")
-    if harmonic.basis.shape[0] != op.d1:
-        raise StructuralError("harmonic basis does not match this operator")
-    coeff = harmonic.basis.T @ (op.M2 @ y)
-    harmonic_part = harmonic.basis @ coeff
+    harmonic = np.asarray(harmonic, dtype=float)
+    if harmonic.ndim != 2 or harmonic.shape[0] != op.d1:
+        raise StructuralError(
+            f"harmonic basis has shape {harmonic.shape}, expected ({op.d1}, dim H1)"
+        )
+    harmonic_part = harmonic @ (harmonic.T @ (op.M2 @ y))
     return y - harmonic_part, harmonic_part
 
 

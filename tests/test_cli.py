@@ -161,7 +161,7 @@ def test_simulate_quadratic_converges_to_section_projection(tmp_path):
     for name in manifest["trajectories"]:
         traj = load_trajectory_csv(out / name)
         x0, terminal = traj.states[0], traj.states[-1]
-        proj = sections.basis @ (sections.basis.T @ (op.M1 @ x0))
+        proj = sections @ (sections.T @ (op.M1 @ x0))
         assert np.abs(terminal - proj).max() <= 1e-6
 
 

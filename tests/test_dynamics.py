@@ -115,7 +115,7 @@ def test_linear_dynamics_converge_to_section_projection(identity_cycle):
     x0 = rng.standard_normal(op.d0)
     traj = integrate(op, Quadratic(sheaf), x0, SimConfig(horizon=12.0))
     sections = global_section_basis(op)
-    proj = sections.basis @ (sections.basis.T @ (op.M1 @ x0))
+    proj = sections @ (sections.T @ (op.M1 @ x0))
     assert np.abs(traj.states[-1] - proj).max() <= 1e-9
     # residual decays exponentially: check a factor drop every unit of time
     gaps = [np.linalg.norm(traj.states[k] - proj) for k in (0, 100, 200, 300)]
@@ -153,7 +153,7 @@ def test_equilibrium_projection_with_zero_target(identity_cycle):
     rng = np.random.default_rng(6)
     x0 = rng.standard_normal(op.d0)
     sections = global_section_basis(op)
-    proj = sections.basis @ (sections.basis.T @ (op.M1 @ x0))
+    proj = sections @ (sections.T @ (op.M1 @ x0))
     assert np.allclose(equilibrium_projection(op, np.zeros(op.d1), x0), proj)
 
 

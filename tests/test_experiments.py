@@ -9,10 +9,10 @@ from sheaf_sysid import (
     ConfigurationError,
     DirectedGraph,
     DivergenceError,
-    EvaluationSets,
     ExperimentConfig,
     LinearBasisPotential,
     Sheaf,
+    ShiftedQuadratic,
     SimConfig,
     UsageError,
     build_coboundary,
@@ -53,7 +53,7 @@ from sheaf_sysid.experiments import (
 def test_cycle_sheaf_harmonic_dimensions(n):
     for variant, expected in (("identity", 2), ("rotated", 0)):
         sheaf = make_cycle_sheaf(n, variant)
-        assert harmonic_basis(build_coboundary(sheaf)).dim_h1 == expected
+        assert harmonic_basis(build_coboundary(sheaf)).shape[1] == expected
 
 
 def test_cycle_sheaf_verification_catches_degenerate_rotation():
@@ -83,13 +83,13 @@ def test_cycle_sheaf_closed_form_check_agrees_with_the_svd(n, variant):
     # quarter-pi rotations close up, so the operator SVD finds harmonic
     # directions on rotated n = 8, 16, 24, ..., and exactly those must raise.
     degenerate = variant == "rotated" and n % 8 == 0
-    dim_h1 = harmonic_basis(build_coboundary(_unchecked_cycle(n, variant))).dim_h1
+    dim_h1 = harmonic_basis(build_coboundary(_unchecked_cycle(n, variant))).shape[1]
     assert dim_h1 == (2 if variant == "identity" or degenerate else 0)
     if degenerate:
         with pytest.raises(ConfigurationError, match="harmonic dimension 2, expected 0"):
             make_cycle_sheaf(n, variant)
     else:
-        assert harmonic_basis(build_coboundary(make_cycle_sheaf(n, variant))).dim_h1 == dim_h1
+        assert harmonic_basis(build_coboundary(make_cycle_sheaf(n, variant))).shape[1] == dim_h1
 
 
 def test_cycle_sheaf_rejects_bad_args():
@@ -122,28 +122,21 @@ def test_force_mse_zero_for_identical_models():
     model = monomial_potential(sheaf, [1.0, 0.25, 0.03])
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((5, sheaf.d1))
-    sets = EvaluationSets(holdout=pts, pooled=pts, grid=reference_grid(sheaf))
-    out = force_mse(model, model, sets)
-    assert out == {"holdout": 0.0, "pooled": 0.0, "grid": 0.0}
+    for states in (pts, reference_grid(sheaf)):
+        assert force_mse(model, states, model.force(states)) == 0.0
 
 
 def test_force_mse_rejects_empty_set():
     sheaf = make_cycle_sheaf(3, "identity")
     model = monomial_potential(sheaf, [1.0, 0.25, 0.03])
-    sets = EvaluationSets(
-        holdout=np.zeros((0, sheaf.d1)),
-        pooled=np.zeros((1, sheaf.d1)),
-        grid=np.zeros((1, sheaf.d1)),
-    )
+    empty = np.zeros((0, sheaf.d1))
     with pytest.raises(UsageError):
-        force_mse(model, model, sets)
+        force_mse(model, empty, model.force(empty))
 
 
 def test_constant_force_gap_gives_exact_mse():
     # two formation laws differing by a constant per-edge force beta*c have
     # force MSE exactly edges * beta^2 * |c|^2 on any evaluation set
-    from sheaf_sysid import ShiftedQuadratic
-
     sheaf = make_cycle_sheaf(3, "identity")
     rng = np.random.default_rng(1)
     b = rng.standard_normal(sheaf.d1)
@@ -151,9 +144,8 @@ def test_constant_force_gap_gives_exact_mse():
     true_law = ShiftedQuadratic(sheaf, b)
     perturbed = ShiftedQuadratic(sheaf, b - beta_c)
     pts = rng.standard_normal((17, sheaf.d1))
-    sets = EvaluationSets(holdout=pts, pooled=pts, grid=pts)
-    out = force_mse(true_law, perturbed, sets)
-    assert abs(out["holdout"] - 3 * 0.36) <= 1e-12
+    mse = force_mse(perturbed, pts, true_law.force(pts))
+    assert abs(mse - 3 * 0.36) <= 1e-12
 
 
 def test_broad_initial_conditions_span_the_threshold():
@@ -346,17 +338,16 @@ def test_finite_difference_records_are_observed_under_their_seed_path(
 
 
 def _diverging_sweep(plan):
-    """The config, conditions, fit, law and row family of a two-condition,
+    """The config, sheaf, conditions, fit and law family of a two-condition,
     two-seed monomial sweep whose fit returns, pair by pair in sweep order, the
     coefficients in ``plan``; an exception in the plan is raised by that
     pair's fit instead."""
     sheaf = make_cycle_sheaf(3, "identity")
-    truth = monomial_potential(sheaf, TRUE_MONOMIAL_THETA)
     cfg = ExperimentConfig(
         experiment_id="finite_basis", seeds=(0, 1), n_training=3, training_horizon=2.0, n_holdout=2
     )
     conditions = [
-        _Condition(label, "correct", coverage, "observed", truth, [0, 1], 2.0, 3)
+        _Condition(label, "correct", coverage, "observed", TRUE_MONOMIAL_THETA, [0, 1], 2.0, 3)
         for label, coverage in (("A", "broad"), ("B", "limited"))
     ]
     steps = iter(plan)
@@ -367,26 +358,23 @@ def _diverging_sweep(plan):
             raise theta
         return np.asarray(theta), {}
 
-    def law(cond, theta):
+    def family(theta):
         return LinearBasisPotential(sheaf, monomial_basis(sheaf), theta)
 
-    def rows(models):
-        return LinearBasisPotential(sheaf, monomial_basis(sheaf), [m.theta for m in models])
-
-    return cfg, conditions, fit, law, rows
+    return cfg, sheaf, conditions, fit, family
 
 
 def _first_error_of_the_pair_loop(plan):
     """The error a loop that rolls out each pair's fitted law alone meets first."""
-    cfg, conditions, _, law, _ = _diverging_sweep(plan)
-    op = build_coboundary(conditions[0].truth.sheaf)
+    _, sheaf, conditions, _, family = _diverging_sweep(plan)
+    op = build_coboundary(sheaf)
     pairs = [(cond, seed) for cond in conditions for seed in cond.seeds]
     for (cond, seed), theta in zip(pairs, plan):
         if isinstance(theta, Exception):
             return theta
         hold = _initial_conditions(op, cond.coverage, seed, (3, 2))[1]
         sim = SimConfig(horizon=2.0, step=STEP)
-        for result in integrate(op, law(cond, theta), np.asarray(hold), sim):
+        for result in integrate(op, family(theta), np.asarray(hold), sim):
             if isinstance(result, DivergenceError):
                 return result
     raise AssertionError("the plan never fails")
@@ -409,10 +397,9 @@ _SLOW, _FAST = (-300.0, 0.0, 0.0), (-3000.0, 0.0, 0.0)
 )
 def test_a_batched_sweep_raises_the_error_the_pair_loop_meets_first(plan):
     expected = _first_error_of_the_pair_loop(plan)
-    cfg, conditions, fit, law, rows = _diverging_sweep(plan)
-    sheaf = conditions[0].truth.sheaf
+    cfg, sheaf, conditions, fit, family = _diverging_sweep(plan)
     with pytest.raises(type(expected)) as raised:
-        _sweep(cfg, sheaf, conditions, fit, law, rows, ("rollout_rmse_mean",), 1e-4, (9,))
+        _sweep(cfg, sheaf, conditions, fit, family, ("rollout_rmse_mean",), 1e-4, (9,))
     assert str(raised.value) == str(expected)
     if isinstance(expected, DivergenceError):
         assert raised.value.time == expected.time > 0
@@ -421,10 +408,9 @@ def test_a_batched_sweep_raises_the_error_the_pair_loop_meets_first(plan):
 def test_a_sweep_whose_first_fit_fails_raises_that_error():
     # no fitted law precedes it, so there is no fitted rollout to run first
     plan = [UsageError("first fit failed"), _STABLE, _STABLE, _STABLE]
-    cfg, conditions, fit, law, rows = _diverging_sweep(plan)
-    sheaf = conditions[0].truth.sheaf
+    cfg, sheaf, conditions, fit, family = _diverging_sweep(plan)
     with pytest.raises(UsageError, match="first fit failed"):
-        _sweep(cfg, sheaf, conditions, fit, law, rows, ("rollout_rmse_mean",), 1e-4, (9,))
+        _sweep(cfg, sheaf, conditions, fit, family, ("rollout_rmse_mean",), 1e-4, (9,))
 
 
 def test_the_two_diverging_fits_blow_up_in_the_opposite_order_of_time():

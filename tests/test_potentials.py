@@ -20,6 +20,7 @@ from sheaf_sysid import (
     monomial_basis,
     monomial_potential,
 )
+from sheaf_sysid.potentials import confidence_gain
 
 
 def all_families(sheaf, rng):
@@ -388,6 +389,13 @@ def test_augmented_rows_with_zero_harmonic_coefficient_are_the_correct_law(ident
         alone = LinearBasisPotential(sheaf, fit_basis, theta[: len(fit_basis)]).force(y[i])
         assert np.array_equal(got[i], alone)
         assert np.array_equal(np.signbit(got[i]), np.signbit(alone))
+    # the scalar law in the augmented basis, as the force checks evaluate a
+    # fitted correct-basis law, on the same signed-zero batch
+    for theta in thetas:
+        got = LinearBasisPotential(sheaf, augmented, (*theta, 0.0)).force(y)
+        alone = LinearBasisPotential(sheaf, basis, theta).force(y)
+        assert np.array_equal(got, alone)
+        assert np.array_equal(np.signbit(got), np.signbit(alone))
 
 
 def test_row_epsilon_gives_each_row_its_scalar_bits(mixed_sheaf):
@@ -546,6 +554,20 @@ def test_linear_force_equals_the_repeat_form(request, name, degrees, theta, rows
         thetas[1] = -0.0
     model = LinearBasisPotential(sheaf, basis, thetas)
     assert_same_bits(model.force(y), repeat_linear_force(model, y))
+
+
+def test_a_row_threshold_gain_takes_only_its_own_norm_batch(rotated_cycle):
+    sheaf, _ = rotated_cycle
+    model = BoundedConfidence(sheaf, [1.0, 2.0])
+    for u in (np.ones((1, 3)), np.ones(3)):
+        with pytest.raises(StructuralError, match="2 parameter rows for a batch of "):
+            model.gain(u)
+    assert model.gain(np.ones((2, 3))).shape == (2, 3)
+    # the scalar model's gain takes any batch, on the bits of confidence_gain
+    u = np.random.default_rng(5).uniform(0.0, 2.0, (4, 3))
+    for batch in (u, u[0], np.ones((1, 3))):
+        got = BoundedConfidence(sheaf, 1.2).gain(batch)
+        assert np.array_equal(got, confidence_gain(batch, 1.2**2))
 
 
 @pytest.mark.parametrize("family", ["threshold", "basis"])

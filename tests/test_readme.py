@@ -15,7 +15,7 @@ def test_readme_library_tour_runs():
     assert len(blocks) == 1
     namespace: dict = {}
     exec(compile(blocks[0], str(README), "exec"), namespace)
-    assert harmonic_basis(namespace["op"]).dim_h1 == 2
+    assert harmonic_basis(namespace["op"]).shape[1] == 2
     assert np.array_equal(namespace["data"].residuals, -namespace["traj"].derivs)
     fit = namespace["fit"]
     assert fit.report.identifiable

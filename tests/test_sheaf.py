@@ -114,13 +114,13 @@ def test_adjoint_identity_on_random_sheaves():
 
 
 def test_harmonic_dimensions_on_cycles(identity_cycle, rotated_cycle):
-    assert harmonic_basis(identity_cycle[1]).dim_h1 == 2
-    assert harmonic_basis(rotated_cycle[1]).dim_h1 == 0
+    assert harmonic_basis(identity_cycle[1]).shape[1] == 2
+    assert harmonic_basis(rotated_cycle[1]).shape[1] == 0
 
 
 def test_path_graph_has_no_harmonic_space():
     op = build_coboundary(two_vertex_sheaf())
-    assert harmonic_basis(op).dim_h1 == 0
+    assert harmonic_basis(op).shape[1] == 0
 
 
 def test_harmonic_basis_is_m2_orthonormal_and_invisible():
@@ -128,23 +128,23 @@ def test_harmonic_basis_is_m2_orthonormal_and_invisible():
     for _ in range(20):
         op = build_coboundary(random_sheaf(rng, n_vertices=3, n_edges=5))
         harm = harmonic_basis(op)
-        gram = harm.basis.T @ op.M2 @ harm.basis
-        assert np.allclose(gram, np.eye(harm.dim_h1), atol=1e-10)
-        for col in harm.basis.T:
+        gram = harm.T @ op.M2 @ harm
+        assert np.allclose(gram, np.eye(harm.shape[1]), atol=1e-10)
+        for col in harm.T:
             assert np.linalg.norm(op.B.T @ op.M2 @ col) <= 1e-10
 
 
 def test_global_sections_on_cycles(identity_cycle, rotated_cycle):
-    assert global_section_basis(identity_cycle[1]).dim_h0 == 2
-    assert global_section_basis(rotated_cycle[1]).dim_h0 == 0
+    assert global_section_basis(identity_cycle[1]).shape[1] == 2
+    assert global_section_basis(rotated_cycle[1]).shape[1] == 0
 
 
 def test_global_sections_of_edgeless_graph():
     graph = DirectedGraph(vertex_count=2, edges=())
     sheaf = Sheaf(graph, [2, 2], [], head_maps=[], tail_maps=[])
     op = build_coboundary(sheaf)
-    assert global_section_basis(op).dim_h0 == 4
-    assert harmonic_basis(op).dim_h1 == 0
+    assert global_section_basis(op).shape[1] == 4
+    assert harmonic_basis(op).shape[1] == 0
 
 
 def test_hodge_completeness_on_random_sheaves():
@@ -152,8 +152,8 @@ def test_hodge_completeness_on_random_sheaves():
     for _ in range(20):
         op = build_coboundary(random_sheaf(rng))
         rank = op.rank()
-        assert rank + harmonic_basis(op).dim_h1 == op.d1
-        assert global_section_basis(op).dim_h0 + rank == op.d0
+        assert rank + harmonic_basis(op).shape[1] == op.d1
+        assert global_section_basis(op).shape[1] + rank == op.d0
 
 
 def test_hodge_projection_splits_orthogonally():
@@ -168,8 +168,8 @@ def test_hodge_projection_splits_orthogonally():
         assert np.linalg.norm(harmonic_part) <= 1e-10 * (1 + np.linalg.norm(y_im))
 
         # harmonic basis vectors have no image part
-        if harm.dim_h1:
-            z = harm.basis[:, 0]
+        if harm.shape[1]:
+            z = harm[:, 0]
             im_part, _ = hodge_project(op, harm, z)
             assert np.linalg.norm(im_part) <= 1e-10
 
@@ -184,13 +184,26 @@ def test_hodge_projection_splits_orthogonally():
         assert abs(c1_inner(op, im_part, harmonic_part)) <= 1e-10 * (1.0 + abs(total))
 
 
+def test_hodge_project_takes_only_a_basis_of_d1_rows(identity_cycle, rotated_cycle):
+    _, op = identity_cycle
+    harm = harmonic_basis(op)
+    y = np.arange(op.d1, dtype=float)
+    for bad in (harm[:, 0], harm[:-1], harm[None], np.float64(1.0), harm.T):
+        with pytest.raises(StructuralError, match="harmonic basis has shape"):
+            hodge_project(op, bad, y)
+    # an empty basis (d1, 0) is a basis: nothing of y is harmonic
+    _, rotated = rotated_cycle
+    im_part, harmonic_part = hodge_project(rotated, harmonic_basis(rotated), y)
+    assert np.array_equal(im_part, y) and not harmonic_part.any()
+
+
 def test_pseudoinverse_recovers_orthogonal_preimage():
     rng = np.random.default_rng(19)
     for _ in range(10):
         op = build_coboundary(random_sheaf(rng))
         sections = global_section_basis(op)
         x = rng.standard_normal(op.d0)
-        x -= sections.basis @ (sections.basis.T @ (op.M1 @ x))  # x in (ker delta)^perp
+        x -= sections @ (sections.T @ (op.M1 @ x))  # x in (ker delta)^perp
         b = apply_delta(op, x)
         assert np.allclose(delta_pseudoinverse_apply(op, b), x, atol=1e-8)
 
@@ -199,9 +212,9 @@ def test_pseudoinverse_kills_harmonic_part():
     rng = np.random.default_rng(23)
     op = build_coboundary(random_sheaf(rng, n_vertices=3, n_edges=5))
     harm = harmonic_basis(op)
-    if harm.dim_h1 == 0:
+    if harm.shape[1] == 0:
         pytest.skip("sampled sheaf happens to have trivial harmonic space")
-    z = harm.basis @ rng.standard_normal(harm.dim_h1)
+    z = harm @ rng.standard_normal(harm.shape[1])
     assert np.allclose(delta_pseudoinverse_apply(op, z), 0.0, atol=1e-10)
 
 
@@ -211,7 +224,7 @@ def test_pseudoinverse_range_is_m1_orthogonal_to_sections():
         op = build_coboundary(random_sheaf(rng))
         sections = global_section_basis(op)
         x = delta_pseudoinverse_apply(op, rng.standard_normal(op.d1))
-        for col in sections.basis.T:
+        for col in sections.T:
             assert abs(c0_inner(op, x, col)) <= 1e-10 * (1 + np.linalg.norm(x))
 
 
@@ -515,8 +528,8 @@ def test_block_wise_operator_matches_the_dense_formulas(seed, n_vertices, n_edge
     assert _close(op.singular_values(), s)
     rank = int(np.count_nonzero(s > RANK_TOL * s[0])) if s.size and s[0] else 0
     assert op.rank() == rank
-    assert global_section_basis(op).dim_h0 == op.d0 - rank
-    assert harmonic_basis(op).dim_h1 == op.d1 - rank
+    assert global_section_basis(op).shape[1] == op.d0 - rank
+    assert harmonic_basis(op).shape[1] == op.d1 - rank
 
 
 def test_gram_factor_falls_back_to_an_eigenfactorization(mixed_sheaf, monkeypatch):
@@ -537,8 +550,7 @@ def test_gram_factor_falls_back_to_an_eigenfactorization(mixed_sheaf, monkeypatc
 def test_vanishing_cohomology_computes_no_singular_vectors():
     op = build_coboundary(make_cycle_sheaf(9, "rotated"))
     sections, harm = global_section_basis(op), harmonic_basis(op)
-    assert (sections.dim_h0, harm.dim_h1) == (0, 0)
-    assert sections.basis.shape == (op.d0, 0) and harm.basis.shape == (op.d1, 0)
+    assert sections.shape == (op.d0, 0) and harm.shape == (op.d1, 0)
     assert op.singular_values().size == op.d0
     assert "_spectrum" in op.__dict__ and "_svd" not in op.__dict__
     # the pseudoinverse needs the vectors, and the limit of the flow is B^{-1} b
@@ -551,11 +563,11 @@ def test_vanishing_cohomology_computes_no_singular_vectors():
 def test_null_bases_on_the_identity_cycle_are_orthonormal_kernels():
     op = build_coboundary(make_cycle_sheaf(9, "identity"))
     sections, harm = global_section_basis(op), harmonic_basis(op)
-    assert (sections.dim_h0, harm.dim_h1) == (2, 2)
-    assert np.allclose(sections.basis.T @ op.M1 @ sections.basis, np.eye(2), atol=1e-12)
-    assert np.allclose(harm.basis.T @ op.M2 @ harm.basis, np.eye(2), atol=1e-12)
-    assert np.abs(op.B @ sections.basis).max() <= 1e-12
-    assert np.abs(op.delta_star_matrix @ harm.basis).max() <= 1e-12
+    assert (sections.shape[1], harm.shape[1]) == (2, 2)
+    assert np.allclose(sections.T @ op.M1 @ sections, np.eye(2), atol=1e-12)
+    assert np.allclose(harm.T @ op.M2 @ harm, np.eye(2), atol=1e-12)
+    assert np.abs(op.B @ sections).max() <= 1e-12
+    assert np.abs(op.delta_star_matrix @ harm).max() <= 1e-12
     # Identity Grams: the limit is pinv(B) b plus the Euclidean projection of
     # the rest of x0 onto ker B.
     rng = np.random.default_rng(5)
