@@ -71,7 +71,7 @@ def _load_config(path: str) -> dict:
         config = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ConfigurationError("config must be a JSON object")
@@ -85,7 +85,7 @@ def _build_sheaf(spec) -> Sheaf:
         raise ConfigurationError("sheaf spec must be a path or an object")
     if "path" in spec:
         _require_keys(spec, {"path"}, "sheaf")
-        return load_sheaf(spec["path"])
+        return load_sheaf(_path(spec["path"], "path"))
     _require_keys(spec, {"builtin", "cycle_length", "variant"}, "sheaf")
     if spec.get("builtin") != "cycle":
         raise ConfigurationError("only the 'cycle' builtin sheaf is available")
@@ -97,6 +97,14 @@ def _build_sheaf(spec) -> Sheaf:
 def _number(spec: dict, key: str, default, low: float = -math.inf, integer: bool = False):
     """spec[key] (default when absent) as a checked float or int."""
     return experiments.config_number(spec.get(key, default), key, low, integer)
+
+
+def _path(value, key: str) -> str:
+    """value, a file or directory path; anything but a string without NUL
+    characters raises ConfigurationError naming ``key``."""
+    if not isinstance(value, str) or "\0" in value:
+        raise ConfigurationError(f"{key} must be a path string, got {value!r}")
+    return value
 
 
 def _numbers(value, key: str, integer: bool = False) -> list:
@@ -214,7 +222,6 @@ _SIMULATE_KEYS = {
     "random_initial_states",
     "horizon",
     "step",
-    "alpha",
     "seed",
     "noise_std",
 }
@@ -228,7 +235,6 @@ def cmd_simulate(config: dict, out_dir: Path, quiet: bool) -> int:
     cfg = SimConfig(
         horizon=_number(config, "horizon", 10.0),
         step=_number(config, "step", 0.01),
-        alpha=_number(config, "alpha", 1.0),
     )
     seed = _number(config, "seed", 0, low=0, integer=True)
     noise_std = _number(config, "noise_std", 0.0, low=0.0)
@@ -267,7 +273,6 @@ _IDENTIFY_KEYS = {
     "trajectories",
     "family",
     "residuals",
-    "ridge",
 }
 
 
@@ -275,7 +280,7 @@ def cmd_identify(config: dict, out_dir: Path, quiet: bool) -> int:
     _require_keys(config, _IDENTIFY_KEYS, "config")
     sheaf = _build_sheaf(config.get("sheaf", {}))
     op = build_coboundary(sheaf)
-    traj_dir = Path(config.get("trajectories", "."))
+    traj_dir = Path(_path(config.get("trajectories", "."), "trajectories"))
     paths = sorted(traj_dir.glob("*.csv")) if traj_dir.is_dir() else []
     trajectories = [load_trajectory_csv(p) for p in paths]
     if not trajectories:
@@ -301,7 +306,7 @@ def cmd_identify(config: dict, out_dir: Path, quiet: bool) -> int:
         criterion = {"information": result.report.lambda_min}
     elif family["kind"] in ("monomial", "harmonic_augmented"):
         basis = _linear_basis(sheaf, family, "family")
-        result = fit_linear(op, basis, data, ridge=_number(config, "ridge", 0.0))
+        result = fit_linear(op, basis, data)
         estimate = {"theta_hat": result.theta_hat.tolist()}
         criterion = {
             "lambda_min": result.report.lambda_min,
@@ -318,6 +323,7 @@ def cmd_identify(config: dict, out_dir: Path, quiet: bool) -> int:
         "residual_mode": mode,
         "identifiable": bool(result.report.identifiable),
         "objective_value": result.objective_value,
+        "diagnostics": result.diagnostics,
         **estimate,
         **criterion,
     }

@@ -1,4 +1,4 @@
-"""Sheaf diffusion dynamics: x' = -alpha * delta*(Phi(delta x)).
+"""Sheaf diffusion dynamics: x' = -delta*(Phi(delta x)).
 
 Integration is classical fixed-step RK4 over a batch of starts in one loop.
 The integrator records the exact vector field value at every sample.  Every
@@ -28,11 +28,10 @@ def whole_steps(horizon: float, step: float) -> bool:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Fixed-step integration settings: record length, RK4 step and rate."""
+    """Fixed-step integration settings: record length and RK4 step."""
 
     horizon: float
     step: float = 0.01
-    alpha: float = 1.0
 
     def __post_init__(self):
         if not self.step > 0:
@@ -117,11 +116,11 @@ def integrate(
             )
         stops = np.rint(ends / h).astype(int)
     retire = set(stops[stops < steps].tolist())  # the steps at which some row ends
-    alpha = cfg.alpha
 
     # The unchecked product: the shape was checked once for the whole batch.
+    # -1.0 * rather than a negation, which would flip a NaN's sign bit.
     def f(state):
-        return -alpha * _laplacian(op, model, state)
+        return -1.0 * _laplacian(op, model, state)
 
     # Each row's own samples as one contiguous block, the rows one after another.
     size = stops + 1

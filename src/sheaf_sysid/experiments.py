@@ -96,8 +96,7 @@ _COVERAGE_IDS = {"broad": 0, "localized": 1, "limited": 2}
 _MODE_IDS = {"observed": 0, "finite_difference": 1}
 
 # Each sweep study's conditions in sweep order, as (setting label, basis
-# variant, coverage, residual mode); the threshold study fits no basis.  The
-# config filters are checked against these rows.
+# variant, coverage, residual mode); the threshold study fits no basis.
 _SWEEPS = {
     "bounded_confidence": (
         ("Broad / Obs.", None, "broad", "observed"),
@@ -132,32 +131,24 @@ def config_number(value, key: str, low: float = -math.inf, integer: bool = False
 
 # Fields formation_transfer does not read (its cycles and horizon are fixed);
 # a value other than the default is rejected rather than ignored.
-_FORMATION_FIXED = (
-    "cycle_length", "noise_std", "n_training", "n_holdout", "training_horizon"
-)
+_FORMATION_FIXED = ("cycle_length", "n_training", "n_holdout", "training_horizon")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Which experiment to run and over which regimes.
+    """Which experiment to run, on which cycle and seeds, at which size.
 
-    coverage / residual_mode / basis_variant restrict the swept conditions
-    when set; None sweeps everything the experiment defines.  Each filter
-    must name a value of the study's _SWEEPS rows, and together they must
-    select at least one row.  Every study steps at STEP, so where a selected
-    condition reads training_horizon it must be a whole number (at least one)
-    of steps.  bounded_confidence runs on the rotated cycle, so its
-    cycle_length may not be a multiple of 8.  A field no selected condition
-    reads must keep its default, and seeds may not repeat.
+    A sweep study runs every condition of its _SWEEPS table, with its own
+    noise level (THRESHOLD_NOISE_STD or BASIS_NOISE_STD).  Every study steps
+    at STEP, so training_horizon must be a whole number (at least one) of
+    steps.  bounded_confidence runs on the rotated cycle, so its cycle_length
+    may not be a multiple of 8.  formation_transfer reads only the seeds, so
+    the other fields must keep their defaults.  Seeds may not repeat.
     """
 
     experiment_id: str
     cycle_length: int = 3
     seeds: tuple[int, ...] = tuple(range(8))
-    coverage: str | None = None
-    residual_mode: str | None = None
-    basis_variant: str | None = None
-    noise_std: float | None = None
     training_horizon: float = TRAINING_HORIZON
     n_training: int | None = None  # per-experiment default when unset
     n_holdout: int = N_HOLDOUT
@@ -175,8 +166,6 @@ class ExperimentConfig:
         config_number(self.n_holdout, "n_holdout", 1, integer=True)
         if self.n_training is not None:
             config_number(self.n_training, "n_training", 1, integer=True)
-        if self.noise_std is not None:
-            config_number(self.noise_std, "noise_std", 0.0)
         config_number(self.training_horizon, "training_horizon")
         if not self.seeds:
             raise ConfigurationError("at least one seed required")
@@ -188,24 +177,11 @@ class ExperimentConfig:
             for f in fields(self):
                 if f.name in _FORMATION_FIXED and getattr(self, f.name) != f.default:
                     raise ConfigurationError(f"formation_transfer takes no {f.name}")
-        rows = _SWEEPS.get(self.experiment_id, ())
-        for axis, key in enumerate(("basis_variant", "coverage", "residual_mode"), 1):
-            value = getattr(self, key)
-            if value is not None and value not in [row[axis] for row in rows]:
-                raise ConfigurationError(f"{self.experiment_id} sweeps no {key} {value!r}")
-        if rows and not _selected(self):
-            raise ConfigurationError(f"the {self.experiment_id} filters select no condition")
-        # every record but a localized one runs training_horizon
-        coverages = {row[2] for row in _selected(self)}
         horizon = self.training_horizon
-        if coverages - {"localized"} and not (horizon >= STEP and whole_steps(horizon, STEP)):
+        if not (horizon >= STEP and whole_steps(horizon, STEP)):
             raise ConfigurationError(
                 f"training_horizon must be a whole number (at least 1) of steps of {STEP:g},"
                 f" got {horizon!r}"
-            )
-        if coverages == {"localized"} and horizon != TRAINING_HORIZON:
-            raise ConfigurationError(
-                f"{self.experiment_id} on localized coverage alone takes no training_horizon"
             )
 
 
@@ -424,13 +400,6 @@ def _horizon(cfg: ExperimentConfig, coverage: str) -> float:
     return LOCALIZED_HORIZON if coverage == "localized" else cfg.training_horizon
 
 
-def _selected(cfg: ExperimentConfig) -> list[tuple]:
-    """The rows of the study's _SWEEPS table that pass the config's filters."""
-    wanted = (cfg.basis_variant, cfg.coverage, cfg.residual_mode)
-    rows = _SWEEPS.get(cfg.experiment_id, ())
-    return [r for r in rows if all(w in (None, v) for w, v in zip(wanted, r[1:]))]
-
-
 def _initial_conditions(op, coverage, seed, counts):
     """Training and holdout starts of one seed under one coverage design."""
     cov_id = _COVERAGE_IDS[coverage]
@@ -606,7 +575,7 @@ def run_bounded_confidence(cfg: ExperimentConfig) -> ExperimentOutput:
         }
 
     conditions = []
-    for row in _selected(cfg):
+    for row in _SWEEPS["bounded_confidence"]:
         broad = row[2] == "broad"
         default_n = THRESHOLD_N_TRAINING if broad else LOCALIZED_N_TRAINING
         conditions.append(
@@ -618,11 +587,10 @@ def run_bounded_confidence(cfg: ExperimentConfig) -> ExperimentOutput:
                 n_training=default_n if cfg.n_training is None else cfg.n_training,
             )
         )
-    noise_std = THRESHOLD_NOISE_STD if cfg.noise_std is None else cfg.noise_std
     stats = ("threshold_error_mean", "threshold_error_std", "rollout_rmse_mean")
     stats += ("rollout_rmse_std", "information_mean", "information_std")
     family = functools.partial(BoundedConfidence, sheaf)
-    return _sweep(cfg, sheaf, conditions, fit, family, stats, noise_std, noise_tag=())
+    return _sweep(cfg, sheaf, conditions, fit, family, stats, THRESHOLD_NOISE_STD, noise_tag=())
 
 
 def run_finite_basis(cfg: ExperimentConfig) -> ExperimentOutput:
@@ -671,13 +639,12 @@ def run_finite_basis(cfg: ExperimentConfig) -> ExperimentOutput:
             horizon=_horizon(cfg, row[2]),
             n_training=BASIS_N_TRAINING if cfg.n_training is None else cfg.n_training,
         )
-        for row in _selected(cfg)
+        for row in _SWEEPS["finite_basis"]
     ]
-    noise_std = BASIS_NOISE_STD if cfg.noise_std is None else cfg.noise_std
     stats = ("param_error_mean", "param_error_std", "rollout_rmse_mean", "rollout_rmse_std")
     stats += ("lambda_min_mean", "lambda_min_std", "lambda_max_mean")
     family = functools.partial(LinearBasisPotential, sheaf, augmented)
-    return _sweep(cfg, sheaf, conditions, fit, family, stats, noise_std, noise_tag=(9,))
+    return _sweep(cfg, sheaf, conditions, fit, family, stats, BASIS_NOISE_STD, noise_tag=(9,))
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentOutput:

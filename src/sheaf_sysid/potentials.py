@@ -165,11 +165,6 @@ class BoundedConfidence(EdgePotential):
         )
         return psi.sum(-1)
 
-    def gain(self, u):
-        """Per-edge force factor of squared norms u (see ``confidence_gain``);
-        the force is y_e times it.  With row parameters u is (row_count, E)."""
-        return confidence_gain(self._batch(u), self._e2)
-
     def force(self, y):
         y = self._batch(y)
         return self.sheaf.edge_scale(y, confidence_gain(self.sheaf.edge_sq_norms(y), self._e2))

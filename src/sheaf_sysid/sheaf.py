@@ -591,6 +591,6 @@ def save_sheaf(sheaf: Sheaf, path: str | Path) -> None:
 def load_sheaf(path: str | Path) -> Sheaf:
     try:
         data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise StructuralError(f"malformed sheaf file {path}: {exc}") from exc
     return sheaf_from_dict(data)

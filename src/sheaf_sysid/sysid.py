@@ -13,7 +13,7 @@ over the samples; one function forms the information matrix S^T S of these
 columns and decomposes it once, for the threshold's scalar information
 number (p = 1) and for the Gram of the linear-basis objective
 
-    (1/N) sum_k | r_k - delta* Phi_theta(delta x_k) |^2_{C0}  + ridge * |theta|^2.
+    (1/N) sum_k | r_k - delta* Phi_theta(delta x_k) |^2_{C0}.
 
 Identifiability is decided by lambda_min against the relative rank tolerance;
 the same eigendecomposition drives the minimum-norm solve, so the
@@ -186,38 +186,34 @@ def fit_linear(
     op: CoboundaryOperator,
     basis: Sequence[BasisForce],
     data: ResidualDataset,
-    ridge: float = 0.0,
 ) -> EstimationResult:
-    """Least-squares fit of a linear-in-parameters force family.
+    """Minimum-norm least-squares fit of a linear-in-parameters force family.
 
-    With ridge = 0 a singular Gram is handled by eigenvalue truncation at
-    RANK_TOL * lambda_max: the returned theta is the minimum-norm minimizer
-    and the report's identifiable flag is lowered.  With ridge > 0 every
-    eigenvalue is kept and shifted by the ridge weight.
+    The Gram's eigenvalues at or below RANK_TOL * lambda_max are dropped, as
+    the report's verdict drops them: a singular Gram lowers the identifiable
+    flag and the returned theta is the minimum-norm minimizer.  The
+    diagnostics give the rank, the dropped count and the Gram eigenvalues.
     """
     if data.n_samples == 0:
         raise UsageError("empty dataset")
     if not basis:
         raise UsageError("empty basis")
-    if ridge < 0:
-        raise ParameterError("ridge weight must be nonnegative")
     cols = [_sensitivities(op, bf.force(data.edge_states)) for bf in basis]
     columns = np.stack(cols, axis=-1).reshape(-1, len(basis))
     target = (data.residuals @ op.L1).ravel()
     report, eigs, vecs = _information(columns)
 
-    keep = eigs > (RANK_TOL * max(eigs[-1], 0.0) if ridge == 0.0 else -np.inf)
+    keep = eigs > RANK_TOL * max(eigs[-1], 0.0)
     rank = int(np.count_nonzero(keep))
-    coeff = (vecs[:, keep].T @ (columns.T @ target)) / (eigs[keep] + ridge)
+    coeff = (vecs[:, keep].T @ (columns.T @ target)) / eigs[keep]
     theta = vecs[:, keep] @ coeff
 
     misfit = target - columns @ theta
-    value = float(misfit @ misfit) / data.n_samples + ridge * float(theta @ theta)
+    value = float(misfit @ misfit) / data.n_samples
     diagnostics = {
         "rank": rank,
         "dropped": len(basis) - rank,
         "gram_eigenvalues": eigs.tolist(),
-        "ridge": ridge,
     }
     return EstimationResult(theta, value, report, diagnostics)
 

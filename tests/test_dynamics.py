@@ -68,21 +68,19 @@ def test_harmonic_shift_does_not_change_laplacian(identity_cycle):
 
 
 @pytest.mark.parametrize("variant", ["identity", "rotated"])
-@pytest.mark.parametrize("alpha", [1.0, 0.7])
-def test_vector_field_is_the_scaled_laplacian_bit_for_bit(variant, alpha):
-    # x' = -alpha * delta*(Phi(delta x)) and r = -x', signed zeros included
+def test_vector_field_is_the_negated_laplacian_bit_for_bit(variant):
+    # x' = -1.0 * delta*(Phi(delta x)) and r = -x', signed zeros included
     sheaf = make_cycle_sheaf(5, variant)
     op = build_coboundary(sheaf)
     starts = np.vstack([np.zeros(op.d0), np.random.default_rng(6).standard_normal((3, op.d0))])
-    cfg = SimConfig(horizon=0.2, alpha=alpha)
     laws = (
         BoundedConfidence(sheaf, 1.0),
         monomial_potential(sheaf, [1.0, 0.25, 0.03]),
         Antagonistic(sheaf, [0, 2]),
     )
     for model in laws:
-        for traj in integrate(op, model, starts, cfg):
-            field = -alpha * laplacian_apply(op, model, traj.states)
+        for traj in integrate(op, model, starts, SimConfig(horizon=0.2)):
+            field = -1.0 * laplacian_apply(op, model, traj.states)
             assert traj.derivs.tobytes() == field.tobytes()
             assert residuals_exact(op, traj).residuals.tobytes() == (-traj.derivs).tobytes()
 

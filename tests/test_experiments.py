@@ -231,14 +231,14 @@ def test_bounded_confidence_reduced_sweep():
     assert force["Broad / Obs."]["grid_mse_median"] <= 1e-12
 
 
-def test_bounded_confidence_determinism_and_filters():
-    cfg = ExperimentConfig(
-        experiment_id="bounded_confidence", coverage="broad", residual_mode="observed", **REDUCED
-    )
+def test_bounded_confidence_determinism():
+    cfg = ExperimentConfig(experiment_id="bounded_confidence", **REDUCED)
     a = run_bounded_confidence(cfg)
     b = run_bounded_confidence(cfg)
     assert a.summary == b.summary and a.force_checks == b.force_checks
-    assert [r["setting"] for r in a.summary] == ["Broad / Obs."]
+    # every condition of the study's table runs, in table order
+    table = experiments._SWEEPS["bounded_confidence"]
+    assert [r["setting"] for r in a.summary] == [row[0] for row in table]
 
 
 def test_bounded_confidence_five_cycle_broad_recovery():
@@ -246,14 +246,12 @@ def test_bounded_confidence_five_cycle_broad_recovery():
         experiment_id="bounded_confidence",
         cycle_length=5,
         seeds=(0,),
-        coverage="broad",
-        residual_mode="observed",
         n_training=6,
         training_horizon=4.0,
         n_holdout=2,
     )
-    out = run_bounded_confidence(cfg)
-    assert out.summary[0]["threshold_error_mean"] <= 1e-6
+    rows = {r["setting"]: r for r in run_bounded_confidence(cfg).summary}
+    assert rows["Broad / Obs."]["threshold_error_mean"] <= 1e-6
 
 
 def test_finite_basis_reduced_sweep():
@@ -268,24 +266,6 @@ def test_finite_basis_reduced_sweep():
     assert aug["lambda_min_mean"] <= 1e-10 * aug["lambda_max_mean"]
     assert aug["rollout_rmse_mean"] <= 1e-10
     assert rows["Correct / Limited / Obs."]["lambda_min_mean"] <= 1e-12
-
-
-@pytest.mark.parametrize(
-    "study, filters, unfiltered_rows",
-    [
-        ("finite_basis", {"coverage": "limited"}, [2, 4]),
-        ("finite_basis", {"basis_variant": "augmented"}, [1]),
-        ("bounded_confidence", {"residual_mode": "finite_difference"}, [2, 3]),
-    ],
-)
-def test_filtered_sweep_rows_equal_the_unfiltered_rows(study, filters, unfiltered_rows):
-    # a condition's summary row depends on its own seeds only; the pooled
-    # force-check set spans the selected conditions, so only summaries compare
-    reduced = dict(seeds=(1, 0), n_training=4, training_horizon=2.0, n_holdout=2)
-    full = run_experiment(ExperimentConfig(experiment_id=study, **reduced))
-    part = run_experiment(ExperimentConfig(experiment_id=study, **reduced, **filters))
-    assert part.summary == [full.summary[i] for i in unfiltered_rows]
-    assert list(part.details) == [list(full.details)[i] for i in unfiltered_rows]
 
 
 @pytest.mark.parametrize("study", ["bounded_confidence", "finite_basis"])
@@ -322,16 +302,17 @@ def test_finite_difference_records_are_observed_under_their_seed_path(
 
     monkeypatch.setattr(experiments, "residual_dataset", spy)
     cfg = ExperimentConfig(
-        experiment_id="finite_basis", seeds=(2,), coverage=coverage,
-        residual_mode="finite_difference", training_horizon=0.2, n_training=3, n_holdout=1,
+        experiment_id="finite_basis", seeds=(2,), training_horizon=0.2, n_training=3, n_holdout=1
     )
     run_experiment(cfg)
+    # one residual build per condition, in sweep order, on the single seed
+    conditions = [row[2:] for row in experiments._SWEEPS["finite_basis"]]
+    observed = records[conditions.index((coverage, "finite_difference"))]
     sheaf = make_cycle_sheaf(3, "identity")
     op = build_coboundary(sheaf)
     train, _ = _initial_conditions(op, coverage, 2, (3, 1))
     truth = monomial_potential(sheaf, np.asarray(TRUE_MONOMIAL_THETA))
     clean = integrate(op, truth, np.asarray(train), SimConfig(horizon=0.2))
-    (observed,) = records
     # (seed, coverage id, finite-difference mode id, the study's tag 9, record index)
     for i, (got, t) in enumerate(zip(observed, clean)):
         assert np.array_equal(got.states, observe(t, BASIS_NOISE_STD, (2, cov_id, 1, 9, i)).states)
@@ -420,36 +401,9 @@ def test_the_two_diverging_fits_blow_up_in_the_opposite_order_of_time():
 
 
 @pytest.mark.parametrize(
-    "filters",
-    [
-        {"basis_variant": "augmented", "residual_mode": "finite_difference"},
-        {"basis_variant": "augmented", "coverage": "limited"},
-    ],
-)
-def test_filters_that_select_no_condition_are_rejected(filters):
-    with pytest.raises(ConfigurationError, match="select no condition"):
-        ExperimentConfig(experiment_id="finite_basis", **filters)
-
-
-@pytest.mark.parametrize(
-    "study, key, value",
-    [
-        ("bounded_confidence", "residual_mode", "smoothed"),
-        ("finite_basis", "basis_variant", "cubic"),
-        ("formation_transfer", "coverage", "broad"),
-        ("formation_transfer", "residual_mode", "observed"),
-    ],
-)
-def test_filters_must_name_a_swept_value(study, key, value):
-    with pytest.raises(ConfigurationError, match=f"{study} sweeps no {key}"):
-        ExperimentConfig(experiment_id=study, **{key: value})
-
-
-@pytest.mark.parametrize(
     "key, value",
     [
         ("cycle_length", 5),
-        ("noise_std", 0.01),
         ("n_training", 4),
         ("n_holdout", 2),
         ("training_horizon", 5.0),
@@ -470,7 +424,7 @@ def test_training_horizon_of_whole_steps_up_to_rounding_is_accepted():
     # 0.29 / 0.01 is 28.999999999999996 steps, 0.07 / 0.01 is 7.000000000000001
     ExperimentConfig(experiment_id="finite_basis", training_horizon=0.29)
     ExperimentConfig(experiment_id="bounded_confidence", training_horizon=0.07)
-    ExperimentConfig(experiment_id="finite_basis", coverage="limited", training_horizon=STEP)
+    ExperimentConfig(experiment_id="finite_basis", training_horizon=STEP)
 
 
 @pytest.mark.parametrize("n", [8, 16, 64])
@@ -509,9 +463,9 @@ def test_rotated_cycle_check_agrees_with_the_sheaf_it_builds():
         ("training_horizon", 0.015),  # not a whole number of steps
         ("training_horizon", 1.005),
         ("seeds", (0, 0)),
-        ("noise_std", -1e-3),
-        ("noise_std", math.inf),
-        ("noise_std", "0.1"),
+        ("n_training", 2.5),
+        ("n_holdout", -1),
+        ("training_horizon", math.nan),
         ("seeds", (0, "1")),
         ("seeds", (1.5,)),
         ("seeds", (-1,)),
@@ -531,31 +485,14 @@ def test_experiment_config_accepts_edge_numbers():
         seeds=(np.int64(0), 3),
         n_training=1,
         n_holdout=1,
-        noise_std=0.0,
         training_horizon=STEP,
     )
     assert cfg.training_horizon == STEP
 
 
-def test_localized_threshold_sweep_rejects_the_training_horizon_it_never_reads():
-    with pytest.raises(ConfigurationError, match="localized coverage alone takes no training_horizon"):
-        ExperimentConfig(
-            experiment_id="bounded_confidence", coverage="localized", training_horizon=0.005
-        )
-    ExperimentConfig(experiment_id="bounded_confidence", coverage="localized")
-    # any selected broad condition reads it
-    ExperimentConfig(experiment_id="bounded_confidence", residual_mode="observed", training_horizon=2.0)
-
-
 def test_experiment_config_validation():
     with pytest.raises(ConfigurationError):
         ExperimentConfig(experiment_id="mystery")
-    with pytest.raises(ConfigurationError):
-        ExperimentConfig(experiment_id="bounded_confidence", coverage="limited")
-    with pytest.raises(ConfigurationError):
-        ExperimentConfig(experiment_id="bounded_confidence", basis_variant="augmented")
-    with pytest.raises(ConfigurationError):
-        ExperimentConfig(experiment_id="finite_basis", coverage="localized")
     with pytest.raises(ConfigurationError):
         ExperimentConfig(experiment_id="finite_basis", seeds=())
 

@@ -98,15 +98,14 @@ def test_bounded_confidence_force_vanishes_at_seam(identity_cycle):
     assert np.allclose(model.force(y), 0.0)
 
 
-def test_bounded_confidence_gain_is_the_cutoff_law_bit_for_bit(identity_cycle):
-    sheaf, _ = identity_cycle
+def test_bounded_confidence_gain_is_the_cutoff_law_bit_for_bit():
     rng = np.random.default_rng(49)
     for eps in (0.3, 1.0, 1.1, 3.7):
         e2 = eps**2
         edge = [e2, np.nextafter(e2, 0.0), np.nextafter(e2, 9.0), 0.0, -0.0, np.nan, np.inf]
         u = np.concatenate([2.0 * e2 * rng.random(200), edge])
         expected = np.where(u <= e2, (1.0 - u / e2) ** 2, 0.0)
-        got = BoundedConfidence(sheaf, eps).gain(u)
+        got = confidence_gain(u, eps**2)
         assert np.array_equal(got, expected)
         assert np.array_equal(np.signbit(got), np.signbit(expected))
 
@@ -405,11 +404,10 @@ def test_row_epsilon_gives_each_row_its_scalar_bits(mixed_sheaf):
     eps = np.array([2.759, 3.3, 0.356, 1.0 / 3.0, 1.1, 1.0 + 2**-52])
     y = rng.standard_normal((eps.size, mixed_sheaf.d1))
     rows = BoundedConfidence(mixed_sheaf, eps)
-    u = mixed_sheaf.edge_sq_norms(y)
-    for name, arg in (("force", y), ("value", y), ("param_jacobian", y), ("gain", u)):
-        got = getattr(rows, name)(arg)
+    for name in ("force", "value", "param_jacobian"):
+        got = getattr(rows, name)(y)
         for i, e in enumerate(eps):
-            alone = getattr(BoundedConfidence(mixed_sheaf, float(e)), name)(arg[i])
+            alone = getattr(BoundedConfidence(mixed_sheaf, float(e)), name)(y[i])
             assert np.array_equal(got[i], alone)
 
 
@@ -504,7 +502,7 @@ def test_confidence_force_equals_the_repeat_form(request, name, rows):
     u = sheaf.edge_sq_norms(y)
     # each row's power a Python-float power, as the scalar model takes it
     e2, e3 = (np.array([e**k for e in eps.tolist()])[:, None] if rows else eps**k for k in (2, 3))
-    assert_same_bits(model.force(y), repeat_form(sheaf, y, model.gain(u)))
+    assert_same_bits(model.force(y), repeat_form(sheaf, y, confidence_gain(u, e2)))
     factor = np.where(u <= e2, 4.0 * (1.0 - u / e2) * u / e3, 0.0)
     assert_same_bits(model.param_jacobian(y), repeat_form(sheaf, y, factor)[..., None])
 
@@ -554,20 +552,6 @@ def test_linear_force_equals_the_repeat_form(request, name, degrees, theta, rows
         thetas[1] = -0.0
     model = LinearBasisPotential(sheaf, basis, thetas)
     assert_same_bits(model.force(y), repeat_linear_force(model, y))
-
-
-def test_a_row_threshold_gain_takes_only_its_own_norm_batch(rotated_cycle):
-    sheaf, _ = rotated_cycle
-    model = BoundedConfidence(sheaf, [1.0, 2.0])
-    for u in (np.ones((1, 3)), np.ones(3)):
-        with pytest.raises(StructuralError, match="2 parameter rows for a batch of "):
-            model.gain(u)
-    assert model.gain(np.ones((2, 3))).shape == (2, 3)
-    # the scalar model's gain takes any batch, on the bits of confidence_gain
-    u = np.random.default_rng(5).uniform(0.0, 2.0, (4, 3))
-    for batch in (u, u[0], np.ones((1, 3))):
-        got = BoundedConfidence(sheaf, 1.2).gain(batch)
-        assert np.array_equal(got, confidence_gain(batch, 1.2**2))
 
 
 @pytest.mark.parametrize("family", ["threshold", "basis"])

@@ -1,11 +1,14 @@
-"""The README's library tour runs as written and shows what its comments say."""
+"""The README's library tour and CLI configs run as written and show what its
+text says."""
 
+import json
 import re
 from pathlib import Path
 
 import numpy as np
 
 from sheaf_sysid import harmonic_basis
+from sheaf_sysid.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -20,3 +23,19 @@ def test_readme_library_tour_runs():
     fit = namespace["fit"]
     assert fit.report.identifiable
     assert np.allclose(fit.theta_hat, [1.0, 0.25, 0.03], rtol=1e-8, atol=0.0)
+
+
+def test_readme_configs_run_in_order(tmp_path, monkeypatch):
+    # each config with the --out its command has in the README's usage block,
+    # so a key the CLI rejects, or an output layout that breaks the next
+    # command, fails here
+    text = README.read_text()
+    outs = dict(re.findall(r"^sheaf-sysid (\w+) +--config \S+ +--out (\S+)", text, flags=re.M))
+    configs = [json.loads(b) for b in re.findall(r"```json\n(.*?)```", text, flags=re.S)]
+    commands = [config["command"] for config in configs]
+    assert commands == ["cohomology", "simulate", "identify", "experiment"] == list(outs)
+    monkeypatch.chdir(tmp_path)
+    for command, config in zip(commands, configs):
+        path = tmp_path / f"{command}.json"
+        path.write_text(json.dumps(config))
+        assert main([command, "--config", str(path), "--out", outs[command], "--quiet"]) == 0

@@ -239,16 +239,6 @@ def test_fit_linear_minimum_norm_on_singular_gram(identity_cycle):
     assert result.diagnostics["dropped"] == 1
 
 
-def test_fit_linear_ridge_shrinks(identity_cycle):
-    sheaf, op = identity_cycle
-    rng = np.random.default_rng(12)
-    theta = np.array([1.0, 0.25, 0.03])
-    data = forward_dataset(op, monomial_potential(sheaf, theta), rng.standard_normal((12, op.d0)))
-    plain = fit_linear(op, monomial_basis(sheaf), data)
-    ridged = fit_linear(op, monomial_basis(sheaf), data, ridge=10.0)
-    assert np.linalg.norm(ridged.theta_hat) < np.linalg.norm(plain.theta_hat)
-
-
 def test_fit_linear_rejects_empty_dataset(identity_cycle):
     sheaf, op = identity_cycle
     empty = ResidualDataset(
@@ -425,18 +415,17 @@ def test_whitened_products_match_the_m1_formulas(mixed_sheaf):
     cols = [bf.force(data.edge_states) @ ds_t for bf in basis]
     gram = np.array([[c0(op, a, b).sum() for b in cols] for a in cols])
     rhs = np.array([c0(op, a, data.residuals).sum() for a in cols])
-    for ridge in (0.0, 0.5):
-        result = fit_linear(op, basis, data, ridge=ridge)
-        assert np.allclose(result.report.gram, gram, rtol=1e-10, atol=0.0)
-        theta = result.theta_hat
-        assert np.allclose((gram + ridge * np.eye(3)) @ theta, rhs, rtol=1e-10, atol=0.0)
-        misfit = data.residuals - sum(t * col for t, col in zip(theta, cols))
-        expected = c0(op, misfit, misfit).mean() + ridge * theta @ theta
-        assert result.objective_value == pytest.approx(expected, rel=1e-10)
-        # equal up to the eigensolvers' backward error, eps * lambda_max
-        eigs = np.linalg.eigvalsh(result.report.gram)
-        spectrum = result.diagnostics["gram_eigenvalues"]
-        assert np.allclose(spectrum, eigs, rtol=0.0, atol=1e-12 * eigs[-1])
+    result = fit_linear(op, basis, data)
+    assert np.allclose(result.report.gram, gram, rtol=1e-10, atol=0.0)
+    theta = result.theta_hat
+    assert np.allclose(gram @ theta, rhs, rtol=1e-10, atol=0.0)
+    misfit = data.residuals - sum(t * col for t, col in zip(theta, cols))
+    expected = c0(op, misfit, misfit).mean()
+    assert result.objective_value == pytest.approx(expected, rel=1e-10)
+    # equal up to the eigensolvers' backward error, eps * lambda_max
+    eigs = np.linalg.eigvalsh(result.report.gram)
+    spectrum = result.diagnostics["gram_eigenvalues"]
+    assert np.allclose(spectrum, eigs, rtol=0.0, atol=1e-12 * eigs[-1])
 
 
 def test_any_factor_of_m1_gives_the_same_fits(mixed_sheaf):
@@ -448,12 +437,10 @@ def test_any_factor_of_m1_gives_the_same_fits(mixed_sheaf):
     assert np.allclose(alt.L1 @ alt.L1.T, op.M1)
     data = weighted_dataset(op)
     basis = monomial_basis(mixed_sheaf)
-    for ridge in (0.0, 0.5):
-        a = fit_linear(op, basis, data, ridge=ridge)
-        b = fit_linear(alt, basis, data, ridge=ridge)
-        assert np.allclose(a.report.gram, b.report.gram, rtol=1e-10, atol=0.0)
-        assert np.allclose(a.theta_hat, b.theta_hat, rtol=1e-10, atol=0.0)
-        assert a.objective_value == pytest.approx(b.objective_value, rel=1e-10)
+    a, b = fit_linear(op, basis, data), fit_linear(alt, basis, data)
+    assert np.allclose(a.report.gram, b.report.gram, rtol=1e-10, atol=0.0)
+    assert np.allclose(a.theta_hat, b.theta_hat, rtol=1e-10, atol=0.0)
+    assert a.objective_value == pytest.approx(b.objective_value, rel=1e-10)
     model = BoundedConfidence(mixed_sheaf, 2.0)
     assert information_scalar(alt, model, data).lambda_min == pytest.approx(
         information_scalar(op, model, data).lambda_min, rel=1e-10
@@ -479,10 +466,9 @@ def test_each_fit_decomposes_its_information_matrix_once(mixed_sheaf, monkeypatc
     monkeypatch.setattr(np.linalg, "eigh", counted)
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
     monkeypatch.setattr(np.linalg, "solve", forbidden)
-    for ridge in (0.0, 0.5):
-        fit_linear(op, monomial_basis(mixed_sheaf), data, ridge=ridge)
+    fit_linear(op, monomial_basis(mixed_sheaf), data)
     information_scalar(op, BoundedConfidence(mixed_sheaf, 2.0), data)
-    assert calls == [(3, 3), (3, 3), (1, 1)]
+    assert calls == [(3, 3), (1, 1)]
 
 
 # --- the threshold loss from terms precomputed once per fit ------------------------
@@ -542,12 +528,10 @@ def assert_threshold_losses_bit_equal_on_identity_grams(sheaf, op):
 
 
 def row_major_threshold_loss(op, data, epsilon):
-    """The threshold loss as one (N, d1) @ (d1, d0) product of the spread forces
+    """The threshold loss as one (N, d1) @ (d1, d0) product of the law's forces
     with G = delta*^T L1, and numpy's per-sample row sums of the squared misfit."""
-    sheaf, y = op.sheaf, data.edge_states
-    gain = BoundedConfidence(sheaf, epsilon).gain(sheaf.edge_sq_norms(y))
-    predicted = (y * sheaf.spread(gain)) @ (op.delta_star_matrix.T @ op.L1)
-    misfit = data.residuals @ op.L1 - predicted
+    forces = BoundedConfidence(op.sheaf, epsilon).force(data.edge_states)
+    misfit = data.residuals @ op.L1 - forces @ (op.delta_star_matrix.T @ op.L1)
     return float(np.mean(np.sum(misfit * misfit, axis=-1)))
 
 
@@ -575,7 +559,7 @@ def test_fit_threshold_grid_losses_are_bit_equal_to_the_row_major_loss():
 
 def test_threshold_losses_build_no_model_and_keep_the_gain_of_the_law(monkeypatch):
     # weighted sheaf with mixed stalks; every grid loss equals, bit for bit, the
-    # plain loss through BoundedConfidence(sheaf, epsilon).gain
+    # plain loss through the law's force
     rng = np.random.default_rng(47)
     sheaf = random_sheaf(rng, 3, 8)
     op = build_coboundary(sheaf)
