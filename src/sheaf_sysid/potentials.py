@@ -133,11 +133,12 @@ class BoundedConfidence(EdgePotential):
     and each row is bit for bit the scalar model at its threshold.
     """
 
+    MAX_EPSILON = 1e100  # the largest threshold: its cube (param_jacobian) stays finite
     def __init__(self, sheaf: Sheaf, epsilon):
         super().__init__(sheaf)
         eps = np.asarray(epsilon, dtype=float)
-        if eps.ndim > 1 or not np.all(eps > 0):
-            raise ParameterError(f"epsilon must be positive, got {epsilon}")
+        if eps.ndim > 1 or not np.all((eps > 0) & (eps <= self.MAX_EPSILON)):
+            raise ParameterError(f"epsilon must be positive, at most 1e100, got {epsilon}")
         self.epsilon = eps if eps.ndim else float(eps)
         self.row_count = eps.size if eps.ndim else None
         self._e2 = self._power(2)

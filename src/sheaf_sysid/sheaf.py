@@ -164,13 +164,9 @@ class Sheaf:
         self.vertex_grams = _stalk_grams(vertex_grams, self.vertex_stalk_dims, "vertex")
         self.edge_grams = _stalk_grams(edge_grams, self.edge_stalk_dims, "edge")
 
-        v_offsets = np.concatenate([[0], np.cumsum(self.vertex_stalk_dims)])
         e_offsets = np.concatenate([[0], np.cumsum(self.edge_stalk_dims)])
-        self.d0 = int(v_offsets[-1])
+        self.d0 = sum(self.vertex_stalk_dims)
         self.d1 = int(e_offsets[-1])
-        self.vertex_slices = tuple(
-            slice(int(a), int(b)) for a, b in zip(v_offsets[:-1], v_offsets[1:])
-        )
         self.edge_slices = tuple(
             slice(int(a), int(b)) for a, b in zip(e_offsets[:-1], e_offsets[1:])
         )
@@ -195,6 +191,24 @@ class Sheaf:
             (at, e_offsets[at, None] + np.arange(k)) for (k,), at in groups
         )
         self._uniform = self._width_groups[0][1].shape if len(groups) == 1 else None
+
+    @functools.cached_property
+    def _operator_blocks(self) -> tuple[list, list, list]:
+        """Index stacks of the operator's blocks per block shape: (stalks, rows,
+        cols) of each Gram's diagonal blocks, and (edges, tail, rows, cols, rows,
+        cols) of B's head blocks, then tail blocks (a self-loop's comes twice)."""
+        v_dims = np.array(self.vertex_stalk_dims, dtype=np.intp)
+        e_dims = np.array(self.edge_stalk_dims, dtype=np.intp)
+        v_starts, e_starts = np.cumsum(v_dims) - v_dims, np.cumsum(e_dims) - e_dims
+        tails, heads = np.array(self.graph.edges, dtype=np.intp).reshape(-1, 2).T
+        e, v = np.tile(np.arange(e_dims.size), 2), np.concatenate([heads, tails])
+        tail = np.arange(e.size) >= e_dims.size
+        vertex = [(at,) + _block_index(v_starts[at], d) for (d,), at in _grouped(v_dims)]
+        edge = [(at, c[:, :, None], c[:, None, :]) for at, c in self._width_groups]
+        return vertex, edge, [
+            (e[at], t) + _block_index(e_starts[e[at]], de) + _block_index(v_starts[v[at]], dv)
+            for (t, de, dv), at in _grouped(tail, e_dims[e], v_dims[v])
+        ]
 
     def edge_sq_norms(self, y: np.ndarray) -> np.ndarray:
         """Per-edge squared Gram norms of a 1-cochain, shape (..., edge_count)."""
@@ -273,49 +287,40 @@ class CoboundaryOperator:
             factor), so |v|^2_{C0} = |L1^T v|^2.
         delta_star_matrix: M1^{-1} B^T M2, the matrix of the adjoint.
 
-    All are built per block, one batched ``np.linalg`` call per block shape;
-    the (v, e) block of delta* is R_v^{-1} B_ev^T Q_e for vertex Gram R_v and
-    edge Gram Q_e.  The singular values of the whitened L2^T B L1^{-T} give
-    the rank and the spectrum; its singular vectors are computed only for a
-    nonempty null basis or a pseudoinverse solve.
+    The Gram blocks are factored (and a non-SPD one rejected) at construction,
+    one batched ``np.linalg`` call per block shape.  L1, L2 and delta* are
+    assembled from the blocks on first read, so a spectrum-only caller never
+    holds them; the (v, e) block of delta* is R_v^{-1} B_ev^T Q_e for vertex
+    Gram R_v and edge Gram Q_e.  The singular values of the whitened
+    L2^T B L1^{-T} give the rank and the spectrum; its singular vectors are
+    computed only for a nonempty null basis or a pseudoinverse solve.
     """
 
     def __init__(self, sheaf: Sheaf, B: np.ndarray, M1: np.ndarray, M2: np.ndarray):
-        self.sheaf = sheaf
-        self.B = B
-        self.M1 = M1
-        self.M2 = M2
-        v_dims = np.array(sheaf.vertex_stalk_dims, dtype=np.intp)
-        e_dims = np.array(sheaf.edge_stalk_dims, dtype=np.intp)
-        v_starts = np.cumsum(v_dims) - v_dims
-        e_starts = np.cumsum(e_dims) - e_dims
-        self._vertex_blocks = [_block_index(v_starts[at], d) for (d,), at in _grouped(v_dims)]
-        self._edge_blocks = [(c[:, :, None], c[:, None, :]) for _, c in sheaf._width_groups]
-        self.L1 = _block_factor(M1, self._vertex_blocks, "M1")
-        self.L2 = _block_factor(M2, self._edge_blocks, "M2")
-        # The nonzero blocks (e, v) of B: every edge's head block, and its tail
-        # block unless it is a self-loop, whose one block holds both maps.
-        # Stored as (edge rows, edge columns, vertex rows, vertex columns).
-        tails, heads = np.array(sheaf.graph.edges, dtype=np.intp).reshape(-1, 2).T
-        apart = np.flatnonzero(tails != heads)
-        e = np.concatenate([np.arange(tails.size), apart])
-        v = np.concatenate([heads, tails[apart]])
-        self._coupling_blocks = [
-            _block_index(e_starts[e[at]], de) + _block_index(v_starts[v[at]], dv)
-            for (de, dv), at in _grouped(e_dims[e], v_dims[v])
-        ]
-        self.delta_star_matrix = np.zeros((self.d0, self.d1))
-        for er, ec, vr, vc in self._coupling_blocks:
-            b_t = B[er, vc].swapaxes(1, 2)
-            self.delta_star_matrix[vr, ec] = np.linalg.solve(M1[vr, vc], b_t @ M2[er, ec])
+        self.sheaf, self.B, self.M1, self.M2 = sheaf, B, M1, M2
+        self.d1, self.d0 = B.shape
+        self._vertex_blocks, self._edge_blocks, self._coupling_blocks = sheaf._operator_blocks
+        self._l1 = _block_factor(M1, self._vertex_blocks, "M1")
+        self._l2 = _block_factor(M2, self._edge_blocks, "M2")
+
+    L1 = functools.cached_property(lambda self: _dense(self._l1, self._vertex_blocks))
+    L2 = functools.cached_property(lambda self: _dense(self._l2, self._edge_blocks))
+
+    @functools.cached_property
+    def delta_star_matrix(self) -> np.ndarray:
+        ds = np.zeros((self.d0, self.d1))
+        for *_, er, ec, vr, vc in self._coupling_blocks:
+            b_t = self.B[er, vc].swapaxes(1, 2)
+            ds[vr, ec] = np.linalg.solve(self.M1[vr, vc], b_t @ self.M2[er, ec])
+        return ds
 
     @functools.cached_property
     def _whitened(self) -> np.ndarray:
         """L2^T B L1^{-T}, block by block; read only by the two SVDs."""
         white = np.zeros((self.d1, self.d0))
-        for er, ec, vr, vc in self._coupling_blocks:
-            lb_t = (self.L2[er, ec].swapaxes(1, 2) @ self.B[er, vc]).swapaxes(1, 2)
-            white[er, vc] = np.linalg.solve(self.L1[vr, vc], lb_t).swapaxes(1, 2)
+        for *_, er, _, vr, vc in self._coupling_blocks:
+            lb_t = (_blocks(self._l2, er).swapaxes(1, 2) @ self.B[er, vc]).swapaxes(1, 2)
+            white[er, vc] = np.linalg.solve(_blocks(self._l1, vr), lb_t).swapaxes(1, 2)
         return white
 
     @functools.cached_property
@@ -328,14 +333,6 @@ class CoboundaryOperator:
         """Full SVD (U, s, Vt) of the whitened matrix, for null bases and solves."""
         return np.linalg.svd(self._whitened, full_matrices=True)
 
-    @property
-    def d0(self) -> int:
-        return self.B.shape[1]
-
-    @property
-    def d1(self) -> int:
-        return self.B.shape[0]
-
     def rank(self) -> int:
         s = self._spectrum
         if s.size == 0 or s[0] == 0.0:
@@ -347,38 +344,52 @@ class CoboundaryOperator:
 
 
 def _block_factor(mat: np.ndarray, blocks, what: str) -> np.ndarray:
-    """The factor L of a block-diagonal mat = L L^T, factored block by block."""
-    factor = np.zeros(mat.shape)
-    for rows, cols in blocks:
-        factor[rows, cols] = _spd_factor(mat[rows, cols], what)
+    """The factor L of a block-diagonal mat = L L^T, factored block by block
+    and stored by block rows: row i holds row i of L within its block."""
+    factor = np.zeros((mat.shape[0], max((r.shape[1] for _, r, _ in blocks), default=0)))
+    for _, rows, cols in blocks:
+        factor[rows, np.arange(rows.shape[1])] = _spd_factor(mat[rows, cols], what)
     return factor
 
 
+def _blocks(factor: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The (m, d, d) blocks of a block-row factor at the rows (m, d, 1)."""
+    return factor[rows, np.arange(rows.shape[1])]
+
+
+def _dense(factor: np.ndarray, blocks) -> np.ndarray:
+    """The dense block-diagonal matrix of a block-row factor."""
+    out = np.zeros((factor.shape[0],) * 2)
+    for _, rows, cols in blocks:
+        out[rows, cols] = _blocks(factor, rows)
+    return out
+
+
 def _block_solve_t(factor: np.ndarray, blocks, x: np.ndarray) -> np.ndarray:
-    """z with factor^T z = x for a block-diagonal factor; x is (n,) or (n, k)."""
+    """z with L^T z = x for a block-row factor L; x is (n,) or (n, k)."""
     rhs = x.reshape(x.shape[0], -1)
     z = np.empty(rhs.shape)
-    for rows, cols in blocks:
+    for _, rows, _ in blocks:
         at = rows[..., 0]
-        z[at] = np.linalg.solve(factor[rows, cols].swapaxes(1, 2), rhs[at])
+        z[at] = np.linalg.solve(_blocks(factor, rows).swapaxes(1, 2), rhs[at])
     return z.reshape(x.shape)
 
 
 def build_coboundary(sheaf: Sheaf) -> CoboundaryOperator:
-    """Assemble B and M1 from the sheaf data; M2 is the sheaf's own array.
+    """Assemble B and M1 per block shape; M2 is the sheaf's own array.
 
     Block row e carries +head_map in the column block of head(e) and
     -tail_map in the column block of tail(e); for self-loops both accumulate
     into the same block.
     """
-    B = np.zeros((sheaf.d1, sheaf.d0))
-    for e, (tail, head) in enumerate(sheaf.graph.edges):
-        rows = sheaf.edge_slices[e]
-        B[rows, sheaf.vertex_slices[head]] += sheaf.head_maps[e]
-        B[rows, sheaf.vertex_slices[tail]] -= sheaf.tail_maps[e]
+    vertex_blocks, _, coupling_blocks = sheaf._operator_blocks
     M1 = np.zeros((sheaf.d0, sheaf.d0))
-    for v, g in enumerate(sheaf.vertex_grams):
-        M1[sheaf.vertex_slices[v], sheaf.vertex_slices[v]] = g
+    for at, rows, cols in vertex_blocks:
+        M1[rows, cols] = [sheaf.vertex_grams[v] for v in at]
+    B = np.zeros((sheaf.d1, sheaf.d0))
+    for edges, tail, er, _, _, vc in coupling_blocks:
+        maps = np.array([(sheaf.tail_maps if tail else sheaf.head_maps)[e] for e in edges])
+        B[er, vc] = B[er, vc] - maps if tail else B[er, vc] + maps
     return CoboundaryOperator(sheaf, B, M1, sheaf.M2)
 
 
@@ -421,7 +432,7 @@ def harmonic_basis(op: CoboundaryOperator) -> np.ndarray:
     rank = op.rank()
     if rank == op.d1:
         return np.zeros((op.d1, 0))
-    return _block_solve_t(op.L2, op._edge_blocks, op._svd[0][:, rank:])
+    return _block_solve_t(op._l2, op._edge_blocks, op._svd[0][:, rank:])
 
 
 def global_section_basis(op: CoboundaryOperator) -> np.ndarray:
@@ -430,7 +441,7 @@ def global_section_basis(op: CoboundaryOperator) -> np.ndarray:
     rank = op.rank()
     if rank == op.d0:
         return np.zeros((op.d0, 0))
-    return _block_solve_t(op.L1, op._vertex_blocks, op._svd[2][rank:, :].T)
+    return _block_solve_t(op._l1, op._vertex_blocks, op._svd[2][rank:, :].T)
 
 
 def hodge_project(
@@ -466,7 +477,7 @@ def delta_pseudoinverse_apply(op: CoboundaryOperator, b: np.ndarray) -> np.ndarr
     bw = op.L2.T @ b
     coeff = (U[:, :rank].T @ bw) / s[:rank]
     xw = Vt[:rank, :].T @ coeff
-    return _block_solve_t(op.L1, op._vertex_blocks, xw)
+    return _block_solve_t(op._l1, op._vertex_blocks, xw)
 
 
 # ---------------------------------------------------------------------------

@@ -159,9 +159,10 @@ def _information(columns: np.ndarray) -> tuple[IdentifiabilityReport, np.ndarray
 
     Returns the report, with the verdict lambda_min > RANK_TOL * lambda_max > 0,
     and the one eigendecomposition (ascending eigenvalues, eigenvectors)
-    that the report, the estimator's solve and its diagnostics share.
+    that the report, the estimator's solve and its diagnostics share.  One
+    column is summed by numpy: BLAS threads split a dot product's sum.
     """
-    gram = columns.T @ columns
+    gram = columns.T @ columns if columns.shape[1] > 1 else np.sum(columns**2, 0, keepdims=True)
     eigs, vecs = np.linalg.eigh(gram)
     lam_min = float(max(eigs[0], 0.0))
     lam_max = float(eigs[-1])
@@ -273,11 +274,12 @@ def fit_threshold(
 
     A 64-point log-spaced grid localizes the minimum (the loss has a seam
     wherever a sample crosses the cutoff, so no derivatives are used); golden
-    section then refines to absolute tolerance.  Deterministic throughout.
+    section then refines to absolute tolerance, or until the points stop
+    parting (an interval a few ulps wide above 1e6).  Deterministic throughout.
     """
     lo, hi = bracket
-    if not (0.0 < lo < hi):
-        raise ParameterError(f"invalid bracket {bracket}")
+    if not (0.0 < lo < hi <= BoundedConfidence.MAX_EPSILON):
+        raise ParameterError(f"invalid bracket {bracket}: need 0 < lo < hi <= 1e100")
     if data.n_samples == 0:
         raise UsageError("empty dataset")
 
@@ -293,7 +295,7 @@ def fit_threshold(
     d = a + _GOLDEN * (b - a)
     fc = threshold_objective(terms, c)
     fd = threshold_objective(terms, d)
-    while (b - a) > _GOLDEN_TOL:
+    while (b - a) > _GOLDEN_TOL and a < c < d < b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)

@@ -1,6 +1,7 @@
 """End-to-end CLI: commands, exit codes, file outputs, determinism."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from sheaf_sysid import (
     observe,
     residual_dataset,
 )
+from sheaf_sysid import cli
 from sheaf_sysid.cli import main
 
 
@@ -77,6 +79,31 @@ def test_cohomology_of_a_vanishing_cohomology_asks_for_singular_values_only(
     cfg = write_config(tmp_path, "c.json", {"command": "cohomology", "sheaf": sheaf})
     assert run_cli("cohomology", cfg, tmp_path / "out") == 0
     assert calls == [False]
+
+
+def test_cohomology_holds_no_dense_factor_or_adjoint(tmp_path, monkeypatch):
+    # the spectrum is read off the whitened matrix, so L1, L2 and delta* are
+    # never assembled: the traced peak is B, M1, M2, the whitened matrix and
+    # small arrays, where building the three would add three more d0 x d0
+    ops = []
+
+    def spy(sheaf):
+        ops.append(build_coboundary(sheaf))
+        return ops[-1]
+
+    monkeypatch.setattr(cli, "build_coboundary", spy)
+    sheaf = {"builtin": "cycle", "cycle_length": 101, "variant": "rotated"}
+    cfg = write_config(tmp_path, "c.json", {"command": "cohomology", "sheaf": sheaf})
+    tracemalloc.start()
+    try:
+        assert run_cli("cohomology", cfg, tmp_path / "out") == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (op,) = ops
+    assert op.rank() == op.d0 == 202
+    assert not {"L1", "L2", "delta_star_matrix"} & set(op.__dict__)
+    assert peak <= 4.5 * op.d0 * op.d0 * 8
 
 
 def test_cohomology_two_vertex_path(tmp_path, capsys):
@@ -550,6 +577,23 @@ def test_experiment_rejects_bad_numbers(tmp_path, capsys):
 def test_simulate_rejects_a_negative_noise_std(tmp_path, capsys):
     payload = _simulate_config(noise_std=-0.1)
     _assert_config_error(tmp_path, capsys, "simulate", payload, "noise_std must be")
+
+
+def test_a_threshold_whose_powers_overflow_exits_1(tmp_path, capsys):
+    # epsilon**2 and epsilon**3 are Python-float powers, which raise
+    # OverflowError rather than return inf
+    potential = {"kind": "bounded_confidence", "epsilon": 1e300}
+    payload = _simulate_config(potential=potential)
+    _assert_config_error(tmp_path, capsys, "simulate", payload, "at most 1e100")
+    data_dir = _make_training_data(tmp_path, {"kind": "bounded_confidence", "epsilon": 1.0})
+    family = {"kind": "threshold", "bracket": [0.25, 1e200]}
+    payload = {
+        "command": "identify",
+        "sheaf": {"builtin": "cycle", "cycle_length": 3, "variant": "identity"},
+        "trajectories": str(data_dir),
+        "family": family,
+    }
+    _assert_config_error(tmp_path, capsys, "identify", payload, "hi <= 1e100")
 
 
 @pytest.mark.parametrize("out", ["afile", "afile/sub"])

@@ -519,17 +519,66 @@ def test_block_wise_operator_matches_the_dense_formulas(seed, n_vertices, n_edge
     )
     op = build_coboundary(sheaf)
     B, M1, M2 = op.B, op.M1, op.M2
+    # the spectrum and both null bases first: they read the per-block
+    # factors, and the dense L1, L2 and delta* are assembled only when read
+    rank, spectrum = op.rank(), op.singular_values()
+    sections, harm = global_section_basis(op), harmonic_basis(op)
+    assert not {"L1", "L2", "delta_star_matrix"} & set(op.__dict__)
     assert _close(op.L1 @ op.L1.T, M1)
     assert _close(op.L2 @ op.L2.T, M2)
     assert _close(op.delta_star_matrix, np.linalg.solve(M1, B.T @ M2))
     white = op.L2.T @ np.linalg.solve(op.L1, B.T).T
     assert _close(op._whitened, white)
     s = np.linalg.svd(white, compute_uv=False)
-    assert _close(op.singular_values(), s)
-    rank = int(np.count_nonzero(s > RANK_TOL * s[0])) if s.size and s[0] else 0
-    assert op.rank() == rank
-    assert global_section_basis(op).shape[1] == op.d0 - rank
-    assert harmonic_basis(op).shape[1] == op.d1 - rank
+    assert _close(spectrum, s)
+    assert rank == (int(np.count_nonzero(s > RANK_TOL * s[0])) if s.size and s[0] else 0)
+    assert sections.shape[1] == op.d0 - rank
+    assert harm.shape[1] == op.d1 - rank
+
+
+def loop_form_coboundary(sheaf):
+    """B and M1 filled one slice assignment per edge and per vertex."""
+    ends = np.cumsum(sheaf.vertex_stalk_dims)
+    at = [slice(end - d, end) for end, d in zip(ends, sheaf.vertex_stalk_dims)]
+    B = np.zeros((sheaf.d1, sheaf.d0))
+    for e, (tail, head) in enumerate(sheaf.graph.edges):
+        rows = sheaf.edge_slices[e]
+        B[rows, at[head]] += sheaf.head_maps[e]
+        B[rows, at[tail]] -= sheaf.tail_maps[e]
+    M1 = np.zeros((sheaf.d0, sheaf.d0))
+    for v, g in enumerate(sheaf.vertex_grams):
+        M1[at[v], at[v]] = g
+    return B, M1
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_vertices=st.integers(1, 4),
+    n_edges=st.integers(0, 7),
+    weighted=st.booleans(),
+)
+def test_block_fill_equals_the_per_edge_loop_bit_for_bit(seed, n_vertices, n_edges, weighted):
+    # self-loops accumulate both maps into one block, and a -0.0 map entry
+    # becomes +0.0 (0.0 + -0.0), which a bare copy would not give
+    rng = np.random.default_rng(seed)
+    base = random_sheaf(rng, n_vertices, n_edges, weighted=weighted, allow_self_loops=True)
+
+    def signed_zeros(m):
+        return np.where(rng.random(m.shape) < 0.5, rng.choice([0.0, -0.0], m.shape), m)
+
+    sheaf = Sheaf(
+        base.graph,
+        base.vertex_stalk_dims,
+        base.edge_stalk_dims,
+        [signed_zeros(m) for m in base.head_maps],
+        [signed_zeros(m) for m in base.tail_maps],
+        base.vertex_grams,
+        base.edge_grams,
+    )
+    op = build_coboundary(sheaf)
+    B, M1 = loop_form_coboundary(sheaf)
+    assert op.B.tobytes() == B.tobytes() and op.M1.tobytes() == M1.tobytes()
 
 
 def test_gram_factor_falls_back_to_an_eigenfactorization(mixed_sheaf, monkeypatch):

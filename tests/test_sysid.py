@@ -1,5 +1,10 @@
 """Residual extraction, identifiability matrices, and the two estimators."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from conftest import random_sheaf
@@ -210,6 +215,32 @@ def test_information_zero_without_excitation(rotated_cycle):
     assert not report.identifiable
 
 
+_INFORMATION_BITS = """
+import numpy as np
+import sheaf_sysid as ss
+sheaf = ss.make_cycle_sheaf(3, "rotated")
+op = ss.build_coboundary(sheaf)
+states = 0.8 * np.random.default_rng(0).standard_normal((20_000, op.d0))
+data = ss.ResidualDataset(states, np.zeros_like(states), states @ op.B.T, "exact")
+print(ss.information_scalar(op, ss.BoundedConfidence(sheaf, 1.0), data).lambda_min.hex())
+"""
+
+
+def test_information_number_does_not_depend_on_the_blas_thread_count():
+    # a BLAS dot product of the 120,000-entry sensitivity column is split
+    # across threads, so its last bits would follow OPENBLAS_NUM_THREADS
+    src = str(Path(sysid.__file__).resolve().parents[1])
+    bits = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        run = subprocess.run(
+            [sys.executable, "-c", _INFORMATION_BITS], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        bits.append(run.stdout)
+    assert bits[0] == bits[1]
+
+
 # --- estimators ----------------------------------------------------------------
 
 
@@ -285,6 +316,27 @@ def test_fit_threshold_validates_bracket(rotated_cycle):
     data = forward_dataset(op, BoundedConfidence(sheaf, 1.0), np.zeros((1, op.d0)))
     with pytest.raises(ParameterError):
         fit_threshold(op, data, (1.0, 0.5))
+    with pytest.raises(ParameterError, match="hi <= 1e100"):
+        fit_threshold(op, data, (0.25, 1e200))  # its square overflows a float
+
+
+def test_golden_section_stops_when_its_points_stop_parting(rotated_cycle, monkeypatch):
+    # above 1e6 the spacing of doubles exceeds the absolute tolerance 1e-10,
+    # so the interval can stop shrinking while it is still wider than that
+    sheaf, op = rotated_cycle
+    states = 0.8 * np.random.default_rng(0).standard_normal((50, op.d0))
+    data = forward_dataset(op, BoundedConfidence(sheaf, 1.0), states)
+    calls = []
+    objective = sysid.threshold_objective
+
+    def counted(terms, epsilon):
+        calls.append(epsilon)
+        assert len(calls) < 10_000, "golden section does not stop"
+        return objective(terms, epsilon)
+
+    monkeypatch.setattr(sysid, "threshold_objective", counted)
+    a, b = fit_threshold(op, data, (1e6, 1e7)).diagnostics["refined_bracket"]
+    assert 1e6 <= a <= b <= 1e7 and b - a <= 4 * np.spacing(b)
 
 
 # --- structural invariants -------------------------------------------------------
@@ -453,6 +505,9 @@ def test_any_factor_of_m1_gives_the_same_fits(mixed_sheaf):
 def test_each_fit_decomposes_its_information_matrix_once(mixed_sheaf, monkeypatch):
     op = build_coboundary(mixed_sheaf)
     data = weighted_dataset(op)
+    # delta* and L1 are assembled (with per-block solves) on first read, and
+    # that is not a decomposition of the Gram
+    assert op.delta_star_matrix.shape == (op.d0, op.d1) and op.L1.shape == (op.d0, op.d0)
     calls = []
     eigh = np.linalg.eigh
 
