@@ -11,7 +11,6 @@ from .dynamics import (
     Trajectory,
     equilibrium_projection,
     integrate,
-    laplacian_apply,
     load_trajectory_csv,
     observe,
     save_trajectory_csv,
@@ -63,9 +62,7 @@ from .sheaf import (
     harmonic_basis,
     hodge_project,
     load_sheaf,
-    save_sheaf,
     sheaf_from_dict,
-    sheaf_to_dict,
 )
 from .sysid import (
     EstimationResult,

@@ -75,6 +75,9 @@ def _load_config(path: str) -> dict:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ConfigurationError("config must be a JSON object")
+    nulls = sorted(key for key, value in config.items() if value is None)
+    if nulls:
+        raise ConfigurationError(f"config keys may not be null: {nulls}")
     return config
 
 
@@ -262,9 +265,9 @@ def cmd_simulate(config: dict, out_dir: Path, quiet: bool) -> int:
     _write_json(out_dir / f"manifest_{tag}.json", manifest)
     if not quiet:
         print(f"wrote {len(files)} trajectories to {out_dir}")
-        for failure in failures:
-            print(f"trajectory {failure['index']} diverged at t = {failure['time']}")
-    return 2 if failures else 0
+    if failures:
+        raise DivergenceError(f"{len(failures)}/{len(ics)} starts diverged (manifest_{tag}.json)")
+    return 0
 
 
 _IDENTIFY_KEYS = {
@@ -276,15 +279,31 @@ _IDENTIFY_KEYS = {
 }
 
 
+def _read_manifest(path: Path) -> tuple[Path, list[str]]:
+    """The simulate manifest at path, or the one in the directory path, and
+    the trajectory file names it lists."""
+    found = sorted(path.glob("manifest_*.json")) if path.is_dir() else [path]
+    if len(found) != 1:
+        raise ConfigurationError(f"{path} holds {[p.name for p in found]}, not one manifest")
+    try:
+        manifest = json.loads(found[0].read_text())
+    except ValueError:  # not UTF-8 or not JSON
+        manifest = None
+    names = manifest.get("trajectories") if isinstance(manifest, dict) else None
+    if not isinstance(names, list) or not names or not all(
+        isinstance(name, str) and name.isprintable() and Path(name).name == name for name in names
+    ):
+        raise UsageError(f"{found[0]} is not a simulate manifest that lists trajectory files")
+    return found[0], names
+
+
 def cmd_identify(config: dict, out_dir: Path, quiet: bool) -> int:
     _require_keys(config, _IDENTIFY_KEYS, "config")
     sheaf = _build_sheaf(config.get("sheaf", {}))
     op = build_coboundary(sheaf)
-    traj_dir = Path(_path(config.get("trajectories", "."), "trajectories"))
-    paths = sorted(traj_dir.glob("*.csv")) if traj_dir.is_dir() else []
+    manifest, names = _read_manifest(Path(_path(config.get("trajectories", "."), "trajectories")))
+    paths = [manifest.parent / name for name in names]
     trajectories = [load_trajectory_csv(p) for p in paths]
-    if not trajectories:
-        raise UsageError(f"no trajectory files found under {traj_dir}")
     for path, traj in zip(paths, trajectories):
         if traj.states.shape[1] != op.d0:
             raise UsageError(f"{path}: state width {traj.states.shape[1]} is not d0 = {op.d0}")
@@ -318,7 +337,8 @@ def cmd_identify(config: dict, out_dir: Path, quiet: bool) -> int:
     tag = config_hash(config)
     report = {
         "config_hash": tag,
-        "trajectory_files": [p.name for p in paths],
+        "manifest": manifest.name,
+        "trajectory_files": names,
         "n_samples": data.n_samples,
         "residual_mode": mode,
         "identifiable": bool(result.report.identifiable),
@@ -397,10 +417,9 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = _load_config(args.config)
-        declared = config.get("command")
-        if declared is not None and declared != args.command:
+        if config.get("command", args.command) != args.command:
             raise ConfigurationError(
-                f"config declares command '{declared}', invoked as '{args.command}'"
+                f"config declares command '{config['command']}', invoked as '{args.command}'"
             )
         if args.seed is not None:
             if args.command == "experiment":

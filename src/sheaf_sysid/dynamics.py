@@ -57,16 +57,6 @@ class Trajectory:
         return self.states.shape[0]
 
 
-def laplacian_apply(
-    op: CoboundaryOperator, model: EdgePotential, x: np.ndarray
-) -> np.ndarray:
-    """Evaluate delta*(Phi(delta x)) over leading axes, each row on its own bits."""
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1:] != (op.d0,):
-        raise StructuralError(f"state has shape {x.shape}, expected a last axis of length {op.d0}")
-    return _laplacian(op, model, x)
-
-
 def _laplacian(op, model, x):
     y = np.einsum("...i,ji->...j", x, op.B)
     return np.einsum("...i,ji->...j", model.force(y), op.delta_star_matrix)

@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, StructuralError, UsageError
+from .errors import ParameterError, StructuralError
 from .sheaf import Sheaf
 
 
@@ -45,10 +45,6 @@ class EdgePotential:
 
     def force(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def param_jacobian(self, y: np.ndarray) -> np.ndarray:
-        """Columns d Phi / d theta_m, shape (..., d1, p)."""
-        raise UsageError(f"{type(self).__name__} has no parameters")
 
     def take_rows(self, rows) -> "EdgePotential":
         """The model on the batch rows picked by ``rows`` (an index array or a
@@ -307,11 +303,6 @@ class LinearBasisPotential(EdgePotential):
         if self._constant is not None:
             out += self._constant
         return out
-
-    def param_jacobian(self, y):
-        y = self._batch(y)
-        cols = [bf.force(y) for bf in self.basis]
-        return np.stack(cols, axis=-1)
 
 
 def monomial_basis(sheaf: Sheaf) -> tuple[RadialMonomialForce, ...]:

@@ -494,32 +494,11 @@ def delta_pseudoinverse_apply(op: CoboundaryOperator, b: np.ndarray) -> np.ndarr
 #      "gram": [[...]]}                           # gram optional
 #   ]
 # }
-# Numeric fields round-trip bit-identically (shortest-repr JSON floats).
+# A number written in its shortest repr reads back as that float, bit for bit.
 # ---------------------------------------------------------------------------
 
 _SHEAF_KEYS = {"vertex_count", "vertex_stalk_dims", "vertex_grams", "edges"}
 _EDGE_KEYS = {"tail", "head", "stalk_dim", "head_map", "tail_map", "gram"}
-
-
-def sheaf_to_dict(sheaf: Sheaf) -> dict:
-    edges = []
-    for e, (tail, head) in enumerate(sheaf.graph.edges):
-        edges.append(
-            {
-                "tail": tail,
-                "head": head,
-                "stalk_dim": sheaf.edge_stalk_dims[e],
-                "head_map": sheaf.head_maps[e].tolist(),
-                "tail_map": sheaf.tail_maps[e].tolist(),
-                "gram": sheaf.edge_grams[e].tolist(),
-            }
-        )
-    return {
-        "vertex_count": sheaf.graph.vertex_count,
-        "vertex_stalk_dims": list(sheaf.vertex_stalk_dims),
-        "vertex_grams": [g.tolist() for g in sheaf.vertex_grams],
-        "edges": edges,
-    }
 
 
 def sheaf_from_dict(data: dict) -> Sheaf:
@@ -593,10 +572,6 @@ def _matrix(value, what: str) -> np.ndarray:
     ):
         raise StructuralError(f"sheaf {what} must be a rectangular array of finite numbers")
     return np.array(rows, dtype=float)
-
-
-def save_sheaf(sheaf: Sheaf, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(sheaf_to_dict(sheaf), indent=1) + "\n")
 
 
 def load_sheaf(path: str | Path) -> Sheaf:

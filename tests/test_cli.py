@@ -260,7 +260,7 @@ def test_simulate_writes_trajectory_i_observed_under_seed_path_seed_i(tmp_path):
         assert not np.array_equal(written.states, clean[i].states)
 
 
-def test_simulate_divergence_returns_2_with_partial_outputs(tmp_path):
+def test_simulate_divergence_returns_2_with_partial_outputs(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
         "sim_div.json",
@@ -274,7 +274,10 @@ def test_simulate_divergence_returns_2_with_partial_outputs(tmp_path):
     )
     out = tmp_path / "div_out"
     assert run_cli("simulate", cfg, out) == 2
-    manifest = json.loads(next(out.glob("manifest_*.json")).read_text())
+    manifest_path = next(out.glob("manifest_*.json"))
+    # an error line even under --quiet, as on every other failing path
+    assert capsys.readouterr().err == f"error: 1/2 starts diverged ({manifest_path.name})\n"
+    manifest = json.loads(manifest_path.read_text())
     assert len(manifest["trajectories"]) == 1  # the global section survived
     assert manifest["diverged"][0]["index"] == 1
     assert manifest["diverged"][0]["time"] > 0
@@ -426,9 +429,71 @@ def test_identify_rejects_malformed_trajectory_files(tmp_path, capsys):
     data_dir.mkdir()
     bad = data_dir / "ragged.csv"
     bad.write_text("time,x0,x1\n0.0,1.0,2.0\n0.1,1.0\n")
+    (data_dir / "manifest_0.json").write_text(json.dumps({"trajectories": ["ragged.csv"]}))
     cfg = _identify_config(tmp_path, data_dir)
     assert run_cli("identify", cfg, tmp_path / "o") == 1
     assert "ragged.csv" in capsys.readouterr().err
+
+
+def test_identify_reads_the_manifest_not_every_csv(tmp_path):
+    # the parent read every *.csv under trajectories, so a cohomology basis
+    # written beside the simulate output ended the run in exit 1
+    data_dir = _make_training_data(
+        tmp_path, {"kind": "monomial", "theta": [1.0, 0.25, 0.03]}, count=2
+    )
+    cohomology = write_config(tmp_path, "coh.json", {"command": "cohomology", "sheaf": _CYCLE})
+    assert run_cli("cohomology", cohomology, data_dir) == 0
+    assert any(data_dir.glob("harmonic_basis_*.csv"))
+    assert run_cli("identify", _identify_config(tmp_path, data_dir), tmp_path / "o") == 0
+    report = json.loads(next((tmp_path / "o").glob("identify_*.json")).read_text())
+    manifest = next(data_dir.glob("manifest_*.json"))
+    assert report["manifest"] == manifest.name
+    assert report["trajectory_files"] == json.loads(manifest.read_text())["trajectories"]
+
+
+def test_identify_refuses_to_pool_two_simulate_runs(tmp_path, capsys):
+    # two laws simulated into one directory: the parent fit all four files as
+    # one dataset and reported a confident theta that matches neither law
+    data_dir = tmp_path / "data"
+    laws = [({"kind": "quadratic"}, [1.0, 0.0, 0.0]),
+            ({"kind": "monomial", "theta": [1.0, 0.25, 0.03]}, [1.0, 0.25, 0.03])]
+    hashes = []
+    for potential, _ in laws:
+        sim = _simulate_config(potential=potential, horizon=2.0)
+        sim["random_initial_states"]["count"] = 2
+        assert run_cli("simulate", write_config(tmp_path, "sim.json", sim), data_dir) == 0
+        hashes.append(cli.config_hash(sim))
+    capsys.readouterr()
+    assert run_cli("identify", _identify_config(tmp_path, data_dir), tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and all(tag in err for tag in hashes)
+    # naming one manifest fits that run alone
+    for tag, (_, theta) in zip(hashes, laws):
+        payload = {**_IDENTIFY, "trajectories": str(data_dir / f"manifest_{tag}.json")}
+        out = tmp_path / tag
+        assert run_cli("identify", write_config(tmp_path, "id.json", payload), out) == 0
+        report = json.loads(next(out.glob("identify_*.json")).read_text())
+        assert report["manifest"] == f"manifest_{tag}.json"
+        assert np.allclose(report["theta_hat"], theta, rtol=0.0, atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [None, "{not json", b"\xff\xfe", "[]", '{"trajectories": "a.csv"}', '{"trajectories": [5]}',
+     '{"trajectories": ["../a.csv"]}', '{"trajectories": ["a\\u0000.csv"]}', '{"trajectories": []}'],
+    ids=["none", "not_json", "not_utf8", "list", "string", "number", "parent_path", "nul", "empty"],
+)
+def test_identify_without_a_usable_manifest_exits_1(tmp_path, capsys, manifest):
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    (data_dir / "a.csv").write_text("time,x0\n0.0,1.0\n")
+    if isinstance(manifest, bytes):
+        (data_dir / "manifest_0.json").write_bytes(manifest)
+    elif manifest is not None:
+        (data_dir / "manifest_0.json").write_text(manifest)
+    assert run_cli("identify", _identify_config(tmp_path, data_dir), tmp_path / "o") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "manifest" in err and "Traceback" not in err
 
 
 # --- experiment ---------------------------------------------------------------------
@@ -718,6 +783,24 @@ def test_a_path_that_is_not_a_string_exits_1_naming_its_key(
 ):
     payload = {**_MINIMAL[command], **fields}
     _assert_config_error(tmp_path, capsys, command, payload, f"{key} must be a path string")
+
+
+@pytest.mark.parametrize(
+    "command, fields",
+    [
+        ("experiment", {"seeds": None}),
+        ("experiment", {"n_training": None, "seeds": [0]}),
+        ("simulate", {"command": None}),
+        ("simulate", {"initial_states": None}),
+    ],
+    ids=["seeds", "n_training", "command", "initial_states"],
+)
+def test_a_null_top_level_key_exits_1_naming_it(tmp_path, capsys, command, fields):
+    # the parent read a null as an absent key: a full-size run, or the other
+    # source of starts
+    payload = {**_MINIMAL[command], **fields}
+    keys = sorted(key for key, value in fields.items() if value is None)
+    _assert_config_error(tmp_path, capsys, command, payload, f"config keys may not be null: {keys}")
 
 
 @pytest.mark.parametrize("where", ["config", "sheaf"])

@@ -1,6 +1,6 @@
-"""The CLI's error contract under mutated README configs, sheaf files and
-trajectory files: every run exits 0, 1 or 2, and a failing run prints an
-``error:`` line and no traceback.
+"""The CLI's error contract under mutated README configs, sheaf files,
+trajectory files and simulate manifests: every run exits 0, 1 or 2, and a
+failing run prints an ``error:`` line and no traceback.
 
 Every size an example can draw is bounded, so no example allocates or steps
 without limit: cycles of at most 9 vertices and stalks of at most 9
@@ -37,6 +37,13 @@ SIZED = {
 for config in CONFIGS:
     config.pop("base_seed", None)
     config.update(copy.deepcopy(SIZED.get(config["command"], {})))
+# The simulate config with a law whose force overflows at its huge starts, so
+# that examples reach the divergence exit (2) as well.
+CONFIGS.append({
+    **copy.deepcopy(CONFIGS[1]),
+    "potential": {"kind": "monomial", "theta": [1.0, 0.25, 0.03]},
+    "random_initial_states": {"count": 2, "scale": 1e200},
+})
 
 # A file form of the rotated 3-cycle, for "sheaf": {"path": ...}.
 _ROTATION = [[0.7071067811865476, -0.7071067811865475], [0.7071067811865475, 0.7071067811865476]]
@@ -64,7 +71,6 @@ ANY_VALUE = st.one_of(
     st.floats(-2.0, 2.0),
     st.sampled_from([0.0, -0.0, 1e-300, 1e300, -1e300]),
 )
-NOT_NULL = NOT_A_NUMBER.filter(lambda v: v is not None)
 
 # Names the CLI reads as choices, drawn from among the valid ones as well.
 NAMED = {
@@ -99,10 +105,9 @@ SIZE_KEYS = {
     "step": st.one_of(st.floats(0.01, 0.2), st.sampled_from([0.0, -0.01]), NOT_A_NUMBER),
     "count": bounded(-1, 3, integer=True),
     "training_horizon": bounded(-0.05, 0.1),
-    "n_training": bounded(-1, 3, integer=True).filter(lambda v: v is not None),
+    "n_training": bounded(-1, 3, integer=True),
     "n_holdout": bounded(-1, 3, integer=True),
-    # a null seeds or n_training stands for the study's full-size default
-    "seeds": st.one_of(st.lists(st.integers(-1, 5), max_size=3), NOT_NULL),
+    "seeds": st.one_of(st.lists(st.integers(-1, 5), max_size=3), NOT_A_NUMBER),
     "vertex_count": bounded(-1, 9, integer=True),
     "vertex_stalk_dims": st.one_of(st.lists(st.integers(-1, 9), max_size=4), NOT_A_NUMBER),
     "stalk_dim": bounded(-1, 9, integer=True),
@@ -176,12 +181,15 @@ def test_every_mutated_run_exits_0_1_or_2_with_an_error_line(tmp_path, monkeypat
     config = data.draw(st.sampled_from(configs), label="config")
     command = config["command"]
     if command == "identify":
-        # the trajectories the README's simulate config writes, one maybe mutated
+        # the trajectories the README's simulate config writes, one of them and
+        # the manifest maybe mutated
         (work / "simulate.json").write_text(json.dumps(configs[1]))
         assert run("simulate", work / "simulate.json", "trajectories/") == (0, "")
+        manifest = next((work / "trajectories").glob("manifest_*.json"))
         csv = sorted((work / "trajectories").glob("*.csv"))[0]
-        assert len(csv.read_bytes()) <= MAX_FILE
-        csv.write_bytes(mutate_bytes(data, csv.read_bytes(), "trajectory file"))
+        for path, label in ((csv, "trajectory file"), (manifest, "manifest")):
+            assert len(path.read_bytes()) <= MAX_FILE
+            path.write_bytes(mutate_bytes(data, path.read_bytes(), label))
     if "sheaf" in config and data.draw(st.booleans(), label="sheaf file"):
         sheaf = copy.deepcopy(SHEAF)
         mutate(data, sheaf, "sheaf")

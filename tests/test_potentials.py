@@ -15,7 +15,6 @@ from sheaf_sysid import (
     RadialMonomialForce,
     ShiftedQuadratic,
     StructuralError,
-    UsageError,
     build_coboundary,
     monomial_basis,
     monomial_potential,
@@ -158,18 +157,6 @@ def test_antagonistic_force_signs(identity_cycle):
     assert np.allclose(force[4:6], y[4:6])
 
 
-def test_monomial_param_jacobian_example(identity_cycle):
-    sheaf, _ = identity_cycle
-    model = monomial_potential(sheaf, [1.0, 0.25, 0.03])
-    y = np.zeros(sheaf.d1)
-    y[0:2] = [1.0, 0.0]
-    jac = model.param_jacobian(y)
-    assert jac.shape == (sheaf.d1, 3)
-    for m in range(3):
-        assert np.allclose(jac[0:2, m], [1.0, 0.0])
-        assert np.allclose(jac[2:, m], 0.0)
-
-
 def test_threshold_jacobian_zero_above_threshold(identity_cycle):
     sheaf, _ = identity_cycle
     model = BoundedConfidence(sheaf, 1.0)
@@ -182,19 +169,6 @@ def test_param_jacobian_matches_fd_for_parametric_families():
     sheaf = random_sheaf(rng, n_vertices=3, n_edges=4)
     y = 0.4 * rng.standard_normal(sheaf.d1)
     h = 1e-6
-
-    model = monomial_potential(sheaf, [1.0, 0.25, 0.03])
-    jac = model.param_jacobian(y)
-    for m in range(3):
-        up, dn = model.theta.copy(), model.theta.copy()
-        up[m] += h
-        dn[m] -= h
-        fd = (
-            LinearBasisPotential(sheaf, model.basis, up).force(y)
-            - LinearBasisPotential(sheaf, model.basis, dn).force(y)
-        ) / (2 * h)
-        assert np.abs(jac[:, m] - fd).max() <= 1e-6 * (1 + np.abs(fd).max())
-
     bc = BoundedConfidence(sheaf, 0.8)
     jac = bc.param_jacobian(y)[:, 0]
     fd = (
@@ -205,9 +179,11 @@ def test_param_jacobian_matches_fd_for_parametric_families():
 
 
 def test_nonparametric_family_rejects_jacobian(identity_cycle):
+    # information_scalar reads the threshold's; no other family defines one
     sheaf, _ = identity_cycle
-    with pytest.raises(UsageError):
-        Quadratic(sheaf).param_jacobian(np.zeros(sheaf.d1))
+    models = (Quadratic(sheaf), Antagonistic(sheaf, [0]), monomial_potential(sheaf, [1.0] * 3))
+    assert not any(hasattr(model, "param_jacobian") for model in models)
+    assert hasattr(BoundedConfidence(sheaf, 1.0), "param_jacobian")
 
 
 def loop_integral(model, waypoints, subdivisions=200):
@@ -355,7 +331,7 @@ def test_row_theta_gives_each_row_its_scalar_bits(identity_cycle, degrees, theta
     y[1, 2:4] = -0.0
     y[4] = -0.0
     rows = LinearBasisPotential(sheaf, basis, thetas)
-    for name in ("force", "value", "param_jacobian"):
+    for name in ("force", "value"):
         got = getattr(rows, name)(y)
         for i, theta in enumerate(thetas):
             alone = getattr(LinearBasisPotential(sheaf, basis, theta), name)(y[i])
@@ -564,7 +540,8 @@ def test_a_row_parameter_model_takes_only_its_own_batch(rotated_cycle, family):
         model = LinearBasisPotential(sheaf, basis, np.full((2, len(basis)), 0.5))
     wrong = [np.ones(sheaf.d1), np.ones((1, sheaf.d1)), np.ones((3, sheaf.d1)),
              np.ones((2, 2, sheaf.d1)), np.ones((0, sheaf.d1))]
-    for name in ("force", "value", "param_jacobian"):
+    names = ("force", "value", "param_jacobian") if family == "threshold" else ("force", "value")
+    for name in names:
         for y in wrong:
             with pytest.raises(StructuralError, match="2 parameter rows for a batch of "):
                 getattr(model, name)(y)

@@ -26,9 +26,7 @@ from sheaf_sysid import (
     hodge_project,
     load_sheaf,
     make_cycle_sheaf,
-    save_sheaf,
     sheaf_from_dict,
-    sheaf_to_dict,
 )
 
 
@@ -257,42 +255,53 @@ def test_edge_referencing_missing_vertex_raises():
 
 
 def test_sheaf_file_roundtrip_is_bit_identical(tmp_path):
+    # random floats written in their shortest repr (json.dumps) read back bit for bit
     rng = np.random.default_rng(31)
-    sheaf = random_sheaf(rng)
+    ends, dims = ((0, 1), (1, 2), (2, 0), (1, 1)), [2, 3, 1]
+    heads = [rng.standard_normal((2, dims[h])) for _, h in ends]
+    tails = [rng.standard_normal((2, dims[t])) for t, _ in ends]
+    edge_grams = [random_spd(rng, 2) for _ in ends]
+    vertex_grams = [random_spd(rng, d) for d in dims]
+    edges = [
+        {"tail": t, "head": h, "stalk_dim": 2,
+         "head_map": H.tolist(), "tail_map": T.tolist(), "gram": G.tolist()}
+        for (t, h), H, T, G in zip(ends, heads, tails, edge_grams)
+    ]
+    vertex_lists = [g.tolist() for g in vertex_grams]
+    data = {"vertex_count": 3, "vertex_stalk_dims": dims, "vertex_grams": vertex_lists,
+            "edges": edges}
     path = tmp_path / "sheaf.json"
-    save_sheaf(sheaf, path)
-    reloaded = load_sheaf(path)
-    path2 = tmp_path / "sheaf2.json"
-    save_sheaf(reloaded, path2)
-    assert path.read_bytes() == path2.read_bytes()
-    for a, b in zip(sheaf.head_maps, reloaded.head_maps):
-        assert np.array_equal(a, b)
-    for a, b in zip(sheaf.vertex_grams, reloaded.vertex_grams):
-        assert np.array_equal(a, b)
+    path.write_text(json.dumps(data, indent=1))
+    sheaf = load_sheaf(path)
+    assert sheaf.graph.edges == ends
+    for got, want in ((sheaf.head_maps, heads), (sheaf.tail_maps, tails),
+                      (sheaf.edge_grams, edge_grams), (sheaf.vertex_grams, vertex_grams)):
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+
+
+TWO_VERTEX = {
+    "vertex_count": 2,
+    "vertex_stalk_dims": [2, 2],
+    "edges": [
+        {
+            "tail": 0,
+            "head": 1,
+            "stalk_dim": 2,
+            "head_map": [[1.0, 0.0], [0.0, 1.0]],
+            "tail_map": [[1.0, 0.0], [0.0, 1.0]],
+        }
+    ],
+}
 
 
 def test_sheaf_dict_omitted_grams_default_to_identity():
-    data = {
-        "vertex_count": 2,
-        "vertex_stalk_dims": [2, 2],
-        "edges": [
-            {
-                "tail": 0,
-                "head": 1,
-                "stalk_dim": 2,
-                "head_map": [[1.0, 0.0], [0.0, 1.0]],
-                "tail_map": [[1.0, 0.0], [0.0, 1.0]],
-            }
-        ],
-    }
-    sheaf = sheaf_from_dict(data)
+    sheaf = sheaf_from_dict(TWO_VERTEX)
     assert np.array_equal(sheaf.edge_grams[0], np.eye(2))
     assert np.array_equal(sheaf.vertex_grams[1], np.eye(2))
 
 
 def test_sheaf_dict_rejects_unknown_keys():
-    data = sheaf_to_dict(two_vertex_sheaf())
-    data["extra"] = 1
+    data = {**TWO_VERTEX, "extra": 1}
     with pytest.raises(StructuralError):
         sheaf_from_dict(data)
 
@@ -302,11 +311,6 @@ def test_malformed_sheaf_file_raises(tmp_path):
     path.write_text("{not json")
     with pytest.raises(StructuralError):
         load_sheaf(path)
-
-
-def test_sheaf_to_dict_is_json_serializable(identity_cycle):
-    sheaf, _ = identity_cycle
-    json.dumps(sheaf_to_dict(sheaf))
 
 
 # --- per-edge norm primitive -------------------------------------------------

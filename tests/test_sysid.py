@@ -29,7 +29,6 @@ from sheaf_sysid import (
     fit_threshold,
     information_scalar,
     integrate,
-    laplacian_apply,
     make_cycle_sheaf,
     merge_datasets,
     monomial_basis,
@@ -41,7 +40,7 @@ from sheaf_sysid import (
     threshold_terms,
 )
 from sheaf_sysid import sysid
-from sheaf_sysid.dynamics import Trajectory
+from sheaf_sysid.dynamics import Trajectory, _laplacian
 from sheaf_sysid.sheaf import CoboundaryOperator
 
 
@@ -153,9 +152,9 @@ def test_fd_requires_uniform_times(identity_cycle):
 
 def design_columns(op, basis, data):
     """Stacked design matrix, N*d0 rows: column m holds the predicted residuals
-    delta*(f_m(delta x)) of basis force m alone, from laplacian_apply."""
+    delta*(f_m(delta x)) of basis force m alone, from the integrator's vector field."""
     columns = [
-        laplacian_apply(op, LinearBasisPotential(op.sheaf, basis, unit), data.states).ravel()
+        _laplacian(op, LinearBasisPotential(op.sheaf, basis, unit), data.states).ravel()
         for unit in np.eye(len(basis))
     ]
     return np.stack(columns, axis=-1)
