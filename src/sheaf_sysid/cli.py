@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -104,9 +105,16 @@ def _number(spec: dict, key: str, default, low: float = -math.inf, integer: bool
 
 def _path(value, key: str) -> str:
     """value, a file or directory path; anything but a string without NUL
-    characters raises ConfigurationError naming ``key``."""
+    characters that the file system can encode (a lone surrogate it cannot)
+    raises ConfigurationError naming ``key``."""
     if not isinstance(value, str) or "\0" in value:
         raise ConfigurationError(f"{key} must be a path string, got {value!r}")
+    try:
+        os.fsencode(value)
+    except UnicodeEncodeError:
+        raise ConfigurationError(
+            f"{key} must be a path string the file system can encode, got {value!r}"
+        ) from None
     return value
 
 

@@ -14,8 +14,9 @@ Gram matrices ``M1`` and ``M2``, so the adjoint is ``delta* = M1^{-1} B^T M2``.
 Everything downstream -- global sections (ker delta), the harmonic space
 (ker delta*), Hodge projections, and pseudoinverse solves -- is read off the
 whitened matrix ``L2^T B L1^{-T}`` with ``M1 = L1 L1^T`` and ``M2 = L2 L2^T``.
-The operator is assembled block by block from the stalk Grams and the edge
-maps, with no dense factorization or solve.  The rank, both cohomology
+The operator is built from the sheaf alone, one stack of blocks per block
+shape, with no dense factorization or solve; B, M1, M2 and the rest are
+assembled as dense matrices only when read.  The rank, both cohomology
 dimensions and the spectrum come from the singular values alone, computed on
 the first query that needs them.  The singular vectors come from a second,
 full SVD that runs only for a nonempty null basis or a pseudoinverse solve, so
@@ -120,9 +121,12 @@ class Sheaf:
     (edge dim, tail-vertex dim).  Grams default to identities.
 
     ``M2`` is the block-diagonal (read-only) Gram matrix of the 1-cochains,
-    shared with every operator built from the sheaf.  Per-edge work views a
-    1-cochain (..., d1) as blocks (..., E_k, k), one group per stalk width k:
-    a reshape on a uniform layout, a column gather per group on a mixed one.
+    assembled from the edge Grams on first read and shared with every
+    operator built from the sheaf; operators read the Gram blocks instead,
+    and the per-edge norms read M2's nonzero diagonals, taken one per width
+    group from the blocks.  Per-edge work views a 1-cochain (..., d1) as
+    blocks (..., E_k, k), one group per stalk width k: a reshape on a
+    uniform layout, a column gather per group on a mixed one.
     ``edge_sq_norms(y)`` gives the squared Gram norms |y_e|^2 (..., edge_count)
     bit for bit as ``np.add.reduceat``, each from its edge's own Gram block so
     a row's result does not depend on its batch; ``edge_scale(y, g)`` scales
@@ -170,19 +174,6 @@ class Sheaf:
         self.edge_slices = tuple(
             slice(int(a), int(b)) for a, b in zip(e_offsets[:-1], e_offsets[1:])
         )
-        self.M2 = np.zeros((self.d1, self.d1))
-        for sl, g in zip(self.edge_slices, self.edge_grams):
-            self.M2[sl, sl] = g
-        self.M2.flags.writeable = False
-        # M2 in band storage: the main diagonal, then every nonzero diagonal
-        # at offset k (entries M2[j, j + k]), so M2 y costs O(d1) per band;
-        # none at all for identity Grams, as y * 1.0 is y bit for bit.
-        width = max(self.edge_stalk_dims, default=0)
-        offsets = [0] + [
-            k for k in range(1 - width, width) if k and np.diagonal(self.M2, k).any()
-        ]
-        bands = tuple((k, np.diagonal(self.M2, k).copy()) for k in offsets)
-        self._gram_bands = () if offsets == [0] and (bands[0][1] == 1.0).all() else bands
         # The edges of each stalk width k and their columns (E_k, k); the one
         # group of a uniform layout holds every edge in order, so its blocks
         # are a reshape of the last axis to (..., E, k) rather than a gather.
@@ -191,12 +182,37 @@ class Sheaf:
             (at, e_offsets[at, None] + np.arange(k)) for (k,), at in groups
         )
         self._uniform = self._width_groups[0][1].shape if len(groups) == 1 else None
+        self._edge_blocks = tuple(
+            (at, c[:, :, None], c[:, None, :]) for at, c in self._width_groups
+        )
+        self._m2 = _block_rows(self.edge_grams, self._edge_blocks)
+        # M2 in band storage: the main diagonal, then every nonzero diagonal
+        # at offset k (entries M2[j, j + k]), so M2 y costs O(d1) per band;
+        # none at all for identity Grams, as y * 1.0 is y bit for bit.  Band
+        # k holds the k-th diagonal of each width group's Gram stack.
+        width = max(self.edge_stalk_dims, default=0)
+        bands = []
+        for k in [0] + [k for k in range(1 - width, width) if k]:
+            band = np.zeros(self.d1 - abs(k))
+            for _, rows, _ in self._edge_blocks:
+                if abs(k) < rows.shape[1]:
+                    at = rows[:, : rows.shape[1] - abs(k), 0]
+                    band[at] = np.diagonal(_blocks(self._m2, rows), k, axis1=1, axis2=2)
+            if k == 0 or band.any():
+                bands.append((k, band))
+        self._gram_bands = () if len(bands) == 1 and (bands[0][1] == 1.0).all() else tuple(bands)
 
     @functools.cached_property
-    def _operator_blocks(self) -> tuple[list, list, list]:
+    def M2(self) -> np.ndarray:
+        m2 = _dense(self._m2, self._edge_blocks)
+        m2.flags.writeable = False
+        return m2
+
+    @functools.cached_property
+    def _operator_blocks(self) -> tuple[list, list]:
         """Index stacks of the operator's blocks per block shape: (stalks, rows,
-        cols) of each Gram's diagonal blocks, and (edges, tail, rows, cols, rows,
-        cols) of B's head blocks, then tail blocks (a self-loop's comes twice)."""
+        cols) of M1's diagonal blocks, and (edges, tail, rows, cols, rows, cols)
+        of B's head blocks, then tail blocks (a self-loop's comes twice)."""
         v_dims = np.array(self.vertex_stalk_dims, dtype=np.intp)
         e_dims = np.array(self.edge_stalk_dims, dtype=np.intp)
         v_starts, e_starts = np.cumsum(v_dims) - v_dims, np.cumsum(e_dims) - e_dims
@@ -204,8 +220,7 @@ class Sheaf:
         e, v = np.tile(np.arange(e_dims.size), 2), np.concatenate([heads, tails])
         tail = np.arange(e.size) >= e_dims.size
         vertex = [(at,) + _block_index(v_starts[at], d) for (d,), at in _grouped(v_dims)]
-        edge = [(at, c[:, :, None], c[:, None, :]) for at, c in self._width_groups]
-        return vertex, edge, [
+        return vertex, [
             (e[at], t) + _block_index(e_starts[e[at]], de) + _block_index(v_starts[v[at]], dv)
             for (t, de, dv), at in _grouped(tail, e_dims[e], v_dims[v])
         ]
@@ -275,51 +290,70 @@ def _block_sums(b: np.ndarray) -> np.ndarray:
 
 
 class CoboundaryOperator:
-    """Coboundary matrix plus the Gram data needed for adjoints.
+    """Coboundary matrix plus the Gram data needed for adjoints, from the
+    sheaf alone.
 
     Attributes:
         sheaf: the defining sheaf.
         B: d1 x d0 coboundary matrix.
         M1, M2: block-diagonal Gram matrices of the 0- and 1-cochain spaces,
-            with blocks in the sheaf's vertex and edge stalk layout.
+            with blocks in the sheaf's vertex and edge stalk layout; M2 is the
+            sheaf's own read-only array.
         L1, L2: block-diagonal factors M1 = L1 L1^T and M2 = L2 L2^T (Cholesky
             per block, else an eigenfactorization; the fits accept any
             factor), so |v|^2_{C0} = |L1^T v|^2.
         delta_star_matrix: M1^{-1} B^T M2, the matrix of the adjoint.
 
-    The Gram blocks are factored (and a non-SPD one rejected) at construction,
-    one batched ``np.linalg`` call per block shape.  L1, L2 and delta* are
-    assembled from the blocks on first read, so a spectrum-only caller never
-    holds them; the (v, e) block of delta* is R_v^{-1} B_ev^T Q_e for vertex
-    Gram R_v and edge Gram Q_e.  The singular values of the whitened
-    L2^T B L1^{-T} give the rank and the spectrum; its singular vectors are
-    computed only for a nonempty null basis or a pseudoinverse solve.
+    At construction the Gram blocks are factored (and a non-SPD one rejected)
+    from one stack per block shape, and B's nonzero blocks are kept as one
+    stack per block shape.  Every dense matrix above is assembled from those
+    stacks on first read, so a spectrum-only caller holds none of them; the
+    (v, e) block of delta* is R_v^{-1} B_ev^T Q_e for vertex Gram R_v and
+    edge Gram Q_e.  The singular values of the whitened L2^T B L1^{-T} give
+    the rank and the spectrum; its singular vectors are computed only for a
+    nonempty null basis or a pseudoinverse solve.
     """
 
-    def __init__(self, sheaf: Sheaf, B: np.ndarray, M1: np.ndarray, M2: np.ndarray):
-        self.sheaf, self.B, self.M1, self.M2 = sheaf, B, M1, M2
-        self.d1, self.d0 = B.shape
-        self._vertex_blocks, self._edge_blocks, self._coupling_blocks = sheaf._operator_blocks
-        self._l1 = _block_factor(M1, self._vertex_blocks, "M1")
-        self._l2 = _block_factor(M2, self._edge_blocks, "M2")
+    def __init__(self, sheaf: Sheaf):
+        self.sheaf, self.d0, self.d1 = sheaf, sheaf.d0, sheaf.d1
+        self._edge_blocks = sheaf._edge_blocks
+        self._vertex_blocks, coupling = sheaf._operator_blocks
+        self._m1 = _block_rows(sheaf.vertex_grams, self._vertex_blocks)
+        self._l1 = _block_factor(self._m1, self._vertex_blocks, "M1")
+        self._l2 = _block_factor(sheaf._m2, self._edge_blocks, "M2")
+        ends = np.array(sheaf.graph.edges, dtype=np.intp).reshape(-1, 2)
+        loops = ends[:, 0] == ends[:, 1]
+        self._coupling_blocks = [
+            (er, ec, vr, vc, _coupling_values(sheaf, edges, tail, loops[edges]))
+            for edges, tail, er, ec, vr, vc in coupling
+        ]
 
+    M1 = functools.cached_property(lambda self: _dense(self._m1, self._vertex_blocks))
+    M2 = property(lambda self: self.sheaf.M2)
     L1 = functools.cached_property(lambda self: _dense(self._l1, self._vertex_blocks))
     L2 = functools.cached_property(lambda self: _dense(self._l2, self._edge_blocks))
 
     @functools.cached_property
+    def B(self) -> np.ndarray:
+        B = np.zeros((self.d1, self.d0))
+        for er, _, _, vc, b in self._coupling_blocks:
+            B[er, vc] = b
+        return B
+
+    @functools.cached_property
     def delta_star_matrix(self) -> np.ndarray:
         ds = np.zeros((self.d0, self.d1))
-        for *_, er, ec, vr, vc in self._coupling_blocks:
-            b_t = self.B[er, vc].swapaxes(1, 2)
-            ds[vr, ec] = np.linalg.solve(self.M1[vr, vc], b_t @ self.M2[er, ec])
+        for er, ec, vr, _, b in self._coupling_blocks:
+            b_t_m2 = b.swapaxes(1, 2) @ _blocks(self.sheaf._m2, er)
+            ds[vr, ec] = np.linalg.solve(_blocks(self._m1, vr), b_t_m2)
         return ds
 
     @functools.cached_property
     def _whitened(self) -> np.ndarray:
         """L2^T B L1^{-T}, block by block; read only by the two SVDs."""
         white = np.zeros((self.d1, self.d0))
-        for *_, er, _, vr, vc in self._coupling_blocks:
-            lb_t = (_blocks(self._l2, er).swapaxes(1, 2) @ self.B[er, vc]).swapaxes(1, 2)
+        for er, _, vr, vc, b in self._coupling_blocks:
+            lb_t = (_blocks(self._l2, er).swapaxes(1, 2) @ b).swapaxes(1, 2)
             white[er, vc] = np.linalg.solve(_blocks(self._l1, vr), lb_t).swapaxes(1, 2)
         return white
 
@@ -343,54 +377,69 @@ class CoboundaryOperator:
         return self._spectrum.copy()
 
 
-def _block_factor(mat: np.ndarray, blocks, what: str) -> np.ndarray:
-    """The factor L of a block-diagonal mat = L L^T, factored block by block
-    and stored by block rows: row i holds row i of L within its block."""
-    factor = np.zeros((mat.shape[0], max((r.shape[1] for _, r, _ in blocks), default=0)))
-    for _, rows, cols in blocks:
-        factor[rows, np.arange(rows.shape[1])] = _spd_factor(mat[rows, cols], what)
-    return factor
+def _coupling_values(sheaf: Sheaf, edges: np.ndarray, tail: bool, loops: np.ndarray):
+    """B's blocks (m, de, dv) at the edges' tail (else head) vertices, as
+    adding every head map to 0.0 and then subtracting every tail map leaves
+    them: 0.0 + head, 0.0 - tail, and (0.0 + head) - tail at a self-loop."""
+    maps = np.array([(sheaf.tail_maps if tail else sheaf.head_maps)[e] for e in edges])
+    values = 0.0 - maps if tail else 0.0 + maps
+    if loops.any():
+        heads = np.array([sheaf.head_maps[e] for e in edges[loops]])
+        values[loops] = (0.0 + heads) - np.array([sheaf.tail_maps[e] for e in edges[loops]])
+    return values
 
 
-def _blocks(factor: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The (m, d, d) blocks of a block-row factor at the rows (m, d, 1)."""
-    return factor[rows, np.arange(rows.shape[1])]
-
-
-def _dense(factor: np.ndarray, blocks) -> np.ndarray:
-    """The dense block-diagonal matrix of a block-row factor."""
-    out = np.zeros((factor.shape[0],) * 2)
-    for _, rows, cols in blocks:
-        out[rows, cols] = _blocks(factor, rows)
+def _block_rows(grams: Sequence[np.ndarray], blocks) -> np.ndarray:
+    """The block-diagonal matrix of ``grams`` stored by block rows: row i holds
+    row i of the matrix within its block (the layout of ``_block_factor``)."""
+    out = np.zeros((sum(len(g) for g in grams), max(map(len, grams), default=0)))
+    for at, rows, _ in blocks:
+        out[rows, np.arange(rows.shape[1])] = np.array([grams[i] for i in at])
     return out
 
 
-def _block_solve_t(factor: np.ndarray, blocks, x: np.ndarray) -> np.ndarray:
-    """z with L^T z = x for a block-row factor L; x is (n,) or (n, k)."""
+def _block_factor(mat: np.ndarray, blocks, what: str) -> np.ndarray:
+    """The factor L of a block-diagonal mat = L L^T stored by block rows,
+    factored from one stack of blocks per block shape, in the same layout."""
+    factor = np.zeros(mat.shape)
+    for _, rows, _ in blocks:
+        factor[rows, np.arange(rows.shape[1])] = _spd_factor(_blocks(mat, rows), what)
+    return factor
+
+
+def _blocks(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The (m, d, d) blocks of a block-row matrix at the rows (m, d, 1)."""
+    return mat[rows, np.arange(rows.shape[1])]
+
+
+def _dense(mat: np.ndarray, blocks) -> np.ndarray:
+    """The dense block-diagonal matrix of a block-row matrix."""
+    out = np.zeros((mat.shape[0],) * 2)
+    for _, rows, cols in blocks:
+        out[rows, cols] = _blocks(mat, rows)
+    return out
+
+
+def _block_t(factor: np.ndarray, blocks, x: np.ndarray, apply=np.linalg.solve) -> np.ndarray:
+    """apply(L_b^T, x_b) on every diagonal block L_b of a block-row factor L,
+    so by default z with L^T z = x; x is (n,) or (n, k)."""
     rhs = x.reshape(x.shape[0], -1)
     z = np.empty(rhs.shape)
     for _, rows, _ in blocks:
         at = rows[..., 0]
-        z[at] = np.linalg.solve(_blocks(factor, rows).swapaxes(1, 2), rhs[at])
+        z[at] = apply(_blocks(factor, rows).swapaxes(1, 2), rhs[at])
     return z.reshape(x.shape)
 
 
 def build_coboundary(sheaf: Sheaf) -> CoboundaryOperator:
-    """Assemble B and M1 per block shape; M2 is the sheaf's own array.
+    """The coboundary operator of ``sheaf``; B, M1 and the sheaf's M2 are
+    assembled on first read.
 
     Block row e carries +head_map in the column block of head(e) and
     -tail_map in the column block of tail(e); for self-loops both accumulate
     into the same block.
     """
-    vertex_blocks, _, coupling_blocks = sheaf._operator_blocks
-    M1 = np.zeros((sheaf.d0, sheaf.d0))
-    for at, rows, cols in vertex_blocks:
-        M1[rows, cols] = [sheaf.vertex_grams[v] for v in at]
-    B = np.zeros((sheaf.d1, sheaf.d0))
-    for edges, tail, er, _, _, vc in coupling_blocks:
-        maps = np.array([(sheaf.tail_maps if tail else sheaf.head_maps)[e] for e in edges])
-        B[er, vc] = B[er, vc] - maps if tail else B[er, vc] + maps
-    return CoboundaryOperator(sheaf, B, M1, sheaf.M2)
+    return CoboundaryOperator(sheaf)
 
 
 def _check_len(x: np.ndarray, n: int, what: str) -> np.ndarray:
@@ -432,7 +481,7 @@ def harmonic_basis(op: CoboundaryOperator) -> np.ndarray:
     rank = op.rank()
     if rank == op.d1:
         return np.zeros((op.d1, 0))
-    return _block_solve_t(op._l2, op._edge_blocks, op._svd[0][:, rank:])
+    return _block_t(op._l2, op._edge_blocks, op._svd[0][:, rank:])
 
 
 def global_section_basis(op: CoboundaryOperator) -> np.ndarray:
@@ -441,7 +490,7 @@ def global_section_basis(op: CoboundaryOperator) -> np.ndarray:
     rank = op.rank()
     if rank == op.d0:
         return np.zeros((op.d0, 0))
-    return _block_solve_t(op._l1, op._vertex_blocks, op._svd[2][rank:, :].T)
+    return _block_t(op._l1, op._vertex_blocks, op._svd[2][rank:, :].T)
 
 
 def hodge_project(
@@ -474,10 +523,10 @@ def delta_pseudoinverse_apply(op: CoboundaryOperator, b: np.ndarray) -> np.ndarr
     if rank == 0:
         return np.zeros(op.d0)
     U, s, Vt = op._svd
-    bw = op.L2.T @ b
+    bw = _block_t(op._l2, op._edge_blocks, b, np.matmul)
     coeff = (U[:, :rank].T @ bw) / s[:rank]
     xw = Vt[:rank, :].T @ coeff
-    return _block_solve_t(op._l1, op._vertex_blocks, xw)
+    return _block_t(op._l1, op._vertex_blocks, xw)
 
 
 # ---------------------------------------------------------------------------

@@ -82,9 +82,10 @@ def test_cohomology_of_a_vanishing_cohomology_asks_for_singular_values_only(
 
 
 def test_cohomology_holds_no_dense_factor_or_adjoint(tmp_path, monkeypatch):
-    # the spectrum is read off the whitened matrix, so L1, L2 and delta* are
-    # never assembled: the traced peak is B, M1, M2, the whitened matrix and
-    # small arrays, where building the three would add three more d0 x d0
+    # the spectrum is read off the whitened matrix, which is assembled from
+    # per-block stacks: B, M1, M2, L1, L2 and delta* are never built, so the
+    # traced peak is the whitened matrix and small arrays, where the dense
+    # operator build alone would add three more d0 x d0
     ops = []
 
     def spy(sheaf):
@@ -102,8 +103,9 @@ def test_cohomology_holds_no_dense_factor_or_adjoint(tmp_path, monkeypatch):
         tracemalloc.stop()
     (op,) = ops
     assert op.rank() == op.d0 == 202
-    assert not {"L1", "L2", "delta_star_matrix"} & set(op.__dict__)
-    assert peak <= 4.5 * op.d0 * op.d0 * 8
+    assert not {"B", "M1", "L1", "L2", "delta_star_matrix"} & set(op.__dict__)
+    assert "M2" not in op.sheaf.__dict__
+    assert peak <= 1.5 * op.d0 * op.d0 * 8
 
 
 def test_cohomology_two_vertex_path(tmp_path, capsys):
@@ -774,13 +776,18 @@ def test_a_removed_key_exits_1_naming_it(tmp_path, capsys, command, key, value):
         ("cohomology", {"sheaf": {"path": "a\u0000b"}}, "path"),
         ("simulate", {"sheaf": {"path": [1]}}, "path"),
         ("identify", {"sheaf": {"path": None}}, "path"),
+        ("cohomology", {"sheaf": {"path": "\ud800"}}, "path"),
+        ("identify", {"trajectories": "runs/\udfff"}, "trajectories"),
     ],
     ids=["trajectories_int", "trajectories_list", "cohomology_path_int", "cohomology_path_nul",
-         "simulate_path_list", "identify_path_null"],
+         "simulate_path_list", "identify_path_null", "cohomology_path_surrogate",
+         "trajectories_surrogate"],
 )
 def test_a_path_that_is_not_a_string_exits_1_naming_its_key(
     tmp_path, capsys, command, fields, key
 ):
+    # a lone surrogate has no file system encoding, so opening such a path
+    # raises UnicodeEncodeError rather than an OSError
     payload = {**_MINIMAL[command], **fields}
     _assert_config_error(tmp_path, capsys, command, payload, f"{key} must be a path string")
 

@@ -1,5 +1,6 @@
 """Coboundary assembly, adjoints, Hodge decomposition, and the file format."""
 
+import copy
 import json
 
 import numpy as np
@@ -541,7 +542,8 @@ def test_block_wise_operator_matches_the_dense_formulas(seed, n_vertices, n_edge
 
 
 def loop_form_coboundary(sheaf):
-    """B and M1 filled one slice assignment per edge and per vertex."""
+    """B, M1 and M2 filled one slice assignment per edge and per vertex, and
+    M2's bands read off its dense diagonals."""
     ends = np.cumsum(sheaf.vertex_stalk_dims)
     at = [slice(end - d, end) for end, d in zip(ends, sheaf.vertex_stalk_dims)]
     B = np.zeros((sheaf.d1, sheaf.d0))
@@ -552,7 +554,27 @@ def loop_form_coboundary(sheaf):
     M1 = np.zeros((sheaf.d0, sheaf.d0))
     for v, g in enumerate(sheaf.vertex_grams):
         M1[at[v], at[v]] = g
-    return B, M1
+    M2 = np.zeros((sheaf.d1, sheaf.d1))
+    for sl, g in zip(sheaf.edge_slices, sheaf.edge_grams):
+        M2[sl, sl] = g
+    width = max(sheaf.edge_stalk_dims, default=0)
+    offsets = [0] + [k for k in range(1 - width, width) if k and np.diagonal(M2, k).any()]
+    bands = tuple((k, np.diagonal(M2, k).copy()) for k in offsets)
+    if offsets == [0] and (bands[0][1] == 1.0).all():
+        bands = ()
+    return B, M1, M2, bands
+
+
+def loop_form_whitened(op, B):
+    """L2^T B L1^{-T} by the operator's per-block products, with every block of
+    B gathered from ``B``."""
+    white = np.zeros((op.d1, op.d0))
+    for _, _, er, _, vr, vc in op.sheaf._operator_blocks[1]:
+        l2 = op._l2[er, np.arange(er.shape[1])]
+        lb_t = (l2.swapaxes(1, 2) @ B[er, vc]).swapaxes(1, 2)
+        l1 = op._l1[vr, np.arange(vr.shape[1])]
+        white[er, vc] = np.linalg.solve(l1, lb_t).swapaxes(1, 2)
+    return white
 
 
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -581,8 +603,18 @@ def test_block_fill_equals_the_per_edge_loop_bit_for_bit(seed, n_vertices, n_edg
         base.edge_grams,
     )
     op = build_coboundary(sheaf)
-    B, M1 = loop_form_coboundary(sheaf)
+    B, M1, M2, bands = loop_form_coboundary(sheaf)
+    # the spectrum comes from B's block stacks, before any dense matrix exists
+    white = loop_form_whitened(op, B)
+    assert op._whitened.tobytes() == white.tobytes()
+    spectrum = np.linalg.svd(white, compute_uv=False)
+    assert op.singular_values().tobytes() == spectrum.tobytes()
+    assert not {"B", "M1"} & set(op.__dict__) and "M2" not in sheaf.__dict__
     assert op.B.tobytes() == B.tobytes() and op.M1.tobytes() == M1.tobytes()
+    assert op.M2 is sheaf.M2 and sheaf.M2.tobytes() == M2.tobytes()
+    assert len(sheaf._gram_bands) == len(bands)
+    for (k, band), (k_want, want) in zip(sheaf._gram_bands, bands):
+        assert k == k_want and band.tobytes() == want.tobytes()
 
 
 def test_gram_factor_falls_back_to_an_eigenfactorization(mixed_sheaf, monkeypatch):
@@ -592,12 +624,16 @@ def test_gram_factor_falls_back_to_an_eigenfactorization(mixed_sheaf, monkeypatc
         raise np.linalg.LinAlgError("forced")
 
     monkeypatch.setattr(np.linalg, "cholesky", fail)
-    alt = CoboundaryOperator(mixed_sheaf, op.B, op.M1, op.M2)
+    alt = CoboundaryOperator(mixed_sheaf)
     assert not np.allclose(alt.L1, op.L1)
     assert _close(alt.L1 @ alt.L1.T, op.M1) and _close(alt.L2 @ alt.L2.T, op.M2)
     assert _close(alt.singular_values(), op.singular_values())
+    # the operator factors the sheaf's own Grams, so that is where a non-PD
+    # one (here slipped past the Sheaf's check) is refused
+    negated = copy.copy(mixed_sheaf)
+    negated.vertex_grams = tuple(-g for g in mixed_sheaf.vertex_grams)
     with pytest.raises(StructuralError, match="M1 is not positive definite"):
-        CoboundaryOperator(mixed_sheaf, op.B, -op.M1, op.M2)
+        CoboundaryOperator(negated)
 
 
 def test_vanishing_cohomology_computes_no_singular_vectors():
@@ -610,6 +646,7 @@ def test_vanishing_cohomology_computes_no_singular_vectors():
     b = np.random.default_rng(3).standard_normal(op.d1)
     got = equilibrium_projection(op, b, np.zeros(op.d0))
     assert "_svd" in op.__dict__
+    assert "L2" not in op.__dict__  # L2^T b is taken block by block
     assert _close(got, np.linalg.solve(op.B, b))
 
 

@@ -483,7 +483,7 @@ def test_any_factor_of_m1_gives_the_same_fits(mixed_sheaf):
     # the eigenfactorization fallback of the SPD factor is as valid as Cholesky
     op = build_coboundary(mixed_sheaf)
     eigs, vecs = np.linalg.eigh(op.M1)
-    alt = CoboundaryOperator(mixed_sheaf, op.B, op.M1, op.M2)
+    alt = CoboundaryOperator(mixed_sheaf)
     alt.L1 = vecs * np.sqrt(eigs)
     assert np.allclose(alt.L1 @ alt.L1.T, op.M1)
     data = weighted_dataset(op)
