@@ -49,7 +49,6 @@ from .potentials import (
 from .sheaf import (
     Sheaf,
     build_coboundary,
-    global_section_basis,
     harmonic_basis,
     load_sheaf,
 )
@@ -72,7 +71,7 @@ def _load_config(path: str) -> dict:
         config = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise ConfigurationError(f"config file not found: {path}") from None
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an int past the digit limit
         raise ConfigurationError(f"config is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
         raise ConfigurationError("config must be a JSON object")
@@ -83,10 +82,8 @@ def _load_config(path: str) -> dict:
 
 
 def _build_sheaf(spec) -> Sheaf:
-    if isinstance(spec, str):
-        return load_sheaf(spec)
     if not isinstance(spec, dict):
-        raise ConfigurationError("sheaf spec must be a path or an object")
+        raise ConfigurationError(f"sheaf spec must be an object, got {spec!r}")
     if "path" in spec:
         _require_keys(spec, {"path"}, "sheaf")
         return load_sheaf(_path(spec["path"], "path"))
@@ -173,7 +170,7 @@ def cmd_cohomology(config: dict, out_dir: Path, quiet: bool) -> int:
     sheaf = _build_sheaf(config.get("sheaf", {}))
     op = build_coboundary(sheaf)
     harm = harmonic_basis(op)
-    sections = global_section_basis(op)
+    dim_h0 = op.d0 - op.rank()
     eigs = np.zeros(op.d0)
     s = op.singular_values()
     eigs[: s.size] = s**2
@@ -181,7 +178,7 @@ def cmd_cohomology(config: dict, out_dir: Path, quiet: bool) -> int:
     lam_max = float(eigs.max()) if op.d0 else 0.0
 
     lines = [
-        f"dim H0 = {sections.shape[1]}",
+        f"dim H0 = {dim_h0}",
         f"dim H1 = {harm.shape[1]}",
         f"lambda range of delta*delta = [{lam_min!r}, {lam_max!r}]",
     ]
@@ -190,13 +187,13 @@ def cmd_cohomology(config: dict, out_dir: Path, quiet: bool) -> int:
     tag = config_hash(config)
     report = {
         "config_hash": tag,
-        "dim_h0": sections.shape[1],
+        "dim_h0": dim_h0,
         "dim_h1": harm.shape[1],
         "laplacian_lambda_min": lam_min,
         "laplacian_lambda_max": lam_max,
     }
     _write_json(out_dir / f"cohomology_{tag}.json", report)
-    basis_rows = [",".join(repr(float(v)) for v in col) for col in harm.T]
+    basis_rows = [",".join(map(repr, col.tolist())) for col in harm.T]
     (out_dir / f"harmonic_basis_{tag}.csv").write_text(
         "\n".join(basis_rows) + ("\n" if basis_rows else "")
     )

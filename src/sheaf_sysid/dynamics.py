@@ -221,8 +221,8 @@ def save_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
         blocks.append(traj.derivs)
     table = np.hstack(blocks)
     lines = [",".join(cols)]
-    for row in table:
-        lines.append(",".join(repr(float(v)) for v in row))
+    # row by row, so that no Python float copy of the whole table is held
+    lines += [",".join(map(repr, row.tolist())) for row in table]
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
@@ -73,6 +74,7 @@ N_HOLDOUT = 4
 
 TAIL_ROTATION_ANGLE = math.pi / 4.0  # any angle with n*angle off the full turn works
 
+FORMATION_SEED = 0
 FORMATION_PERTURBATION = 0.6
 EDGE_CONSTANT = (1.0, 0.0)
 
@@ -121,7 +123,8 @@ def config_number(value, key: str, low: float = -math.inf, integer: bool = False
     due) raises ConfigurationError naming ``key``.
     """
     kind = numbers.Integral if integer else numbers.Real
-    finite = isinstance(value, kind) and (integer or math.isfinite(value))
+    # the bound also refuses nan, and an int that no float can hold
+    finite = isinstance(value, kind) and (integer or abs(value) <= sys.float_info.max)
     if isinstance(value, bool) or not finite or not value >= low:
         bound = f" >= {low:g}" if low > -math.inf else ""
         what = "an integer" if integer else "a finite number"
@@ -129,9 +132,9 @@ def config_number(value, key: str, low: float = -math.inf, integer: bool = False
     return int(value) if integer else float(value)
 
 
-# Fields formation_transfer does not read (its cycles and horizon are fixed);
-# a value other than the default is rejected rather than ignored.
-_FORMATION_FIXED = ("cycle_length", "n_training", "n_holdout", "training_horizon")
+# Fields formation_transfer does not read (its cycles, horizon and seed are
+# fixed); a value other than the default is rejected rather than ignored.
+_FORMATION_FIXED = ("cycle_length", "seeds", "n_training", "n_holdout", "training_horizon")
 
 
 @dataclass(frozen=True)
@@ -142,8 +145,9 @@ class ExperimentConfig:
     noise level (THRESHOLD_NOISE_STD or BASIS_NOISE_STD).  Every study steps
     at STEP, so training_horizon must be a whole number (at least one) of
     steps.  bounded_confidence runs on the rotated cycle, so its cycle_length
-    may not be a multiple of 8.  formation_transfer reads only the seeds, so
-    the other fields must keep their defaults.  Seeds may not repeat.
+    may not be a multiple of 8.  formation_transfer reads none of these
+    fields (it runs at FORMATION_SEED), so they must keep their defaults.
+    Seeds may not repeat.
     """
 
     experiment_id: str
@@ -190,7 +194,6 @@ class ExperimentOutput:
     name: str
     summary: list[dict]
     force_checks: list[dict] = field(default_factory=list)
-    details: dict = field(default_factory=dict)
 
 
 def make_cycle_sheaf(n: int, variant: str) -> Sheaf:
@@ -325,23 +328,21 @@ def run_formation_transfer(cfg: ExperimentConfig) -> ExperimentOutput:
     """Compare the true formation law against its harmonic perturbation.
 
     For each cycle length and sheaf variant: simulate the shifted-quadratic
-    law from a seeded start (the terminal state is the target formation),
-    reset, and roll out both the recovered law y - b and the perturbed law
-    y - b + beta*c with c constant on every edge.  Reports the max rollout
-    difference and the force MSE between the two laws.
+    law from a start seeded by FORMATION_SEED (the terminal state is the
+    target formation), reset, and roll out both the recovered law y - b and
+    the perturbed law y - b + beta*c with c constant on every edge.  Reports
+    the max rollout difference and the force MSE between the two laws.
     """
     if cfg.experiment_id != "formation_transfer":
         raise ConfigurationError("config is not for formation_transfer")
-    seed = cfg.seeds[0]
     beta = FORMATION_PERTURBATION
     rows = []
-    details = {}
     for n in (3, 5):
         for variant in ("identity", "rotated"):
             sheaf = make_cycle_sheaf(n, variant)
             op = build_coboundary(sheaf)
             harm = harmonic_basis(op)
-            rng = np.random.default_rng([seed, n, 0 if variant == "identity" else 1])
+            rng = np.random.default_rng([FORMATION_SEED, n, 0 if variant == "identity" else 1])
 
             x0 = rng.standard_normal(op.d0)
             b = hodge_project(op, harm, rng.standard_normal(op.d1))[0]  # keep b reachable
@@ -369,11 +370,7 @@ def run_formation_transfer(cfg: ExperimentConfig) -> ExperimentOutput:
                     "force_mse": mse,
                 }
             )
-            details[label] = {
-                "target": rollout_true.states[-1].copy(),
-                "perturbed_terminal": rollout_pert.states[-1].copy(),
-            }
-    return ExperimentOutput(name="formation_transfer", summary=rows, details=details)
+    return ExperimentOutput(name="formation_transfer", summary=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -521,14 +518,12 @@ def _sweep(cfg, sheaf, conditions, fit, family, stats, noise_std, noise_tag) -> 
 
     pooled, grid = np.concatenate(pooled), reference_grid(sheaf)
     true_laws: dict = {}  # truth -> (its law, {set: (states, its forces)})
-    summary, force_rows, details = [], [], {}
+    summary, force_rows = [], []
     for cond, cond_runs in zip(conditions, runs):
-        # the columns after "setting" are also the condition's details key
         row = {"setting": cond.label}
         if cond.basis is not None:
             row["basis"] = cond.basis
         row.update(coverage=cond.coverage, residual_mode=cond.mode)
-        details[tuple(row.values())[1:]] = [m for m, _, _ in cond_runs]
         for column in stats:
             metric, stat = column.rsplit("_", 1)
             values = np.asarray([m[metric] for m, _, _ in cond_runs], dtype=float)
@@ -547,8 +542,20 @@ def _sweep(cfg, sheaf, conditions, fit, family, stats, noise_std, noise_tag) -> 
             mses.append({name: force_mse(fitted, *s) for name, s in sets.items()})
         force_rows.append({"experiment": cfg.experiment_id, "setting": cond.label})
         for name in ("holdout", "pooled", "grid"):
-            force_rows[-1][f"{name}_mse_median"] = float(np.median([m[name] for m in mses]))
-    return ExperimentOutput(cfg.experiment_id, summary, force_rows, details)
+            force_rows[-1][f"{name}_mse_median"] = _median([m[name] for m in mses])
+    return ExperimentOutput(cfg.experiment_id, summary, force_rows)
+
+
+def _median(values: list[float]) -> float:
+    """np.median of a few floats, bit for bit, without the numpy.ma import
+    behind its NaN check: NaN if any value is, else the middle sorted value
+    or the mean of the middle two, summed from +0.0 as numpy's mean sums."""
+    if any(math.isnan(v) for v in values):
+        return math.nan
+    values, half = sorted(values), len(values) // 2
+    if len(values) % 2:
+        return 0.0 + values[half]
+    return (0.0 + values[half - 1] + values[half]) / 2
 
 
 def run_bounded_confidence(cfg: ExperimentConfig) -> ExperimentOutput:
@@ -570,8 +577,6 @@ def run_bounded_confidence(cfg: ExperimentConfig) -> ExperimentOutput:
         return eps_hat, {
             "threshold_error": abs(eps_hat - TRUE_THRESHOLD),
             "information": result.report.lambda_min,
-            "identifiable": result.report.identifiable,
-            "epsilon_hat": eps_hat,
         }
 
     conditions = []
@@ -626,8 +631,6 @@ def run_finite_basis(cfg: ExperimentConfig) -> ExperimentOutput:
             "param_error": float(np.linalg.norm(theta_hat - target) / np.linalg.norm(target)),
             "lambda_min": result.report.lambda_min,
             "lambda_max": result.report.lambda_max,
-            "identifiable": result.report.identifiable,
-            "theta_hat": theta_hat.tolist(),
         }
 
     seeds = sorted(cfg.seeds)

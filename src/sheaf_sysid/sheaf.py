@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -83,14 +83,11 @@ def _check_spd(mat: np.ndarray, what: str) -> np.ndarray:
 
 
 def _spd_factor(mats: np.ndarray, what: str) -> np.ndarray:
-    """L with mat = L L^T for each of a stack (..., d, d): Cholesky, else eigh."""
+    """The Cholesky factor L, mat = L L^T, of each of a stack (..., d, d)."""
     try:
         return np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
-        eigs, vecs = np.linalg.eigh(mats)
-        if np.any(eigs[..., 0] <= _SPD_TOL * np.maximum(1.0, abs(eigs[..., -1]))):
-            raise StructuralError(f"{what} is not positive definite") from None
-        return vecs * np.sqrt(eigs)[..., None, :]
+        raise StructuralError(f"{what} is not positive definite") from None
 
 
 def _block_index(starts: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -299,9 +296,8 @@ class CoboundaryOperator:
         M1, M2: block-diagonal Gram matrices of the 0- and 1-cochain spaces,
             with blocks in the sheaf's vertex and edge stalk layout; M2 is the
             sheaf's own read-only array.
-        L1, L2: block-diagonal factors M1 = L1 L1^T and M2 = L2 L2^T (Cholesky
-            per block, else an eigenfactorization; the fits accept any
-            factor), so |v|^2_{C0} = |L1^T v|^2.
+        L1, L2: block-diagonal Cholesky factors M1 = L1 L1^T and
+            M2 = L2 L2^T, so |v|^2_{C0} = |L1^T v|^2.
         delta_star_matrix: M1^{-1} B^T M2, the matrix of the adjoint.
 
     At construction the Gram blocks are factored (and a non-SPD one rejected)
@@ -614,7 +610,9 @@ def _matrix(value, what: str) -> np.ndarray:
         isinstance(row, list)
         and len(row) == len(rows[0])
         and all(
-            isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+            # the bound also refuses nan, and an int that no float can hold
+            isinstance(v, numbers.Real) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max
             for v in row
         )
         for row in rows
@@ -626,6 +624,6 @@ def _matrix(value, what: str) -> np.ndarray:
 def load_sheaf(path: str | Path) -> Sheaf:
     try:
         data = json.loads(Path(path).read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an int past the digit limit
         raise StructuralError(f"malformed sheaf file {path}: {exc}") from exc
     return sheaf_from_dict(data)

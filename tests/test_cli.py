@@ -566,7 +566,8 @@ def test_seed_override_changes_experiment_seeds(tmp_path):
 
 
 def test_experiment_rejects_seeds_together_with_base_seed(tmp_path, capsys):
-    payload = {"command": "experiment", "experiment": "formation_transfer", "seeds": [1]}
+    payload = {"command": "experiment", "experiment": "finite_basis", "seeds": [1]}
+    payload.update(training_horizon=0.05, n_training=2, n_holdout=1)  # a tiny sweep
     both = write_config(tmp_path, "both.json", {**payload, "base_seed": 5})
     assert run_cli("experiment", both, tmp_path / "out") == 1
     err = capsys.readouterr().err
@@ -691,6 +692,7 @@ def test_an_output_path_through_a_file_exits_1(tmp_path, capsys, out):
         ({"initial_states": []}, "initial_states"),
         ({"initial_states": [["a", 0, 0, 0, 0, 0]]}, "initial_states"),
         ({"random_initial_states": 5}, "random_initial_states"),
+        ({"potential": {"kind": "bounded_confidence", "epsilon": 10**400}}, "epsilon"),
     ],
     ids=[
         "monomial_without_theta",
@@ -704,6 +706,7 @@ def test_an_output_path_through_a_file_exits_1(tmp_path, capsys, out):
         "initial_states_empty",
         "initial_states_string_entry",
         "random_initial_states_scalar",
+        "epsilon_400_digits",  # math.isfinite overflows on it
     ],
 )
 def test_simulate_rejects_malformed_potential_and_start_fields(
@@ -720,8 +723,10 @@ def test_simulate_rejects_malformed_potential_and_start_fields(
         ({}, {"head_map": "x"}, "edge 0 head_map"),
         ({}, {"head_map": [[1.0, 0.0], [0.0]]}, "edge 0 head_map"),
         ({}, {"tail": 0.5}, "edge 0 tail"),
+        ({}, {"tail_map": [[10**400, 0.0], [0.0, 1.0]]}, "edge 0 tail_map"),
     ],
-    ids=["vertex_count_string", "head_map_string", "head_map_ragged", "tail_fraction"],
+    ids=["vertex_count_string", "head_map_string", "head_map_ragged", "tail_fraction",
+         "tail_map_400_digits"],
 )
 def test_malformed_sheaf_file_fields_exit_1(tmp_path, capsys, top, edge_fields, key):
     identity = [[1.0, 0.0], [0.0, 1.0]]
@@ -737,6 +742,52 @@ def test_malformed_sheaf_file_fields_exit_1(tmp_path, capsys, top, edge_fields, 
 def test_formation_transfer_rejects_ignored_fields(tmp_path, capsys):
     payload = {"command": "experiment", "experiment": "formation_transfer", "n_holdout": 2}
     _assert_config_error(tmp_path, capsys, "experiment", payload, "n_holdout")
+
+
+@pytest.mark.parametrize(
+    "given, default",
+    [
+        ({"seeds": [1, 2, 3]}, {"seeds": list(range(8))}),
+        ({"base_seed": 3}, {"base_seed": 0}),
+        ({"--seed": 3}, {"--seed": 0}),
+    ],
+    ids=["seeds", "base_seed", "seed_flag"],
+)
+def test_formation_transfer_refuses_a_seed_it_would_not_run(tmp_path, capsys, given, default):
+    # the study runs at one fixed seed, so any other would be ignored; the
+    # default seeds, in any form, are that run
+    for name, fields, code in (("given", given, 1), ("default", default, 0)):
+        fields = dict(fields)
+        flag = ["--seed", str(fields.pop("--seed"))] if "--seed" in fields else []
+        payload = {"command": "experiment", "experiment": "formation_transfer", **fields}
+        cfg = write_config(tmp_path, f"{name}.json", payload)
+        assert run_cli("experiment", cfg, tmp_path / name, extra=flag) == code
+    assert capsys.readouterr().err == "error: formation_transfer takes no seeds\n"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["sheaf.json", "a\u0000b", "\ud800", 5],
+    ids=["path", "nul", "surrogate", "int"],
+)
+def test_a_sheaf_spec_that_is_not_an_object_exits_1(tmp_path, capsys, spec):
+    # a sheaf file is named by {"path": ...}; a bare string was read unchecked
+    payload = {"command": "cohomology", "sheaf": spec}
+    _assert_config_error(tmp_path, capsys, "cohomology", payload, "sheaf spec must be an object")
+
+
+@pytest.mark.parametrize("where", ["config", "sheaf"])
+def test_an_integer_past_the_digit_limit_exits_1(tmp_path, capsys, where):
+    # json.loads refuses an int of more than 4,300 digits with a ValueError
+    huge = "1" + "0" * 5000
+    if where == "config":
+        text = json.dumps(_simulate_config(horizon="HUGE")).replace('"HUGE"', huge)
+        _assert_config_error(tmp_path, capsys, "simulate", None, "config is not valid", text)
+    else:
+        sheaf_file = tmp_path / "sheaf.json"
+        sheaf_file.write_text('{"vertex_count": %s}' % huge)
+        payload = {"command": "cohomology", "sheaf": {"path": str(sheaf_file)}}
+        _assert_config_error(tmp_path, capsys, "cohomology", payload, "malformed sheaf file")
 
 
 _CYCLE = {"builtin": "cycle", "cycle_length": 3, "variant": "identity"}

@@ -9,6 +9,8 @@ anything counted (starts, seeds, training and holdout sets), and input files
 of at most 4 KB.  A key that sets a size is therefore replaced, never deleted
 (its default is full size), and only by a value within its bound or by one
 the CLI must reject.  The studies' own fixed record lengths are not drawn.
+Any other number may be drawn as a 400-digit integer, too large for a float,
+and so may an entry of a sheaf file's map.
 """
 
 import contextlib
@@ -57,6 +59,8 @@ SHEAF = {
     ],
 }
 
+HUGE = 10**400  # math.isfinite overflows on it
+
 NOT_A_NUMBER = st.one_of(
     st.none(),
     st.booleans(),
@@ -69,7 +73,7 @@ ANY_VALUE = st.one_of(
     NOT_A_NUMBER,
     st.integers(-3, 9),
     st.floats(-2.0, 2.0),
-    st.sampled_from([0.0, -0.0, 1e-300, 1e300, -1e300]),
+    st.sampled_from([0.0, -0.0, 1e-300, 1e300, -1e300, HUGE]),
 )
 
 # Names the CLI reads as choices, drawn from among the valid ones as well.
@@ -192,11 +196,21 @@ def test_every_mutated_run_exits_0_1_or_2_with_an_error_line(tmp_path, monkeypat
             path.write_bytes(mutate_bytes(data, path.read_bytes(), label))
     if "sheaf" in config and data.draw(st.booleans(), label="sheaf file"):
         sheaf = copy.deepcopy(SHEAF)
+        if data.draw(st.booleans(), label="huge map entry"):
+            sheaf["edges"][0]["tail_map"][0][0] = HUGE
         mutate(data, sheaf, "sheaf")
         raw = mutate_bytes(data, json.dumps(sheaf).encode(), "sheaf bytes")
         assert len(raw) <= MAX_FILE
         (work / "sheaf.json").write_bytes(raw)
-        config["sheaf"] = {"path": "sheaf.json"}
+        # a bare string is not a sheaf spec, however it reads as a path
+        spec = st.sampled_from(["object"] * 3 + ["sheaf.json", "a\u0000b", "\ud800"])
+        spec = data.draw(spec, label="sheaf spec")
+        config["sheaf"] = {"path": "sheaf.json"} if spec == "object" else spec
+    numbers = [(node, key) for node in _dicts(config) for key, value in node.items()
+               if isinstance(value, float) and key not in SIZE_KEYS]
+    if numbers and data.draw(st.booleans(), label="huge number"):
+        node, key = data.draw(st.sampled_from(numbers), label="huge number at")
+        node[key] = HUGE
     mutate(data, config, "config")
     raw = mutate_bytes(data, json.dumps(config).encode(), "config bytes")
     assert len(raw) <= MAX_FILE

@@ -527,6 +527,19 @@ def test_trajectory_csv_roundtrip(tmp_path, identity_cycle):
     assert np.array_equal(loaded.derivs, traj.derivs)
 
 
+def test_trajectory_csv_writes_each_float_as_its_shortest_repr(tmp_path):
+    states = np.array([[-0.0, 5e-324, 1e-05], [1e16, 0.1 + 0.2, 1 / 3]])
+    traj = Trajectory(times=np.array([0.0, 0.01]), states=states, derivs=-states)
+    path = tmp_path / "traj.csv"
+    save_trajectory_csv(traj, path)
+    assert path.read_text() == (
+        "time,x0,x1,x2,dx0,dx1,dx2\n"
+        "0.0,-0.0,5e-324,1e-05,0.0,-5e-324,-1e-05\n"
+        "0.01,1e+16,0.30000000000000004,0.3333333333333333,"
+        "-1e+16,-0.30000000000000004,-0.3333333333333333\n"
+    )
+
+
 def test_trajectory_csv_without_derivs(tmp_path):
     traj = Trajectory(times=np.array([0.0, 0.1]), states=np.zeros((2, 4)))
     path = tmp_path / "traj.csv"

@@ -1,6 +1,10 @@
 """Cycle-sheaf builders, coverage designs, force metrics, and reduced sweeps."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -41,6 +45,7 @@ from sheaf_sysid.experiments import (
     _limited_initial_conditions,
     _limited_ray,
     _localized_initial_conditions,
+    _median,
     _sweep,
     constant_edge_cochain,
     reference_grid,
@@ -407,6 +412,8 @@ def test_the_two_diverging_fits_blow_up_in_the_opposite_order_of_time():
         ("n_training", 4),
         ("n_holdout", 2),
         ("training_horizon", 5.0),
+        ("seeds", (3,)),
+        ("seeds", (1, 2, 3)),
     ],
 )
 def test_formation_transfer_rejects_fields_it_does_not_read(key, value):
@@ -415,8 +422,10 @@ def test_formation_transfer_rejects_fields_it_does_not_read(key, value):
 
 
 def test_formation_transfer_accepts_the_fields_it_reads():
-    cfg = ExperimentConfig(experiment_id="formation_transfer", seeds=(3,))
-    assert cfg.seeds == (3,)
+    # it reads only its id and runs at FORMATION_SEED; a field at its default
+    # is not an ignored input
+    cfg = ExperimentConfig(experiment_id="formation_transfer", seeds=tuple(range(8)))
+    assert experiments.FORMATION_SEED == 0 and cfg.seeds == tuple(range(8))
     ExperimentConfig(experiment_id="formation_transfer", cycle_length=3, n_holdout=4)
 
 
@@ -471,6 +480,7 @@ def test_rotated_cycle_check_agrees_with_the_sheaf_it_builds():
         ("seeds", (-1,)),
         ("seeds", (True,)),
         ("training_horizon", 0.0),  # zero steps
+        pytest.param("training_horizon", 10**400, id="training_horizon-400_digits"),
     ],
 )
 def test_experiment_config_rejects_bad_numbers(key, value):
@@ -504,3 +514,56 @@ def test_table_rendering_roundtrip():
     assert csv.splitlines()[1] == "a,1.5"
     text = rows_to_text(rows)
     assert "setting" in text and "1.500e+00" in text
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        [2.0],
+        [3.0, 1.0, 2.0],
+        [4.0, 1.0, 3.0, 2.0],
+        [1.0, 1.0, 2.0, 2.0],  # ties
+        [0.1 + 0.2, 1 / 3, 1 / 3, 5e-324, 1e16, -0.0, 0.0, 7.0],
+        [-0.0],
+        [-0.0, -0.0],
+        [1e308, 1e308],  # the middle two overflow when summed
+        [math.inf, 1.0, -math.inf],
+        [math.inf, -math.inf],
+        [math.inf, 2.0, math.inf, 1.0],
+        [1.0, math.nan, 2.0],
+        [math.nan, math.inf],
+    ],
+)
+def test_median_equals_numpy_median_bit_for_bit(values):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.median(values)
+    got = _median(list(values))
+    assert isinstance(got, float)
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+_STUDY_IMPORTS = """
+import sys
+from sheaf_sysid import ExperimentConfig, run_experiment
+short = dict(seeds=(0, 1), n_training=2, training_horizon=0.05, n_holdout=1)
+for study in ("formation_transfer", "bounded_confidence", "finite_basis"):
+    kwargs = short if study != "formation_transfer" else {}
+    run_experiment(ExperimentConfig(experiment_id=study, **kwargs))
+    print(study, "numpy.ma" in sys.modules)
+"""
+
+
+def test_no_study_imports_numpy_ma():
+    # np.median's NaN check imports numpy.ma: 14 ms and 1.3 MB of a fresh process
+    src = str(Path(experiments.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-c", _STUDY_IMPORTS], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == [
+        "formation_transfer", "False", "bounded_confidence", "False", "finite_basis", "False"
+    ]
