@@ -9,6 +9,7 @@ row's bits do not depend on its batch.  Observation noise is a separate step,
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -21,9 +22,10 @@ from .sheaf import CoboundaryOperator, delta_pseudoinverse_apply, global_section
 
 
 def whole_steps(horizon: float, step: float) -> bool:
-    """Whether horizon is a whole number of steps, to a relative 1e-9."""
+    """Whether horizon is a whole number of steps, to a relative 1e-9; a count
+    past the largest float is none."""
     steps = horizon / step
-    return abs(steps - round(steps)) <= 1e-9 * steps
+    return math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * steps
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,16 @@ def _laplacian(op, model, x):
     return np.einsum("...i,ji->...j", model.force(y), op.delta_star_matrix)
 
 
+def _allocate(cfg: SimConfig, make):
+    """make(), or ParameterError if the arrays of a record at cfg do not fit."""
+    try:
+        return make()
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest array size
+        raise ParameterError(
+            f"a record of horizon {cfg.horizon:g} at step {cfg.step:g} is too long to allocate"
+        ) from None
+
+
 def integrate(
     op: CoboundaryOperator,
     model: EdgePotential,
@@ -90,11 +102,12 @@ def integrate(
         raise StructuralError(
             f"initial states have shape {x.shape}, expected ({op.d0},) or (N, {op.d0})"
         )
-    x = x.reshape(-1, op.d0)
+    x = x.reshape(1 if single else len(x), op.d0)  # not -1, which fails at d0 = 0
     n = x.shape[0]
     h = cfg.step
     steps = int(round(cfg.horizon / h))
-    times = h * np.arange(steps + 1)
+    # the longest record, allocated before any row's end is cast to an int
+    times = _allocate(cfg, lambda: h * np.arange(steps + 1))
     stops = np.full(n, steps)  # the last step index of every row still being stepped
     if ends is not None:
         ends = np.asarray(ends, dtype=float)
@@ -115,8 +128,8 @@ def integrate(
     # Each row's own samples as one contiguous block, the rows one after another.
     size = stops + 1
     first = np.cumsum(size) - size  # each row's first sample
-    states = np.empty((int(size.sum()), op.d0))
-    derivs = np.empty_like(states)
+    shape = (int(size.sum()), op.d0)
+    states, derivs = _allocate(cfg, lambda: (np.empty(shape), np.empty(shape)))
     failures: dict[int, DivergenceError] = {}
     live = np.arange(n)  # input index of every row still being stepped
     # Blow-ups are detected and reported; silence the transient inf/nan noise.
@@ -175,7 +188,7 @@ def simulate_ensemble(
     starts = [np.asarray(x0, dtype=float) for x0 in initial_conditions]
     if any(x0.shape != (op.d0,) for x0 in starts):
         raise StructuralError(f"every initial state must have shape ({op.d0},)")
-    return integrate(op, model, x0=np.reshape(starts, (-1, op.d0)), cfg=cfg)
+    return integrate(op, model, x0=np.reshape(starts, (len(starts), op.d0)), cfg=cfg)
 
 
 def observe(traj: Trajectory, sigma: float, seed: int | tuple[int, ...]) -> Trajectory:

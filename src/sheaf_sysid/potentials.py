@@ -188,20 +188,7 @@ def confidence_gain(u: np.ndarray, e2) -> np.ndarray:
     return np.square(gain, out=gain)
 
 
-class BasisForce:
-    """One element of a linear-in-parameters force family."""
-
-    def __init__(self, sheaf: Sheaf):
-        self.sheaf = sheaf
-
-    def value(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def force(self, y: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-
-class RadialMonomialForce(BasisForce):
+class RadialMonomialForce(EdgePotential):
     """Force y_e u^m with potential u^{m+1} / (2 m + 2), u = |y_e|^2."""
 
     def __init__(self, sheaf: Sheaf, degree: int):
@@ -219,7 +206,7 @@ class RadialMonomialForce(BasisForce):
         return self.sheaf.edge_scale(y, self.sheaf.edge_sq_norms(y) ** self.degree)
 
 
-class ConstantEdgeForce(BasisForce):
+class ConstantEdgeForce(EdgePotential):
     """Constant force c (a fixed 1-cochain), potential <c, y> in C^1."""
 
     def __init__(self, sheaf: Sheaf, cochain: np.ndarray):
@@ -245,7 +232,7 @@ class LinearBasisPotential(EdgePotential):
     theta of shape (N, p) holds one coefficient vector per row of a batch.
     """
 
-    def __init__(self, sheaf: Sheaf, basis: Sequence[BasisForce], theta: Sequence[float]):
+    def __init__(self, sheaf: Sheaf, basis: Sequence[EdgePotential], theta: Sequence[float]):
         super().__init__(sheaf)
         self.basis = tuple(basis)
         self.theta = np.asarray(theta, dtype=float)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .dynamics import Trajectory
 from .errors import ConfigurationError, ParameterError, UsageError
-from .potentials import BasisForce, BoundedConfidence, confidence_gain
+from .potentials import BoundedConfidence, EdgePotential, confidence_gain
 from .sheaf import RANK_TOL, CoboundaryOperator
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -185,7 +185,7 @@ def information_scalar(
 
 def fit_linear(
     op: CoboundaryOperator,
-    basis: Sequence[BasisForce],
+    basis: Sequence[EdgePotential],
     data: ResidualDataset,
 ) -> EstimationResult:
     """Minimum-norm least-squares fit of a linear-in-parameters force family.

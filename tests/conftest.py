@@ -5,12 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from sheaf_sysid import (
-    DirectedGraph,
-    Sheaf,
-    build_coboundary,
-    make_cycle_sheaf,
-)
+from sheaf_sysid.experiments import make_cycle_sheaf
+from sheaf_sysid.sheaf import DirectedGraph, Sheaf, build_coboundary
 
 
 def random_spd(rng: np.random.Generator, d: int) -> np.ndarray:

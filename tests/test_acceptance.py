@@ -13,34 +13,35 @@ from pathlib import Path
 import numpy as np
 from conftest import random_sheaf
 
-from sheaf_sysid import (
+from sheaf_sysid.cli import main as cli_main
+from sheaf_sysid.dynamics import SimConfig, equilibrium_projection, integrate
+from sheaf_sysid.experiments import (
+    ExperimentConfig,
+    make_cycle_sheaf,
+    run_bounded_confidence,
+    run_finite_basis,
+    run_formation_transfer,
+)
+from sheaf_sysid.potentials import (
     Antagonistic,
     BoundedConfidence,
-    ExperimentConfig,
     LinearBasisPotential,
     Quadratic,
-    ResidualDataset,
     ShiftedQuadratic,
-    SimConfig,
+    monomial_basis,
+    monomial_potential,
+)
+from sheaf_sysid.sheaf import (
     apply_delta,
     apply_delta_star,
     build_coboundary,
     c0_inner,
     c1_inner,
-    equilibrium_projection,
-    fit_linear,
     global_section_basis,
     harmonic_basis,
     hodge_project,
-    integrate,
-    make_cycle_sheaf,
-    monomial_basis,
-    monomial_potential,
-    run_bounded_confidence,
-    run_finite_basis,
-    run_formation_transfer,
 )
-from sheaf_sysid.cli import main as cli_main
+from sheaf_sysid.sysid import ResidualDataset, fit_linear
 
 
 class criterion:

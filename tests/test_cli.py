@@ -7,21 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sheaf_sysid import (
-    BoundedConfidence,
-    SimConfig,
-    build_coboundary,
-    fit_linear,
-    global_section_basis,
-    integrate,
-    load_trajectory_csv,
-    make_cycle_sheaf,
-    monomial_basis,
-    observe,
-    residual_dataset,
-)
 from sheaf_sysid import cli
 from sheaf_sysid.cli import main
+from sheaf_sysid.dynamics import SimConfig, integrate, load_trajectory_csv, observe
+from sheaf_sysid.experiments import make_cycle_sheaf
+from sheaf_sysid.potentials import BoundedConfidence, monomial_basis
+from sheaf_sysid.sheaf import build_coboundary, global_section_basis
+from sheaf_sysid.sysid import fit_linear, residual_dataset
 
 
 def write_config(tmp_path: Path, name: str, payload: dict) -> Path:
@@ -62,6 +54,19 @@ def test_cohomology_builtin_cycles(tmp_path, capsys):
         assert report["dim_h1"] == expected
         basis_lines = next(out.glob("harmonic_basis_*.csv")).read_text().splitlines()
         assert len(basis_lines) == expected  # one row per harmonic basis vector
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_cohomology_of_a_rotated_cycle_with_harmonic_space(tmp_path, capsys, n):
+    # n quarter-pi rotations make whole turns: H0 and H1 are two-dimensional
+    sheaf = {"builtin": "cycle", "cycle_length": n, "variant": "rotated"}
+    cfg = write_config(tmp_path, "c.json", {"command": "cohomology", "sheaf": sheaf})
+    assert run_cli("cohomology", cfg, tmp_path / "out") == 0
+    report = json.loads(next((tmp_path / "out").glob("cohomology_*.json")).read_text())
+    assert report["dim_h0"] == report["dim_h1"] == 2
+    # the threshold study, which needs H1 = 0, still refuses the length
+    payload = {"command": "experiment", "experiment": "bounded_confidence", "cycle_length": n}
+    _assert_config_error(tmp_path, capsys, "experiment", payload, "cycle_length")
 
 
 def test_cohomology_of_a_vanishing_cohomology_asks_for_singular_values_only(
@@ -636,7 +641,13 @@ def test_sheaf_file_with_non_object_edges_exits_1(tmp_path, capsys):
 
 
 def test_experiment_rejects_bad_numbers(tmp_path, capsys):
-    cases = (("cycle_length", "x"), ("n_holdout", 0), ("seeds", [0, "1"]), ("seeds", [0, 0]))
+    cases = (
+        ("cycle_length", "x"),
+        ("n_holdout", 0),
+        ("seeds", [0, "1"]),
+        ("seeds", [0, 0]),
+        ("training_horizon", 1e307),  # 1e309 steps of 0.01 overflow a float
+    )
     for key, value in cases + (("step", 0.01),):  # every study steps at 0.01
         payload = {"command": "experiment", "experiment": "finite_basis", key: value}
         _assert_config_error(tmp_path, capsys, "experiment", payload, key)
@@ -662,6 +673,48 @@ def test_a_threshold_whose_powers_overflow_exits_1(tmp_path, capsys):
         "family": family,
     }
     _assert_config_error(tmp_path, capsys, "identify", payload, "hi <= 1e100")
+
+
+@pytest.mark.parametrize(
+    "command, fields",
+    [
+        ("simulate", {"horizon": 1e12}),
+        ("simulate", {"horizon": 10.0, "step": 1e-300}),
+        ("bounded_confidence", {"training_horizon": 1e12}),
+        ("bounded_confidence", {"training_horizon": 1e300}),
+        ("finite_basis", {"training_horizon": 1e12}),
+        ("finite_basis", {"training_horizon": 1e300}),
+    ],
+)
+def test_a_record_too_long_to_allocate_exits_1(tmp_path, capsys, command, fields):
+    if command == "simulate":
+        payload = _simulate_config(**fields)
+    else:
+        payload = {"command": "experiment", "experiment": command, "seeds": [0], **fields}
+        command = "experiment"
+    cfg = write_config(tmp_path, "long.json", payload)
+    assert run_cli(command, cfg, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a record of horizon ") and err.count("\n") == 1
+    assert err.endswith("is too long to allocate\n")
+
+
+def test_a_sheaf_without_vertices_simulates_and_identify_refuses_it(tmp_path, capsys):
+    empty = {"vertex_count": 0, "vertex_stalk_dims": [], "edges": []}
+    (tmp_path / "empty.json").write_text(json.dumps(empty))
+    sheaf = {"path": str(tmp_path / "empty.json")}
+    cfg = write_config(tmp_path, "s.json", _simulate_config(sheaf=sheaf))
+    assert run_cli("simulate", cfg, tmp_path / "traj") == 0
+    files = sorted((tmp_path / "traj").glob("trajectory_*.csv"))
+    assert len(files) == 2 and all(p.read_text().splitlines()[0] == "time" for p in files)
+    payload = {
+        "command": "identify",
+        "sheaf": sheaf,
+        "trajectories": str(tmp_path / "traj"),
+        "family": {"kind": "monomial"},
+    }
+    assert run_cli("identify", write_config(tmp_path, "i.json", payload), tmp_path / "o") == 1
+    assert capsys.readouterr().err == "error: trajectory has no recorded derivatives\n"
 
 
 @pytest.mark.parametrize("out", ["afile", "afile/sub"])

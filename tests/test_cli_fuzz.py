@@ -3,12 +3,17 @@ trajectory files and simulate manifests: every run exits 0, 1 or 2, and a
 failing run prints an ``error:`` line and no traceback.
 
 Every size an example can draw is bounded, so no example allocates or steps
-without limit: cycles of at most 9 vertices and stalks of at most 9
-dimensions, at most 10 RK4 steps per drawn record length, at most 3 of
-anything counted (starts, seeds, training and holdout sets), and input files
-of at most 4 KB.  A key that sets a size is therefore replaced, never deleted
-(its default is full size), and only by a value within its bound or by one
-the CLI must reject.  The studies' own fixed record lengths are not drawn.
+without limit: cycles of at most 9 vertices (a sheaf file may have none) and
+stalks of at most 9 dimensions, at most 10 RK4 steps per drawn record length,
+at most 3 of anything counted (starts, seeds, training and holdout sets), and
+input files of at most 4 KB.  A key that sets a size is therefore replaced,
+never deleted (its default is full size), and only by a value within its
+bound or by one the CLI must reject.  Among the latter are a horizon or
+training horizon of 1e12 and a step of 1e-300, records of at least 5e12
+samples that must be refused before anything is stepped; a long record that
+could be allocated is never drawn.  Drawn record lengths are rounded to 1e-6,
+so a step of 1e-300 never meets a horizon that makes such a record.  The
+studies' own fixed record lengths are not drawn.
 Any other number may be drawn as a 400-digit integer, too large for a float,
 and so may an entry of a sheaf file's map.
 """
@@ -59,7 +64,13 @@ SHEAF = {
     ],
 }
 
+# A sheaf file with no vertices, whose cochains have no coordinates.
+EMPTY_SHEAF = {"vertex_count": 0, "vertex_stalk_dims": [], "edges": []}
+
 HUGE = 10**400  # math.isfinite overflows on it
+# Record keys, each with a value that makes a record of at least 5e12 samples
+# at any drawn step or horizon: too long to allocate.
+TOO_LONG = {"horizon": 1e12, "training_horizon": 1e12, "step": 1e-300}
 
 NOT_A_NUMBER = st.one_of(
     st.none(),
@@ -97,18 +108,26 @@ def bounded(low, high, integer=False):
     """A size within [low, high], or one the CLI must reject."""
     if integer:
         return st.one_of(st.integers(low, high), st.sampled_from([low - 1, 0.5]), NOT_A_NUMBER)
-    return st.one_of(st.floats(low, high), st.just(low - 1), NOT_A_NUMBER)
+    within = st.floats(low, high).map(lambda v: round(v, 6))
+    return st.one_of(within, st.just(low - 1), NOT_A_NUMBER)
+
+
+# A record length within 10 steps of 0.01, or one the CLI must reject.
+RECORD_LENGTH = st.one_of(bounded(-0.05, 0.1), st.just(TOO_LONG["horizon"]))
 
 
 # Size keys and what may replace them.  A step of at least 0.01 and a horizon
 # of at most 0.1 keep every simulate record within 10 steps; the studies step
-# at 0.01, so a training horizon of at most 0.1 does the same.
+# at 0.01, so a training horizon of at most 0.1 does the same.  A step of
+# 1e-300 makes any drawn horizon of at least 1e-6 too long to allocate.
 SIZE_KEYS = {
     "cycle_length": bounded(-1, 9, integer=True),
-    "horizon": bounded(-0.05, 0.1),
-    "step": st.one_of(st.floats(0.01, 0.2), st.sampled_from([0.0, -0.01]), NOT_A_NUMBER),
+    "horizon": RECORD_LENGTH,
+    "step": st.one_of(
+        st.floats(0.01, 0.2), st.sampled_from([0.0, -0.01, TOO_LONG["step"]]), NOT_A_NUMBER
+    ),
     "count": bounded(-1, 3, integer=True),
-    "training_horizon": bounded(-0.05, 0.1),
+    "training_horizon": RECORD_LENGTH,
     "n_training": bounded(-1, 3, integer=True),
     "n_holdout": bounded(-1, 3, integer=True),
     "seeds": st.one_of(st.lists(st.integers(-1, 5), max_size=3), NOT_A_NUMBER),
@@ -195,8 +214,9 @@ def test_every_mutated_run_exits_0_1_or_2_with_an_error_line(tmp_path, monkeypat
             assert len(path.read_bytes()) <= MAX_FILE
             path.write_bytes(mutate_bytes(data, path.read_bytes(), label))
     if "sheaf" in config and data.draw(st.booleans(), label="sheaf file"):
-        sheaf = copy.deepcopy(SHEAF)
-        if data.draw(st.booleans(), label="huge map entry"):
+        empty = data.draw(st.booleans(), label="no vertices")
+        sheaf = copy.deepcopy(EMPTY_SHEAF if empty else SHEAF)
+        if not empty and data.draw(st.booleans(), label="huge map entry"):
             sheaf["edges"][0]["tail_map"][0][0] = HUGE
         mutate(data, sheaf, "sheaf")
         raw = mutate_bytes(data, json.dumps(sheaf).encode(), "sheaf bytes")
@@ -211,6 +231,10 @@ def test_every_mutated_run_exits_0_1_or_2_with_an_error_line(tmp_path, monkeypat
     if numbers and data.draw(st.booleans(), label="huge number"):
         node, key = data.draw(st.sampled_from(numbers), label="huge number at")
         node[key] = HUGE
+    records = sorted(TOO_LONG.keys() & config.keys())
+    if records and data.draw(st.booleans(), label="too long"):
+        key = data.draw(st.sampled_from(records), label="too long at")
+        config[key] = TOO_LONG[key]
     mutate(data, config, "config")
     raw = mutate_bytes(data, json.dumps(config).encode(), "config bytes")
     assert len(raw) <= MAX_FILE

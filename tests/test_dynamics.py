@@ -1,39 +1,44 @@
 """Integration, equilibria, ensembles, and trajectory files."""
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from conftest import random_sheaf
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sheaf_sysid import (
-    Antagonistic,
-    BoundedConfidence,
-    ConstantEdgeForce,
-    DivergenceError,
-    LinearBasisPotential,
-    ParameterError,
-    Quadratic,
-    ShiftedQuadratic,
+from sheaf_sysid.dynamics import (
     SimConfig,
-    StructuralError,
     Trajectory,
-    UsageError,
-    apply_delta,
-    build_coboundary,
+    _laplacian,
     equilibrium_projection,
-    global_section_basis,
     integrate,
     load_trajectory_csv,
-    make_cycle_sheaf,
-    monomial_basis,
-    monomial_potential,
     observe,
-    residuals_exact,
     save_trajectory_csv,
     simulate_ensemble,
 )
-from sheaf_sysid.dynamics import _laplacian
+from sheaf_sysid.errors import DivergenceError, ParameterError, StructuralError, UsageError
+from sheaf_sysid.experiments import make_cycle_sheaf
+from sheaf_sysid.potentials import (
+    Antagonistic,
+    BoundedConfidence,
+    ConstantEdgeForce,
+    LinearBasisPotential,
+    Quadratic,
+    ShiftedQuadratic,
+    monomial_basis,
+    monomial_potential,
+)
+from sheaf_sysid.sheaf import (
+    apply_delta,
+    build_coboundary,
+    global_section_basis,
+    sheaf_from_dict,
+)
+from sheaf_sysid.sysid import residuals_exact
 
 
 def test_quadratic_laplacian_is_linear(identity_cycle):
@@ -466,12 +471,47 @@ def test_integrate_rejects_misshapen_starts(identity_cycle):
     assert integrate(op, Quadratic(sheaf), np.zeros((0, op.d0)), cfg) == []
 
 
+@pytest.mark.parametrize("horizon, step", [(1e12, 0.01), (1e300, 0.01), (10.0, 1e-300)])
+def test_a_record_too_long_to_allocate_raises_parameter_error(identity_cycle, horizon, step):
+    # past the memory, or past numpy's largest array; with per-row ends, no
+    # end is cast to an int before the refusal (a cast past int64 would warn)
+    sheaf, op = identity_cycle
+    cfg = SimConfig(horizon=horizon, step=step)
+    message = re.escape(f"horizon {horizon:g} at step {step:g} is too long to allocate")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x0, ends in ((np.zeros(op.d0), None), (np.zeros((2, op.d0)), [horizon] * 2)):
+            with pytest.raises(ParameterError, match=message):
+                integrate(op, Quadratic(sheaf), x0, cfg, ends=ends)
+
+
+def test_sample_buffers_too_large_raise_parameter_error(identity_cycle, monkeypatch):
+    sheaf, op = identity_cycle
+
+    def refuse(shape, *args, **kwargs):
+        raise MemoryError(f"cannot allocate {shape}")
+
+    monkeypatch.setattr(np, "empty", refuse)
+    with pytest.raises(ParameterError, match="horizon 0.1 at step 0.01 is too long"):
+        integrate(op, Quadratic(sheaf), np.zeros((3, op.d0)), SimConfig(horizon=0.1))
+
+
+def test_a_sheaf_without_vertices_integrates_to_time_only_records():
+    sheaf = sheaf_from_dict({"vertex_count": 0, "vertex_stalk_dims": [], "edges": []})
+    op = build_coboundary(sheaf)
+    cfg = SimConfig(horizon=0.05)
+    traj = integrate(op, Quadratic(sheaf), np.zeros(0), cfg)
+    assert traj.times.shape == (6,) and traj.states.shape == traj.derivs.shape == (6, 0)
+    batch = simulate_ensemble(op, Quadratic(sheaf), [np.zeros(0)] * 2, cfg)
+    assert [t.states.shape for t in batch] == [(6, 0)] * 2
+
+
 def test_simulating_never_computes_an_svd(monkeypatch):
     def no_svd(*args, **kwargs):
         raise AssertionError("SVD computed")
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    sheaf = make_cycle_sheaf(5, "rotated")  # checks its harmonic dimension in closed form
+    sheaf = make_cycle_sheaf(5, "rotated")  # builds the sheaf alone, no operator
     op = build_coboundary(sheaf)
     model = BoundedConfidence(sheaf, 1.0)
     x0 = np.random.default_rng(22).standard_normal(op.d0)
@@ -589,7 +629,10 @@ def test_row_parameters_must_match_the_batch(rotated_cycle, family):
     assert len(integrate(op, model, np.zeros((2, op.d0)), cfg)) == 2
 
 
-@pytest.mark.parametrize("horizon, step", [(0.105, 0.01), (1.0, 0.3), (0.5, 0.2), (2.0, 0.3)])
+@pytest.mark.parametrize(
+    "horizon, step",
+    [(0.105, 0.01), (1.0, 0.3), (0.5, 0.2), (2.0, 0.3), (1e12, 1e-300)],  # the last: inf steps
+)
 def test_horizon_must_be_a_whole_number_of_steps(horizon, step):
     with pytest.raises(ParameterError, match="not a whole number of steps"):
         SimConfig(horizon=horizon, step=step)

@@ -9,36 +9,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sheaf_sysid import (
-    ConfigurationError,
-    DirectedGraph,
-    DivergenceError,
-    ExperimentConfig,
-    LinearBasisPotential,
-    Sheaf,
-    ShiftedQuadratic,
-    SimConfig,
-    UsageError,
-    build_coboundary,
-    force_mse,
-    harmonic_basis,
-    integrate,
-    make_cycle_sheaf,
-    monomial_basis,
-    monomial_potential,
-    observe,
-    run_bounded_confidence,
-    run_finite_basis,
-    run_experiment,
-    run_formation_transfer,
-)
 from sheaf_sysid import experiments
+from sheaf_sysid.dynamics import SimConfig, integrate, observe
+from sheaf_sysid.errors import ConfigurationError, DivergenceError, UsageError
 from sheaf_sysid.experiments import (
     BASIS_NOISE_STD,
     LOCALIZED_BAND,
     STEP,
-    TAIL_ROTATION_ANGLE,
     TRUE_MONOMIAL_THETA,
+    ExperimentConfig,
     _broad_initial_conditions,
     _Condition,
     _initial_conditions,
@@ -48,10 +27,23 @@ from sheaf_sysid.experiments import (
     _median,
     _sweep,
     constant_edge_cochain,
+    force_mse,
+    make_cycle_sheaf,
     reference_grid,
     rows_to_csv,
     rows_to_text,
+    run_bounded_confidence,
+    run_experiment,
+    run_finite_basis,
+    run_formation_transfer,
 )
+from sheaf_sysid.potentials import (
+    LinearBasisPotential,
+    ShiftedQuadratic,
+    monomial_basis,
+    monomial_potential,
+)
+from sheaf_sysid.sheaf import build_coboundary, harmonic_basis
 
 
 @pytest.mark.parametrize("n", [3, 5])
@@ -61,40 +53,15 @@ def test_cycle_sheaf_harmonic_dimensions(n):
         assert harmonic_basis(build_coboundary(sheaf)).shape[1] == expected
 
 
-def test_cycle_sheaf_verification_catches_degenerate_rotation():
-    # eight quarter-pi steps close up, so the rotated 8-cycle keeps harmonic
-    # directions and the construction must refuse it
-    with pytest.raises(ConfigurationError):
-        make_cycle_sheaf(8, "rotated")
-
-
-def _unchecked_cycle(n, variant):
-    """The cycle sheaf make_cycle_sheaf builds, without its harmonic check."""
-    a = TAIL_ROTATION_ANGLE if variant == "rotated" else 0.0
-    tail = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
-    return Sheaf(
-        graph=DirectedGraph(vertex_count=n, edges=tuple((i, (i + 1) % n) for i in range(n))),
-        vertex_stalk_dims=[2] * n,
-        edge_stalk_dims=[2] * n,
-        head_maps=[np.eye(2)] * n,
-        tail_maps=[tail] * n,
-    )
-
-
 @pytest.mark.parametrize("variant", ["identity", "rotated"])
 @pytest.mark.parametrize("n", range(3, 41))
 def test_cycle_sheaf_closed_form_check_agrees_with_the_svd(n, variant):
-    # make_cycle_sheaf checks dim H1 from the tail maps alone.  Eight
-    # quarter-pi rotations close up, so the operator SVD finds harmonic
-    # directions on rotated n = 8, 16, 24, ..., and exactly those must raise.
+    # The closed form: eight quarter-pi rotations close up, so the rotated
+    # cycle has harmonic directions on n = 8, 16, 24, ... and only there, as
+    # many as the identity cycle has at every length.
     degenerate = variant == "rotated" and n % 8 == 0
-    dim_h1 = harmonic_basis(build_coboundary(_unchecked_cycle(n, variant))).shape[1]
+    dim_h1 = harmonic_basis(build_coboundary(make_cycle_sheaf(n, variant))).shape[1]
     assert dim_h1 == (2 if variant == "identity" or degenerate else 0)
-    if degenerate:
-        with pytest.raises(ConfigurationError, match="harmonic dimension 2, expected 0"):
-            make_cycle_sheaf(n, variant)
-    else:
-        assert harmonic_basis(build_coboundary(make_cycle_sheaf(n, variant))).shape[1] == dim_h1
 
 
 def test_cycle_sheaf_rejects_bad_args():
@@ -445,14 +412,16 @@ def test_threshold_study_rejects_a_rotated_cycle_with_harmonic_space(n):
 
 
 def test_rotated_cycle_check_agrees_with_the_sheaf_it_builds():
+    # bounded_confidence refuses exactly the lengths whose rotated cycle has H^1 != 0
+    refused = []
     for n in range(3, 26):
-        try:
-            make_cycle_sheaf(n, "rotated")
-        except ConfigurationError:
+        if harmonic_basis(build_coboundary(make_cycle_sheaf(n, "rotated"))).shape[1]:
+            refused.append(n)
             with pytest.raises(ConfigurationError, match="cycle_length"):
                 ExperimentConfig(experiment_id="bounded_confidence", cycle_length=n)
         else:
             ExperimentConfig(experiment_id="bounded_confidence", cycle_length=n)
+    assert refused == [8, 16, 24]
 
 
 @pytest.mark.parametrize(

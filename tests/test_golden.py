@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from sheaf_sysid import ExperimentConfig, run_experiment
+from sheaf_sysid.experiments import ExperimentConfig, run_experiment
 
 GOLDEN = Path(__file__).resolve().parent / "data" / "golden_studies.json"
 SWEEP_SEEDS = range(8)

@@ -4,22 +4,21 @@ import numpy as np
 import pytest
 from conftest import random_sheaf
 
-from sheaf_sysid import (
+from sheaf_sysid.errors import ParameterError, StructuralError
+from sheaf_sysid.potentials import (
     Antagonistic,
-    BasisForce,
     BoundedConfidence,
     ConstantEdgeForce,
+    EdgePotential,
     LinearBasisPotential,
-    ParameterError,
     Quadratic,
     RadialMonomialForce,
     ShiftedQuadratic,
-    StructuralError,
-    build_coboundary,
+    confidence_gain,
     monomial_basis,
     monomial_potential,
 )
-from sheaf_sysid.potentials import confidence_gain
+from sheaf_sysid.sheaf import build_coboundary
 
 
 def all_families(sheaf, rng):
@@ -404,7 +403,7 @@ def test_linear_basis_rejects_theta_of_the_wrong_shape(identity_cycle, theta):
 def test_linear_basis_rejects_unsupported_family(identity_cycle):
     sheaf, _ = identity_cycle
 
-    class CubicForce(BasisForce):
+    class CubicForce(EdgePotential):
         def force(self, y):
             return np.asarray(y, dtype=float) ** 3
 

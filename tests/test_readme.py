@@ -1,14 +1,16 @@
 """The README's library tour and CLI configs run as written and show what its
 text says."""
 
+import inspect
 import json
 import re
 from pathlib import Path
 
 import numpy as np
 
-from sheaf_sysid import harmonic_basis
+import sheaf_sysid
 from sheaf_sysid.cli import main
+from sheaf_sysid.sheaf import harmonic_basis
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -23,6 +25,28 @@ def test_readme_library_tour_runs():
     fit = namespace["fit"]
     assert fit.report.identifiable
     assert np.allclose(fit.theta_hat, [1.0, 0.25, 0.03], rtol=1e-8, atol=0.0)
+
+
+# The package-level names: the library tour's, plus what the benchmark reads.
+FACADE = {
+    "SimConfig", "integrate",
+    "SheafSysIdError",
+    "ExperimentConfig", "make_cycle_sheaf", "run_experiment",
+    "monomial_basis", "monomial_potential",
+    "build_coboundary", "harmonic_basis",
+    "fit_linear", "residuals_exact",
+}
+
+
+def test_the_package_exports_only_the_facade_names():
+    # every other name is imported from its module, so the facade cannot grow back
+    public = {
+        name for name, value in vars(sheaf_sysid).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert public == FACADE
+    tour = re.search(r"```python\n(.*?)```", README.read_text(), flags=re.S).group(1)
+    assert set(re.findall(r"\bss\.(\w+)", tour)) <= FACADE
 
 
 def test_readme_configs_run_in_order(tmp_path, monkeypatch):

@@ -9,24 +9,24 @@ from conftest import random_sheaf, random_spd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sheaf_sysid import (
-    RANK_TOL,
+from sheaf_sysid.dynamics import equilibrium_projection
+from sheaf_sysid.errors import StructuralError
+from sheaf_sysid.experiments import make_cycle_sheaf
+from sheaf_sysid.sheaf import (
     CoboundaryOperator,
     DirectedGraph,
+    RANK_TOL,
     Sheaf,
-    StructuralError,
     apply_delta,
     apply_delta_star,
     build_coboundary,
     c0_inner,
     c1_inner,
     delta_pseudoinverse_apply,
-    equilibrium_projection,
     global_section_basis,
     harmonic_basis,
     hodge_project,
     load_sheaf,
-    make_cycle_sheaf,
     sheaf_from_dict,
 )
 

@@ -11,37 +11,38 @@ from conftest import random_sheaf
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sheaf_sysid import (
+from sheaf_sysid import sysid
+from sheaf_sysid.dynamics import (
+    SimConfig,
+    Trajectory,
+    _laplacian,
+    equilibrium_projection,
+    integrate,
+)
+from sheaf_sysid.errors import ConfigurationError, ParameterError, UsageError
+from sheaf_sysid.experiments import make_cycle_sheaf
+from sheaf_sysid.potentials import (
     BoundedConfidence,
-    ConfigurationError,
     ConstantEdgeForce,
     LinearBasisPotential,
-    ParameterError,
     Quadratic,
-    ResidualDataset,
-    Sheaf,
     ShiftedQuadratic,
-    SimConfig,
-    UsageError,
-    build_coboundary,
-    equilibrium_projection,
+    monomial_basis,
+    monomial_potential,
+)
+from sheaf_sysid.sheaf import CoboundaryOperator, Sheaf, build_coboundary
+from sheaf_sysid.sysid import (
+    ResidualDataset,
     fit_linear,
     fit_threshold,
     information_scalar,
-    integrate,
-    make_cycle_sheaf,
     merge_datasets,
-    monomial_basis,
-    monomial_potential,
     residual_dataset,
     residuals_exact,
     residuals_fd,
     threshold_objective,
     threshold_terms,
 )
-from sheaf_sysid import sysid
-from sheaf_sysid.dynamics import Trajectory, _laplacian
-from sheaf_sysid.sheaf import CoboundaryOperator
 
 
 def forward_dataset(op, model, states):
@@ -216,12 +217,15 @@ def test_information_zero_without_excitation(rotated_cycle):
 
 _INFORMATION_BITS = """
 import numpy as np
-import sheaf_sysid as ss
-sheaf = ss.make_cycle_sheaf(3, "rotated")
-op = ss.build_coboundary(sheaf)
+from sheaf_sysid.experiments import make_cycle_sheaf
+from sheaf_sysid.potentials import BoundedConfidence
+from sheaf_sysid.sheaf import build_coboundary
+from sheaf_sysid.sysid import ResidualDataset, information_scalar
+sheaf = make_cycle_sheaf(3, "rotated")
+op = build_coboundary(sheaf)
 states = 0.8 * np.random.default_rng(0).standard_normal((20_000, op.d0))
-data = ss.ResidualDataset(states, np.zeros_like(states), states @ op.B.T, "exact")
-print(ss.information_scalar(op, ss.BoundedConfidence(sheaf, 1.0), data).lambda_min.hex())
+data = ResidualDataset(states, np.zeros_like(states), states @ op.B.T, "exact")
+print(information_scalar(op, BoundedConfidence(sheaf, 1.0), data).lambda_min.hex())
 """
 
 
