@@ -368,8 +368,8 @@ def run_formation_transfer(cfg: ExperimentConfig) -> ExperimentOutput:
 
 
 class _Condition(NamedTuple):
-    """One row of a study's table, with the true parameters, seeds and record
-    to run it on."""
+    """One row of a study's table, with the true parameters, seeds and
+    training-set size to run it on."""
 
     label: str
     basis: str | None  # the fitted basis variant; None for a threshold fit
@@ -377,7 +377,6 @@ class _Condition(NamedTuple):
     mode: str
     truth: float | tuple  # the true law's parameters
     seeds: Sequence[int]
-    horizon: float
     n_training: int
 
 
@@ -453,69 +452,64 @@ def _sweep(cfg, sheaf, conditions, fit, family, stats, noise_std, noise_tag) -> 
 
     The rollouts run in two integrate calls, as rows are independent of their
     batch and each row stops at its own record length: one for every truth
-    start set, then the fits in (condition, seed) order, then one for every
-    fitted law.  A divergence raises the error the condition-by-condition
+    start set, then the fits in (condition, seed) order up to the first that
+    fails, then one scoring step that rolls out every fitted law and scores
+    it against its truth.  A sweep raises the error the condition-by-condition
     order meets first: per (condition, seed) its truth rollout, its fit, then
-    its fitted rollout.
+    its fitted rollout.  So the scoring step raises the first fitted
+    divergence, then the failure that stopped the fits.  The fitted rollouts
+    live only in the scoring comprehension, so neither they nor the batch
+    buffer their samples share outlive their scores into the force checks.
     """
     op = build_coboundary(sheaf)
     pairs = [(cond, seed) for cond in conditions for seed in cond.seeds]
-    starts: dict = {}  # (seed, coverage, truth) -> (horizon, training, holdout starts)
+    starts: dict = {}  # (seed, coverage, truth) -> (training, holdout starts)
     for cond, seed in pairs:
         key = (seed, cond.coverage, cond.truth)
         if key not in starts:
             counts = (cond.n_training, cfg.n_holdout)
-            starts[key] = (cond.horizon, *_initial_conditions(op, cond.coverage, seed, counts))
+            starts[key] = _initial_conditions(op, cond.coverage, seed, counts)
+    jobs = [(k[2], _horizon(cfg, k[1]), train + hold) for k, (train, hold) in starts.items()]
+    truth = dict(zip(starts, _rollouts(op, family, jobs)))  # the holdout records come last
 
-    jobs = [(key[2], horizon, train + hold) for key, (horizon, train, hold) in starts.items()]
-    truth = dict(zip(starts, _rollouts(op, family, jobs)))
-
-    fits = []  # per pair, in order: (fitted parameters, horizon, holdout starts, metrics)
-    pooled = []
-    try:
-        for cond, seed in pairs:
-            key = (seed, cond.coverage, cond.truth)
+    fits, pooled, failure = [], [], None  # per pair, in order: (key, fitted parameters, metrics)
+    for cond, seed in pairs:
+        key = (seed, cond.coverage, cond.truth)
+        try:
             _raise_divergence(truth[key])
-            _, train_ics, hold_ics = starts[key]
-            train = truth[key][: len(train_ics)]
+            train = truth[key][: -cfg.n_holdout]
             if cond.mode == "finite_difference":
                 tag = (seed, _COVERAGE_IDS[cond.coverage], _MODE_IDS[cond.mode], *noise_tag)
                 train = [observe(t, noise_std, (*tag, i)) for i, t in enumerate(train)]
             data = residual_dataset(op, train, cond.mode)
-            params, metrics = fit(cond, op, data)
-            fits.append((params, cond.horizon, hold_ics, metrics))
-            pooled.append(data.edge_states)
-    except SheafSysIdError:
-        # the fitted rollouts of the pairs before this one come first
-        for results in _rollouts(op, family, [job[:3] for job in fits]):
-            _raise_divergence(results)
-        raise
-    candidates = _rollouts(op, family, [job[:3] for job in fits])
+            fits.append((key, *fit(cond, op, data)))
+        except SheafSysIdError as exc:
+            failure = exc
+            break
+        pooled.append(data.edge_states)
 
-    runs = []
-    for cond in conditions:
-        runs.append([])  # [(metrics, fitted parameters, holdout edge states)]
-        for seed in cond.seeds:
-            # popped and never named, so that no fitted rollout, nor the batch
-            # buffer its samples share, outlives its score into the force checks
-            params, _, _, metrics = fits.pop(0)
-            key = (seed, cond.coverage, cond.truth)
-            reference = truth[key][len(starts[key][1]) :]
-            metrics["rollout_rmse"] = _rollout_rmse(reference, candidates.pop(0))
-            holdout = np.concatenate([t.states @ op.B.T for t in reference])
-            runs[-1].append((metrics, params, holdout))
+    jobs = [(params, _horizon(cfg, key[1]), starts[key][1]) for key, params, _ in fits]
+    scores = [
+        _rollout_rmse(truth[key][-cfg.n_holdout :], fitted)
+        for (key, _, _), fitted in zip(fits, _rollouts(op, family, jobs))
+    ]
+    if failure is not None:
+        raise failure
+    for (_, _, metrics), score in zip(fits, scores):
+        metrics["rollout_rmse"] = score
 
     pooled, grid = np.concatenate(pooled), reference_grid(sheaf)
     true_laws: dict = {}  # truth -> (its law, {set: (states, its forces)})
-    summary, force_rows = [], []
-    for cond, cond_runs in zip(conditions, runs):
+    summary, force_rows, runs = [], [], iter(fits)
+    for cond in conditions:
+        cond_runs = [next(runs) for _ in cond.seeds]
         row = {"setting": cond.label}
         if cond.basis is not None:
             row["basis"] = cond.basis
         row.update(coverage=cond.coverage, residual_mode=cond.mode)
         for column in stats:
             metric, stat = column.rsplit("_", 1)
-            values = np.asarray([m[metric] for m, _, _ in cond_runs], dtype=float)
+            values = np.asarray([m[metric] for _, _, m in cond_runs], dtype=float)
             row[column] = float(values.mean() if stat == "mean" else values.std())
         summary.append({**row, "n_seeds": len(cond_runs)})
         if cond.truth not in true_laws:
@@ -525,10 +519,10 @@ def _sweep(cfg, sheaf, conditions, fit, family, stats, noise_std, noise_tag) -> 
             }
         law, known = true_laws[cond.truth]
         mses = []
-        for _, params, holdout in cond_runs:
-            fitted = family(params)
+        for key, params, _ in cond_runs:
+            holdout = np.concatenate([t.states @ op.B.T for t in truth[key][-cfg.n_holdout :]])
             sets = {"holdout": (holdout, law.force(holdout)), **known}
-            mses.append({name: force_mse(fitted, *s) for name, s in sets.items()})
+            mses.append({name: force_mse(family(params), *s) for name, s in sets.items()})
         force_rows.append({"experiment": cfg.experiment_id, "setting": cond.label})
         for name in ("holdout", "pooled", "grid"):
             force_rows[-1][f"{name}_mse_median"] = _median([m[name] for m in mses])
@@ -577,7 +571,6 @@ def run_bounded_confidence(cfg: ExperimentConfig) -> ExperimentOutput:
                 *row,
                 truth=TRUE_THRESHOLD,
                 seeds=sorted(cfg.seeds),
-                horizon=_horizon(cfg, row[2]),
                 n_training=default_n if cfg.n_training is None else cfg.n_training,
             )
         )
@@ -628,7 +621,6 @@ def run_finite_basis(cfg: ExperimentConfig) -> ExperimentOutput:
             *row,
             truth=truths[row[1]],
             seeds=seeds[:1] if row[1] == "augmented" else seeds,
-            horizon=_horizon(cfg, row[2]),
             n_training=BASIS_N_TRAINING if cfg.n_training is None else cfg.n_training,
         )
         for row in _SWEEPS["finite_basis"]

@@ -129,12 +129,17 @@ class BoundedConfidence(EdgePotential):
     and each row is bit for bit the scalar model at its threshold.
     """
 
-    MAX_EPSILON = 1e100  # the largest threshold: its cube (param_jacobian) stays finite
+    # The threshold range, where epsilon**2 and epsilon**3 (param_jacobian)
+    # stay finite, normal floats: none overflows or underflows to 0.
+    MIN_EPSILON, MAX_EPSILON = 1e-100, 1e100
+
     def __init__(self, sheaf: Sheaf, epsilon):
         super().__init__(sheaf)
         eps = np.asarray(epsilon, dtype=float)
-        if eps.ndim > 1 or not np.all((eps > 0) & (eps <= self.MAX_EPSILON)):
-            raise ParameterError(f"epsilon must be positive, at most 1e100, got {epsilon}")
+        if eps.ndim > 1 or not np.all((eps >= self.MIN_EPSILON) & (eps <= self.MAX_EPSILON)):
+            raise ParameterError(
+                f"epsilon must be positive, at least 1e-100 and at most 1e100, got {epsilon}"
+            )
         self.epsilon = eps if eps.ndim else float(eps)
         self.row_count = eps.size if eps.ndim else None
         self._e2 = self._power(2)
@@ -170,7 +175,10 @@ class BoundedConfidence(EdgePotential):
         y = self._batch(y)
         u = self.sheaf.edge_sq_norms(y)
         e2 = self._e2
-        factor = np.where(u <= e2, 4.0 * (1.0 - u / e2) * u / self._power(3), 0.0)
+        # where drops the entries above the threshold, whose products may
+        # overflow; a kept one has u <= eps^2, so it is at most 4/eps
+        with np.errstate(over="ignore"):
+            factor = np.where(u <= e2, 4.0 * (1.0 - u / e2) * u / self._power(3), 0.0)
         return self.sheaf.edge_scale(y, factor)[..., None]
 
 
@@ -214,10 +222,9 @@ class ConstantEdgeForce(EdgePotential):
         self.cochain = np.asarray(cochain, dtype=float)
         if self.cochain.shape != (sheaf.d1,):
             raise ParameterError("constant force must be a 1-cochain")
-        self._weighted = sheaf.M2 @ self.cochain
 
     def value(self, y):
-        return np.asarray(y, dtype=float) @ self._weighted
+        return np.asarray(y, dtype=float) @ (self.sheaf.M2 @ self.cochain)
 
     def force(self, y):
         y = np.asarray(y, dtype=float)

@@ -171,17 +171,15 @@ class Sheaf:
         self.edge_slices = tuple(
             slice(int(a), int(b)) for a, b in zip(e_offsets[:-1], e_offsets[1:])
         )
-        # The edges of each stalk width k and their columns (E_k, k); the one
-        # group of a uniform layout holds every edge in order, so its blocks
-        # are a reshape of the last axis to (..., E, k) rather than a gather.
+        # The edges of each stalk width k with the row (E_k, k, 1) and column
+        # (E_k, 1, k) indices of their blocks; the one group of a uniform
+        # layout holds every edge in order, so its blocks are a reshape of the
+        # last axis to (..., E, k) rather than a gather.
         groups = _grouped(np.asarray(self.edge_stalk_dims, dtype=np.intp))
-        self._width_groups = tuple(
-            (at, e_offsets[at, None] + np.arange(k)) for (k,), at in groups
-        )
-        self._uniform = self._width_groups[0][1].shape if len(groups) == 1 else None
         self._edge_blocks = tuple(
-            (at, c[:, :, None], c[:, None, :]) for at, c in self._width_groups
+            (at, *_block_index(e_offsets[at], k)) for (k,), at in groups
         )
+        self._uniform = self._edge_blocks[0][1].shape[:2] if len(groups) == 1 else None
         self._m2 = _block_rows(self.edge_grams, self._edge_blocks)
         # M2 in band storage: the main diagonal, then every nonzero diagonal
         # at offset k (entries M2[j, j + k]), so M2 y costs O(d1) per band;
@@ -237,8 +235,8 @@ class Sheaf:
         if self._uniform:
             return _block_sums(p.reshape(p.shape[:-1] + self._uniform))
         out = np.empty(y.shape[:-1] + (self.graph.edge_count,))
-        for at, cols in self._width_groups:
-            out[..., at] = _block_sums(p[..., cols])
+        for at, rows, _ in self._edge_blocks:
+            out[..., at] = _block_sums(p[..., rows[..., 0]])
         return out
 
     def edge_scale(self, y: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -248,8 +246,8 @@ class Sheaf:
             scaled = y.reshape(y.shape[:-1] + self._uniform) * g[..., None]
             return scaled.reshape(scaled.shape[:-2] + (self.d1,))
         out = np.empty(np.broadcast_shapes(y.shape[:-1], g.shape[:-1]) + (self.d1,))
-        for at, cols in self._width_groups:
-            out[..., cols] = y[..., cols] * g[..., at, None]
+        for at, rows, _ in self._edge_blocks:
+            out[..., rows[..., 0]] = y[..., rows[..., 0]] * g[..., at, None]
         return out
 
     def spread(self, f: np.ndarray) -> np.ndarray:
@@ -296,8 +294,8 @@ class CoboundaryOperator:
         M1, M2: block-diagonal Gram matrices of the 0- and 1-cochain spaces,
             with blocks in the sheaf's vertex and edge stalk layout; M2 is the
             sheaf's own read-only array.
-        L1, L2: block-diagonal Cholesky factors M1 = L1 L1^T and
-            M2 = L2 L2^T, so |v|^2_{C0} = |L1^T v|^2.
+        L1: the block-diagonal Cholesky factor M1 = L1 L1^T, so
+            |v|^2_{C0} = |L1^T v|^2.
         delta_star_matrix: M1^{-1} B^T M2, the matrix of the adjoint.
 
     At construction the Gram blocks are factored (and a non-SPD one rejected)
@@ -327,7 +325,6 @@ class CoboundaryOperator:
     M1 = functools.cached_property(lambda self: _dense(self._m1, self._vertex_blocks))
     M2 = property(lambda self: self.sheaf.M2)
     L1 = functools.cached_property(lambda self: _dense(self._l1, self._vertex_blocks))
-    L2 = functools.cached_property(lambda self: _dense(self._l2, self._edge_blocks))
 
     @functools.cached_property
     def B(self) -> np.ndarray:

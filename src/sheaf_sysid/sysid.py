@@ -278,8 +278,8 @@ def fit_threshold(
     parting (an interval a few ulps wide above 1e6).  Deterministic throughout.
     """
     lo, hi = bracket
-    if not (0.0 < lo < hi <= BoundedConfidence.MAX_EPSILON):
-        raise ParameterError(f"invalid bracket {bracket}: need 0 < lo < hi <= 1e100")
+    if not (BoundedConfidence.MIN_EPSILON <= lo < hi <= BoundedConfidence.MAX_EPSILON):
+        raise ParameterError(f"invalid bracket {bracket}: need 1e-100 <= lo < hi <= 1e100")
     if data.n_samples == 0:
         raise UsageError("empty dataset")
 

@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -673,6 +674,34 @@ def test_a_threshold_whose_powers_overflow_exits_1(tmp_path, capsys):
         "family": family,
     }
     _assert_config_error(tmp_path, capsys, "identify", payload, "hi <= 1e100")
+
+
+def test_the_threshold_law_warns_on_no_accepted_input(tmp_path, capsys):
+    # a start far above the threshold, whose Jacobian products overflow where
+    # they are dropped, and thresholds whose square underflows to 0
+    rotated = {"builtin": "cycle", "cycle_length": 3, "variant": "rotated"}
+    starts = [[1e80, 0, 0, 0, 0, 0], [0.3, -0.2, 0.1, 0.5, -0.4, 0.2]]
+    potential = {"kind": "bounded_confidence", "epsilon": 1.0}
+    simulate = _simulate_config(sheaf=rotated, potential=potential, horizon=1.0)
+    del simulate["random_initial_states"]
+    identify = {
+        "command": "identify",
+        "sheaf": rotated,
+        "trajectories": str(tmp_path / "data"),
+        "family": {"kind": "threshold", "bracket": [0.25, 4.0]},
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sim = write_config(tmp_path, "sim.json", {**simulate, "initial_states": starts})
+        assert run_cli("simulate", sim, tmp_path / "data") == 0
+        assert run_cli("identify", write_config(tmp_path, "id.json", identify), tmp_path) == 0
+        report = json.loads(next(tmp_path.glob("identify_*.json")).read_text())
+        assert report["identifiable"] and report["information"] > 0
+        potential = {**potential, "epsilon": 1e-200}
+        payload = _simulate_config(sheaf=rotated, potential=potential)
+        _assert_config_error(tmp_path, capsys, "simulate", payload, "epsilon")
+        payload = {**identify, "family": {"kind": "threshold", "bracket": [1e-200, 1e-150]}}
+        _assert_config_error(tmp_path, capsys, "identify", payload, "bracket")
 
 
 @pytest.mark.parametrize(

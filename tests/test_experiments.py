@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -262,6 +263,43 @@ def test_a_sweep_makes_four_integrate_calls_for_any_seed_count(monkeypatch, stud
     assert rows == expected
 
 
+@pytest.mark.parametrize("study", ["bounded_confidence", "finite_basis"])
+def test_no_fitted_rollout_outlives_its_score(monkeypatch, study):
+    # the fitted rollouts share one batch buffer; the force checks, which read
+    # the reference grid first, must run after it is freed
+    buffers, freed = [], []
+
+    def keeping(op, model, x0, cfg, ends=None):
+        results = integrate(op, model, x0, cfg, ends)
+        buffers.append(weakref.ref(results[0].states.base))
+        return results
+
+    def checking(sheaf):
+        freed.append(buffers[1]() is None)
+        return reference_grid(sheaf)
+
+    monkeypatch.setattr(experiments, "integrate", keeping)
+    monkeypatch.setattr(experiments, "reference_grid", checking)
+    short = dict(n_training=3, training_horizon=0.2, n_holdout=2)
+    run_experiment(ExperimentConfig(experiment_id=study, seeds=(0, 1), **short))
+    assert len(buffers) == 2 and freed == [True]
+
+
+def test_finite_basis_assembles_no_dense_edge_gram(monkeypatch):
+    # the constant harmonic force reads M2 only for its value, which no
+    # sweep evaluates
+    sheaves, real = [], experiments.make_cycle_sheaf
+
+    def keeping(n, variant):
+        sheaves.append(real(n, variant))
+        return sheaves[-1]
+
+    monkeypatch.setattr(experiments, "make_cycle_sheaf", keeping)
+    short = dict(n_training=3, training_horizon=0.2, n_holdout=2)
+    run_experiment(ExperimentConfig(experiment_id="finite_basis", seeds=(0, 1), **short))
+    assert len(sheaves) == 1 and "M2" not in sheaves[0].__dict__
+
+
 @pytest.mark.parametrize("coverage, cov_id", [("broad", 0), ("limited", 2)])
 def test_finite_difference_records_are_observed_under_their_seed_path(
     monkeypatch, coverage, cov_id
@@ -300,7 +338,7 @@ def _diverging_sweep(plan):
         experiment_id="finite_basis", seeds=(0, 1), n_training=3, training_horizon=2.0, n_holdout=2
     )
     conditions = [
-        _Condition(label, "correct", coverage, "observed", TRUE_MONOMIAL_THETA, [0, 1], 2.0, 3)
+        _Condition(label, "correct", coverage, "observed", TRUE_MONOMIAL_THETA, [0, 1], 3)
         for label, coverage in (("A", "broad"), ("B", "limited"))
     ]
     steps = iter(plan)

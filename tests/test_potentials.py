@@ -1,5 +1,7 @@
 """Potential families: values, forces, parameter Jacobians, conservativity."""
 
+import warnings
+
 import numpy as np
 import pytest
 from conftest import random_sheaf
@@ -161,6 +163,50 @@ def test_threshold_jacobian_zero_above_threshold(identity_cycle):
     model = BoundedConfidence(sheaf, 1.0)
     y = np.tile([1.2, 0.5], 3)  # all radii = 1.3
     assert np.allclose(model.param_jacobian(y), 0.0)
+
+
+def test_threshold_jacobian_far_above_threshold_warns_not_and_keeps_its_bits(rotated_cycle):
+    # the dropped entries' products overflow; the kept entries keep their bits
+    sheaf, _ = rotated_cycle
+    model = BoundedConfidence(sheaf, 1.0)
+    y = 0.4 * np.random.default_rng(5).standard_normal(sheaf.d1)
+    far = y.copy()
+    far[:2] = [1e80, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = model.param_jacobian(far)
+    assert np.array_equal(got[:2], np.zeros((2, 1)))
+    assert np.array_equal(got[2:], model.param_jacobian(y)[2:])
+
+
+@pytest.mark.parametrize("epsilon", [1e-101, 1e-200, [1.0, 1e-101]])
+def test_threshold_below_1e_minus_100_is_refused(identity_cycle, epsilon):
+    sheaf, _ = identity_cycle
+    with pytest.raises(ParameterError, match="at least 1e-100"):
+        BoundedConfidence(sheaf, epsilon)
+
+
+def test_the_smallest_threshold_evaluates_without_warnings(identity_cycle):
+    # epsilon**2 and epsilon**3 stay normal floats, so the gain never divides
+    # by zero, and the Jacobian's overflow is confined to dropped entries
+    sheaf, _ = identity_cycle
+    model = BoundedConfidence(sheaf, BoundedConfidence.MIN_EPSILON)
+    y = np.concatenate([[1e-101, 0.0], np.ones(sheaf.d1 - 2)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        force, jac = model.force(y), model.param_jacobian(y)
+    assert np.all(force[2:] == 0.0) and np.all(jac[2:] == 0.0)
+    assert force[0] > 0.0 and jac[0, 0] > 0.0
+
+
+def test_constant_force_value_is_the_gram_weighted_product():
+    # weighted Grams, so M2 @ c is not c
+    rng = np.random.default_rng(17)
+    sheaf = random_sheaf(rng, n_vertices=4, n_edges=5)
+    c = rng.standard_normal(sheaf.d1)
+    y = rng.standard_normal((7, sheaf.d1))
+    got = ConstantEdgeForce(sheaf, c).value(y)
+    assert got.tobytes() == (y @ (sheaf.M2 @ c)).tobytes()
 
 
 def test_param_jacobian_matches_fd_for_parametric_families():

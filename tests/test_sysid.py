@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -321,6 +322,20 @@ def test_fit_threshold_validates_bracket(rotated_cycle):
         fit_threshold(op, data, (1.0, 0.5))
     with pytest.raises(ParameterError, match="hi <= 1e100"):
         fit_threshold(op, data, (0.25, 1e200))  # its square overflows a float
+
+
+def test_fit_threshold_takes_brackets_from_1e_minus_100(rotated_cycle):
+    # below 1e-100 the square of a grid point may underflow to 0
+    sheaf, op = rotated_cycle
+    states = 0.8 * np.random.default_rng(0).standard_normal((20, op.d0))
+    data = forward_dataset(op, BoundedConfidence(sheaf, 1.0), states)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bracket in ((1e-200, 1e-150), (1e-101, 1.0)):
+            with pytest.raises(ParameterError, match="1e-100 <= lo"):
+                fit_threshold(op, data, bracket)
+        result = fit_threshold(op, data, (BoundedConfidence.MIN_EPSILON, 4.0))
+    assert np.isfinite(result.theta_hat[0]) and np.isfinite(result.objective_value)
 
 
 def test_golden_section_stops_when_its_points_stop_parting(rotated_cycle, monkeypatch):
