@@ -18,7 +18,9 @@ number (p = 1) and for the Gram of the linear-basis objective
 Identifiability is decided by lambda_min against the relative rank tolerance;
 the same eigendecomposition drives the minimum-norm solve, so the
 identifiable flag and the round-trip behaviour of the estimator agree by
-construction.
+construction.  Every sum over samples (information matrix, right-hand side,
+objective) is a numpy pairwise sum along a contiguous row, not a BLAS product,
+whose threads split a long reduction; BLAS reduces only over d0, d1 or p.
 
 The threshold has no linear structure, so its loss is searched over epsilon
 (a grid, then golden section; about 110 evaluations per fit).  Everything in
@@ -154,15 +156,15 @@ def _sensitivities(op: CoboundaryOperator, forces: np.ndarray) -> np.ndarray:
     return forces @ op.delta_star_matrix.T @ op.L1
 
 
-def _information(columns: np.ndarray) -> tuple[IdentifiabilityReport, np.ndarray, np.ndarray]:
-    """Information matrix of whitened sensitivity columns, one per parameter.
+def _information(rows: np.ndarray) -> tuple[IdentifiabilityReport, np.ndarray, np.ndarray]:
+    """Information matrix of whitened sensitivities, one contiguous row per
+    parameter and one entry per sample coordinate.
 
     Returns the report, with the verdict lambda_min > RANK_TOL * lambda_max > 0,
     and the one eigendecomposition (ascending eigenvalues, eigenvectors)
-    that the report, the estimator's solve and its diagnostics share.  One
-    column is summed by numpy: BLAS threads split a dot product's sum.
+    that the report, the estimator's solve and its diagnostics share.
     """
-    gram = columns.T @ columns if columns.shape[1] > 1 else np.sum(columns**2, 0, keepdims=True)
+    gram = np.array([(row * rows).sum(-1) for row in rows])
     eigs, vecs = np.linalg.eigh(gram)
     lam_min = float(max(eigs[0], 0.0))
     lam_max = float(eigs[-1])
@@ -180,7 +182,7 @@ def information_scalar(
     it vanishes exactly when no sample excites the below-threshold branch.
     """
     jac = model.param_jacobian(data.edge_states)[..., 0]
-    return _information(_sensitivities(op, jac).reshape(-1, 1))[0]
+    return _information(_sensitivities(op, jac).reshape(1, -1))[0]
 
 
 def fit_linear(
@@ -199,18 +201,18 @@ def fit_linear(
         raise UsageError("empty dataset")
     if not basis:
         raise UsageError("empty basis")
-    cols = [_sensitivities(op, bf.force(data.edge_states)) for bf in basis]
-    columns = np.stack(cols, axis=-1).reshape(-1, len(basis))
+    rows = np.stack([_sensitivities(op, bf.force(data.edge_states)) for bf in basis])
+    rows = rows.reshape(len(basis), -1)
     target = (data.residuals @ op.L1).ravel()
-    report, eigs, vecs = _information(columns)
+    report, eigs, vecs = _information(rows)
 
     keep = eigs > RANK_TOL * max(eigs[-1], 0.0)
     rank = int(np.count_nonzero(keep))
-    coeff = (vecs[:, keep].T @ (columns.T @ target)) / eigs[keep]
+    coeff = (vecs[:, keep].T @ (rows * target).sum(-1)) / eigs[keep]
     theta = vecs[:, keep] @ coeff
 
-    misfit = target - columns @ theta
-    value = float(misfit @ misfit) / data.n_samples
+    misfit = target - theta @ rows
+    value = float(np.sum(misfit * misfit)) / data.n_samples
     diagnostics = {
         "rank": rank,
         "dropped": len(basis) - rank,
@@ -285,27 +287,29 @@ def fit_threshold(
 
     terms = threshold_terms(op, data)
     grid = np.geomspace(lo, hi, _GRID_POINTS)
-    losses = np.array([threshold_objective(terms, e) for e in grid])
-    best = int(np.argmin(losses))
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, _GRID_POINTS - 1)]
+    # u / eps^2 may overflow at a small eps; the gain's clamp sends it to 0
+    with np.errstate(over="ignore"):
+        losses = np.array([threshold_objective(terms, e) for e in grid])
+        best = int(np.argmin(losses))
+        a = grid[max(best - 1, 0)]
+        b = grid[min(best + 1, _GRID_POINTS - 1)]
 
-    # Golden-section refinement on [a, b].
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = threshold_objective(terms, c)
-    fd = threshold_objective(terms, d)
-    while (b - a) > _GOLDEN_TOL and a < c < d < b:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = threshold_objective(terms, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = threshold_objective(terms, d)
-    eps_hat = 0.5 * (a + b)
-    value = threshold_objective(terms, eps_hat)
+        # Golden-section refinement on [a, b].
+        c = b - _GOLDEN * (b - a)
+        d = a + _GOLDEN * (b - a)
+        fc = threshold_objective(terms, c)
+        fd = threshold_objective(terms, d)
+        while (b - a) > _GOLDEN_TOL and a < c < d < b:
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - _GOLDEN * (b - a)
+                fc = threshold_objective(terms, c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + _GOLDEN * (b - a)
+                fd = threshold_objective(terms, d)
+        eps_hat = 0.5 * (a + b)
+        value = threshold_objective(terms, eps_hat)
     report = information_scalar(op, BoundedConfidence(op.sheaf, eps_hat), data)
     diagnostics = {
         "grid": grid.tolist(),

@@ -697,6 +697,12 @@ def test_the_threshold_law_warns_on_no_accepted_input(tmp_path, capsys):
         assert run_cli("identify", write_config(tmp_path, "id.json", identify), tmp_path) == 0
         report = json.loads(next(tmp_path.glob("identify_*.json")).read_text())
         assert report["identifiable"] and report["information"] > 0
+        # at the grid's low end u / eps^2 passes the float range; the clamp
+        # sends that gain to 0
+        wide = {**identify, "family": {"kind": "threshold", "bracket": [1e-100, 4.0]}}
+        assert run_cli("identify", write_config(tmp_path, "wide.json", wide), tmp_path / "w") == 0
+        report = json.loads(next((tmp_path / "w").glob("identify_*.json")).read_text())
+        assert report["identifiable"] and report["information"] > 0
         potential = {**potential, "epsilon": 1e-200}
         payload = _simulate_config(sheaf=rotated, potential=potential)
         _assert_config_error(tmp_path, capsys, "simulate", payload, "epsilon")

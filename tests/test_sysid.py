@@ -245,6 +245,51 @@ def test_information_number_does_not_depend_on_the_blas_thread_count():
     assert bits[0] == bits[1]
 
 
+_LINEAR_FIT_BITS = """
+import numpy as np
+from sheaf_sysid.dynamics import _laplacian
+from sheaf_sysid.experiments import make_cycle_sheaf
+from sheaf_sysid.potentials import monomial_basis, monomial_potential
+from sheaf_sysid.sheaf import build_coboundary
+from sheaf_sysid.sysid import ResidualDataset, fit_linear
+sheaf = make_cycle_sheaf(3, "rotated")
+op = build_coboundary(sheaf)
+states = 0.8 * np.random.default_rng(0).standard_normal((100_000, op.d0))
+residuals = _laplacian(op, monomial_potential(sheaf, [1.0, 0.25, 0.03]), states)
+data = ResidualDataset(states, residuals, states @ op.B.T, "exact")
+fit = fit_linear(op, monomial_basis(sheaf), data)
+print(*[t.hex() for t in fit.theta_hat], fit.objective_value.hex())
+print(fit.report.lambda_min.hex(), fit.report.lambda_max.hex())
+"""
+
+
+@pytest.mark.parametrize("case", ["fit_linear", "finite_basis"])
+def test_linear_fits_do_not_depend_on_the_blas_thread_count(tmp_path, case):
+    # BLAS products would split the fit's sums over 600,000 sensitivity
+    # entries (or a study's pooled samples) across threads, so their last
+    # bits would follow OPENBLAS_NUM_THREADS
+    src = str(Path(sysid.__file__).resolve().parents[1])
+    config = tmp_path / "experiment.json"
+    config.write_text(
+        '{"command": "experiment", "experiment": "finite_basis", "seeds": [0], "n_training": 64}'
+    )
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        out = tmp_path / threads
+        if case == "fit_linear":
+            args = ["-c", _LINEAR_FIT_BITS]
+        else:
+            args = ["-m", "sheaf_sysid.cli", "experiment", "--config", str(config)]
+            args += ["--out", str(out), "--quiet"]
+        run = subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        files = {path.name: path.read_bytes() for path in sorted(out.glob("*"))}
+        outputs.append((run.stdout, files))
+    assert outputs[0][0] or outputs[0][1]
+    assert outputs[0] == outputs[1]
+
+
 # --- estimators ----------------------------------------------------------------
 
 
