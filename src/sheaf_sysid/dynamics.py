@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DivergenceError, ParameterError, StructuralError, UsageError
 from .potentials import EdgePotential
-from .sheaf import CoboundaryOperator, delta_pseudoinverse_apply, global_section_basis
+from .sheaf import CoboundaryOperator, delta_pseudoinverse_apply, section_part
 
 
 def whole_steps(horizon: float, step: float) -> bool:
@@ -212,10 +212,7 @@ def equilibrium_projection(
     onto the global sections.
     """
     xb = delta_pseudoinverse_apply(op, b)
-    sections = global_section_basis(op)
-    residue = np.asarray(x0, dtype=float) - xb
-    proj = sections @ (sections.T @ (op.M1 @ residue))
-    return xb + proj
+    return xb + section_part(op, np.asarray(x0, dtype=float) - xb)
 
 
 # ---------------------------------------------------------------------------

@@ -54,9 +54,9 @@ from .sheaf import (
     DirectedGraph,
     Sheaf,
     build_coboundary,
-    global_section_basis,
     harmonic_basis,
     hodge_project,
+    section_part,
 )
 from .sysid import fit_linear, fit_threshold, residual_dataset
 
@@ -296,8 +296,7 @@ def _localized_initial_conditions(op, rng, count: int) -> list[np.ndarray]:
 def _limited_ray(op, rng) -> np.ndarray:
     """Unit ray direction: no global-section part, max initial edge radius 1."""
     v = rng.standard_normal(op.d0)
-    sections = global_section_basis(op)
-    v = v - sections @ (sections.T @ (op.M1 @ v))
+    v = v - section_part(op, v)
     return v / np.sqrt(op.sheaf.edge_sq_norms(op.B @ v)).max()
 
 

@@ -162,9 +162,12 @@ class BoundedConfidence(EdgePotential):
     def value(self, y):
         u = self.sheaf.edge_sq_norms(self._batch(y))
         e2 = self._e2
-        psi = np.where(
-            u <= e2, 0.5 * u - u**2 / (2 * e2) + u**3 / (6 * e2 * e2), e2 / 6.0
-        )
+        # psi in t = u/eps^2, which lies in [0, 1] below the threshold, so no
+        # power of eps underflows; where drops the entries above it, whose
+        # powers of t may overflow (nested, so that none turns inf - inf)
+        with np.errstate(over="ignore"):
+            t = u / e2
+            psi = np.where(u <= e2, e2 * (t * (0.5 + t * (t / 6.0 - 0.5))), e2 / 6.0)
         return psi.sum(-1)
 
     def force(self, y):

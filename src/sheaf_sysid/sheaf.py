@@ -16,12 +16,12 @@ Everything downstream -- global sections (ker delta), the harmonic space
 whitened matrix ``L2^T B L1^{-T}`` with ``M1 = L1 L1^T`` and ``M2 = L2 L2^T``.
 The operator is built from the sheaf alone, one stack of blocks per block
 shape, with no dense factorization or solve; B, M1, M2 and the rest are
-assembled as dense matrices only when read.  The rank, both cohomology
-dimensions and the spectrum come from the singular values alone, computed on
-the first query that needs them.  The singular vectors come from a second,
-full SVD that runs only for a nonempty null basis or a pseudoinverse solve, so
-a sheaf whose cohomology vanishes never computes them.  All objects are
-immutable after construction.
+assembled only when read, and the projections apply the Gram blocks instead.
+The rank, both cohomology dimensions and the spectrum come from the singular
+values alone, computed on the first query that needs them.  The singular
+vectors come from a second, full SVD that runs only for a nonempty null basis
+or a pseudoinverse solve, so a sheaf whose cohomology vanishes never computes
+them.  All objects are immutable after construction.
 """
 
 from __future__ import annotations
@@ -297,6 +297,8 @@ class CoboundaryOperator:
         L1: the block-diagonal Cholesky factor M1 = L1 L1^T, so
             |v|^2_{C0} = |L1^T v|^2.
         delta_star_matrix: M1^{-1} B^T M2, the matrix of the adjoint.
+        whitened_adjoint: delta_star_matrix^T L1, which maps an edge force row
+            to a 0-cochain whose C0 products are plain dot products.
 
     At construction the Gram blocks are factored (and a non-SPD one rejected)
     from one stack per block shape, and B's nonzero blocks are kept as one
@@ -325,6 +327,7 @@ class CoboundaryOperator:
     M1 = functools.cached_property(lambda self: _dense(self._m1, self._vertex_blocks))
     M2 = property(lambda self: self.sheaf.M2)
     L1 = functools.cached_property(lambda self: _dense(self._l1, self._vertex_blocks))
+    whitened_adjoint = functools.cached_property(lambda self: self.delta_star_matrix.T @ self.L1)
 
     @functools.cached_property
     def B(self) -> np.ndarray:
@@ -496,13 +499,26 @@ def hodge_project(
     Returns (im_delta_part, harmonic_part); the two are M2-orthogonal.
     """
     y = _check_len(y, op.d1, "1-cochain")
+    if y.ndim != 1:
+        raise StructuralError(f"1-cochain has shape {y.shape}, expected ({op.d1},)")
     harmonic = np.asarray(harmonic, dtype=float)
     if harmonic.ndim != 2 or harmonic.shape[0] != op.d1:
         raise StructuralError(
             f"harmonic basis has shape {harmonic.shape}, expected ({op.d1}, dim H1)"
         )
-    harmonic_part = harmonic @ (harmonic.T @ (op.M2 @ y))
+    m2_y = _block_t(op.sheaf._m2, op._edge_blocks, y, np.matmul)
+    harmonic_part = harmonic @ (harmonic.T @ m2_y)
     return y - harmonic_part, harmonic_part
+
+
+def section_part(op: CoboundaryOperator, x: np.ndarray) -> np.ndarray:
+    """The M1-orthogonal projection of a 0-cochain (d0,) onto the global
+    sections, with M1 applied block by block."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (op.d0,):
+        raise StructuralError(f"0-cochain has shape {x.shape}, expected ({op.d0},)")
+    sections = global_section_basis(op)
+    return sections @ (sections.T @ _block_t(op._m1, op._vertex_blocks, x, np.matmul))
 
 
 def delta_pseudoinverse_apply(op: CoboundaryOperator, b: np.ndarray) -> np.ndarray:

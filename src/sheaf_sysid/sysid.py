@@ -8,10 +8,11 @@ which is computable from trajectories alone; edge states y = delta x are
 always recomputed from node states through the coboundary, never measured
 directly.  Every C^0 product is a plain sum of squares in whitened
 coordinates: with M1 = L1 L1^T, a 0-cochain row v has |v|^2_{C0} = |v @ L1|^2.
-A parameter's sensitivity column stacks L1^T delta* (d Phi / d theta_m)(y_k)
-over the samples; one function forms the information matrix S^T S of these
-columns and decomposes it once, for the threshold's scalar information
-number (p = 1) and for the Gram of the linear-basis objective
+A parameter's sensitivity column stacks (d Phi / d theta_m)(y_k) @ G over the
+samples, G = delta*^T L1 the operator's cached whitened_adjoint; one function
+forms the information matrix S^T S of these columns and decomposes it once,
+for the threshold's scalar information number (p = 1) and for the Gram of
+the linear-basis objective
 
     (1/N) sum_k | r_k - delta* Phi_theta(delta x_k) |^2_{C0}.
 
@@ -25,9 +26,9 @@ whose threads split a long reduction; BLAS reduces only over d0, d1 or p.
 The threshold has no linear structure, so its loss is searched over epsilon
 (a grid, then golden section; about 110 evaluations per fit).  Everything in
 that loss except the law's per-edge gain is independent of epsilon and is
-computed once per fit (threshold_terms): the edge states y, their per-edge
+gathered once per fit (threshold_terms): the edge states y, their per-edge
 squared norms u spread over each edge stalk, the whitened residuals r @ L1
-and the whitened sensitivity map G = delta*^T L1.  One evaluation is then
+and the same map G, built once per operator.  One evaluation is then
 the gain of u at epsilon, the misfit r @ L1 - (y * gain) @ G and its mean
 sum of squares, in place after the gain.  The product stays (N, d1) @
 (d1, d0), since BLAS rounds G^T @ (y * gain)^T differently on weighted
@@ -150,12 +151,6 @@ def merge_datasets(datasets: Sequence[ResidualDataset]) -> ResidualDataset:
     )
 
 
-def _sensitivities(op: CoboundaryOperator, forces: np.ndarray) -> np.ndarray:
-    """Edge forces or parameter-Jacobian columns (..., d1) sent through delta*
-    and then L1^T, so their C0 inner products are plain dot products."""
-    return forces @ op.delta_star_matrix.T @ op.L1
-
-
 def _information(rows: np.ndarray) -> tuple[IdentifiabilityReport, np.ndarray, np.ndarray]:
     """Information matrix of whitened sensitivities, one contiguous row per
     parameter and one entry per sample coordinate.
@@ -182,7 +177,7 @@ def information_scalar(
     it vanishes exactly when no sample excites the below-threshold branch.
     """
     jac = model.param_jacobian(data.edge_states)[..., 0]
-    return _information(_sensitivities(op, jac).reshape(1, -1))[0]
+    return _information((jac @ op.whitened_adjoint).reshape(1, -1))[0]
 
 
 def fit_linear(
@@ -201,7 +196,7 @@ def fit_linear(
         raise UsageError("empty dataset")
     if not basis:
         raise UsageError("empty basis")
-    rows = np.stack([_sensitivities(op, bf.force(data.edge_states)) for bf in basis])
+    rows = np.stack([bf.force(data.edge_states) @ op.whitened_adjoint for bf in basis])
     rows = rows.reshape(len(basis), -1)
     target = (data.residuals @ op.L1).ravel()
     report, eigs, vecs = _information(rows)
@@ -227,7 +222,7 @@ class ThresholdTerms(NamedTuple):
     edge_states: np.ndarray  # y (N, d1)
     sq_norms: np.ndarray  # per-edge squared norms u of y over each stalk (N, d1)
     residuals: np.ndarray  # whitened residuals r @ L1 (N, d0)
-    sensitivity: np.ndarray  # whitened sensitivity map G = delta*^T L1 (d1, d0)
+    sensitivity: np.ndarray  # the operator's whitened_adjoint G = delta*^T L1 (d1, d0)
 
 
 def threshold_terms(op: CoboundaryOperator, data: ResidualDataset) -> ThresholdTerms:
@@ -238,7 +233,7 @@ def threshold_terms(op: CoboundaryOperator, data: ResidualDataset) -> ThresholdT
         y,
         op.sheaf.spread(op.sheaf.edge_sq_norms(y)),
         data.residuals @ op.L1,
-        op.delta_star_matrix.T @ op.L1,
+        op.whitened_adjoint,
     )
 
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import random_sheaf
 
 from sheaf_sysid.errors import ParameterError, StructuralError
+from sheaf_sysid.experiments import make_cycle_sheaf
 from sheaf_sysid.potentials import (
     Antagonistic,
     BoundedConfidence,
@@ -197,6 +198,25 @@ def test_the_smallest_threshold_evaluates_without_warnings(identity_cycle):
         force, jac = model.force(y), model.param_jacobian(y)
     assert np.all(force[2:] == 0.0) and np.all(jac[2:] == 0.0)
     assert force[0] > 0.0 and jac[0, 0] > 0.0
+
+
+def test_the_smallest_threshold_value_is_finite_and_closed_form():
+    # eps^4 underflows to 0 at eps = 1e-100, so psi is written in u/eps^2
+    sheaf = make_cycle_sheaf(3, "rotated")
+    model = BoundedConfidence(sheaf, BoundedConfidence.MIN_EPSILON)
+    e2 = BoundedConfidence.MIN_EPSILON**2
+    below, above = np.zeros(sheaf.d1), np.zeros(sheaf.d1)
+    below[0] = 1e-101
+    above[0], above[2] = 1e-101, 1.0  # edge 1 above the threshold
+    t = 1e-101**2 / e2
+    psi = e2 * (t / 2 - t**2 / 2 + t**3 / 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [model.value(y) for y in (np.zeros(sheaf.d1), below, above)]
+    assert all(np.isfinite(values))
+    assert values[0] == 0.0
+    assert values[1] == pytest.approx(psi, rel=1e-12)
+    assert values[2] == pytest.approx(psi + e2 / 6, rel=1e-12)
 
 
 def test_constant_force_value_is_the_gram_weighted_product():

@@ -9,6 +9,7 @@ from conftest import random_sheaf, random_spd
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sheaf_sysid import experiments
 from sheaf_sysid.dynamics import equilibrium_projection
 from sheaf_sysid.errors import StructuralError
 from sheaf_sysid.experiments import make_cycle_sheaf
@@ -27,6 +28,7 @@ from sheaf_sysid.sheaf import (
     harmonic_basis,
     hodge_project,
     load_sheaf,
+    section_part,
     sheaf_from_dict,
 )
 
@@ -637,6 +639,34 @@ def test_vanishing_cohomology_computes_no_singular_vectors():
     got = equilibrium_projection(op, b, np.zeros(op.d0))
     assert "_svd" in op.__dict__
     assert _close(got, np.linalg.solve(op.B, b))
+
+
+def test_the_projections_apply_the_grams_block_by_block():
+    # no dense M1 or M2 is assembled for one product
+    op = build_coboundary(make_cycle_sheaf(9, "rotated"))
+    equilibrium_projection(op, np.ones(op.d1), np.ones(op.d0))
+    assert "M1" not in op.__dict__
+    op = build_coboundary(make_cycle_sheaf(3, "identity"))
+    ray = experiments._limited_ray(op, np.random.default_rng(0))
+    assert "M1" not in op.__dict__
+    assert np.abs(global_section_basis(op).T @ ray).max() <= 1e-12
+    hodge_project(op, harmonic_basis(op), np.ones(op.d1))
+    assert "M2" not in op.sheaf.__dict__
+    # on weighted Grams, the dense formulas up to rounding
+    rng = np.random.default_rng(31)
+    for _ in range(5):
+        op = build_coboundary(random_sheaf(rng))
+        sections, harm = global_section_basis(op), harmonic_basis(op)
+        x, y = rng.standard_normal(op.d0), rng.standard_normal(op.d1)
+        want = sections @ (sections.T @ (op.M1 @ x))
+        assert np.allclose(section_part(op, x), want, rtol=0.0, atol=1e-12)
+        want = harm @ (harm.T @ (op.M2 @ y))
+        assert np.allclose(hodge_project(op, harm, y)[1], want, rtol=0.0, atol=1e-12)
+    for bad in (np.ones((2, op.d0)), np.ones(op.d0 + 1)):
+        with pytest.raises(StructuralError, match="0-cochain has shape"):
+            section_part(op, bad)
+    with pytest.raises(StructuralError, match="1-cochain has shape"):
+        hodge_project(op, harm, np.ones((op.d1 + 1, op.d1)))
 
 
 def test_null_bases_on_the_identity_cycle_are_orthonormal_kernels():

@@ -543,6 +543,21 @@ def test_whitened_products_match_the_m1_formulas(mixed_sheaf):
     assert np.allclose(spectrum, eigs, rtol=0.0, atol=1e-12 * eigs[-1])
 
 
+def test_every_whitened_sensitivity_reads_the_operators_one_map(mixed_sheaf):
+    op = build_coboundary(mixed_sheaf)
+    data = weighted_dataset(op)
+    white = op.whitened_adjoint
+    assert threshold_terms(op, data).sensitivity is white
+    model = BoundedConfidence(mixed_sheaf, 2.0)
+    row = (model.param_jacobian(data.edge_states)[..., 0] @ white).reshape(-1)
+    assert information_scalar(op, model, data).lambda_min == (row * row).sum()
+    basis = monomial_basis(mixed_sheaf)
+    rows = np.stack([bf.force(data.edge_states) @ white for bf in basis])
+    rows = rows.reshape(len(basis), -1)
+    gram = np.array([(r * rows).sum(-1) for r in rows])
+    assert fit_linear(op, basis, data).report.gram.tobytes() == gram.tobytes()
+
+
 def test_any_factor_of_m1_gives_the_same_fits(mixed_sheaf):
     # the eigenfactorization fallback of the SPD factor is as valid as Cholesky
     op = build_coboundary(mixed_sheaf)
