@@ -26,6 +26,7 @@ from . import experiments
 from .dynamics import (
     SimConfig,
     Trajectory,
+    allocate,
     load_trajectory_csv,
     observe,
     save_trajectory_csv,
@@ -200,7 +201,7 @@ def cmd_cohomology(config: dict, out_dir: Path, quiet: bool) -> int:
     return 0
 
 
-def _initial_states(config: dict, d0: int) -> list[np.ndarray]:
+def _initial_states(config: dict, d0: int) -> list[np.ndarray] | np.ndarray:
     spec = config.get("initial_states")
     if spec is not None:
         if not isinstance(spec, list) or not spec:
@@ -219,7 +220,12 @@ def _initial_states(config: dict, d0: int) -> list[np.ndarray]:
     rng = np.random.default_rng([_number(config, "seed", 0, low=0, integer=True), 17])
     count = _number(rand, "count", 1, low=1, integer=True)
     scale = _number(rand, "scale", 1.0)
-    return [scale * rng.standard_normal(d0) for _ in range(count)]
+    states = allocate(
+        lambda: rng.standard_normal((count, d0)),
+        f"random_initial_states count {count} is too many starts to allocate",
+    )
+    states *= scale
+    return states
 
 
 _SIMULATE_KEYS = {

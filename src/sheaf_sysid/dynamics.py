@@ -64,14 +64,12 @@ def _laplacian(op, model, x):
     return np.einsum("...i,ji->...j", model.force(y), op.delta_star_matrix)
 
 
-def _allocate(cfg: SimConfig, make):
-    """make(), or ParameterError if the arrays of a record at cfg do not fit."""
+def allocate(make, message: str):
+    """make(), or ParameterError(message) if the arrays it allocates do not fit."""
     try:
         return make()
     except (MemoryError, ValueError):  # ValueError: past numpy's largest array size
-        raise ParameterError(
-            f"a record of horizon {cfg.horizon:g} at step {cfg.step:g} is too long to allocate"
-        ) from None
+        raise ParameterError(message) from None
 
 
 def integrate(
@@ -92,9 +90,11 @@ def integrate(
     of steps up to cfg.horizon (the default for every row): a row stops at its
     end as at a blow-up, and its record and any divergence are those of a run
     at that horizon.  Each row's bits are those of the row integrated alone.
-    A model with row parameters (see ``potentials``) has one row per start,
-    or its first evaluation raises StructuralError; the rows it keeps past a
-    divergence or an end come from ``model.take_rows``.
+    The batch is fixed: a row past its end, or one that blew up (restarted
+    from zero, so that one finiteness check covers the batch), is stepped on
+    into a scratch sample until every row has ended or blown up.  So a model
+    with row parameters (see ``potentials``) has one row per start, or its
+    first evaluation raises StructuralError.
     """
     x = np.array(x0, dtype=float)
     single = x.ndim == 1
@@ -106,9 +106,10 @@ def integrate(
     n = x.shape[0]
     h = cfg.step
     steps = int(round(cfg.horizon / h))
+    too_long = f"a record of horizon {cfg.horizon:g} at step {h:g} is too long to allocate"
     # the longest record, allocated before any row's end is cast to an int
-    times = _allocate(cfg, lambda: h * np.arange(steps + 1))
-    stops = np.full(n, steps)  # the last step index of every row still being stepped
+    times = allocate(lambda: h * np.arange(steps + 1), too_long)
+    stops = np.full(n, steps)  # the last step each row records; -1 once it blew up
     if ends is not None:
         ends = np.asarray(ends, dtype=float)
         if ends.shape != (n,) or not all(
@@ -118,51 +119,45 @@ def integrate(
                 f"ends must be {n} whole numbers of steps of {h!r} up to {cfg.horizon!r}"
             )
         stops = np.rint(ends / h).astype(int)
-    retire = set(stops[stops < steps].tolist())  # the steps at which some row ends
 
     # The unchecked product: the shape was checked once for the whole batch.
     # -1.0 * rather than a negation, which would flip a NaN's sign bit.
     def f(state):
         return -1.0 * _laplacian(op, model, state)
 
-    # Each row's own samples as one contiguous block, the rows one after another.
+    # Each row's own samples as one contiguous block, the rows one after
+    # another, then the scratch sample of the rows that record no more.
     size = stops + 1
     first = np.cumsum(size) - size  # each row's first sample
-    shape = (int(size.sum()), op.d0)
-    states, derivs = _allocate(cfg, lambda: (np.empty(shape), np.empty(shape)))
+    scratch = int(size.sum())
+    shape = (scratch + 1, op.d0)
+    states, derivs = allocate(lambda: (np.empty(shape), np.empty(shape)), too_long)
     failures: dict[int, DivergenceError] = {}
-    live = np.arange(n)  # input index of every row still being stepped
     # Blow-ups are detected and reported; silence the transient inf/nan noise.
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(steps + 1):
-            if not live.size:
-                break
             fx = f(x)
             if not (np.isfinite(x).all() and np.isfinite(fx).all()):
-                ok = np.isfinite(x).all(axis=1) & np.isfinite(fx).all(axis=1)
-                for i in live[~ok]:
-                    failures[int(i)] = DivergenceError(
+                bad = ~(np.isfinite(x).all(axis=1) & np.isfinite(fx).all(axis=1))
+                for i in np.flatnonzero(bad & (stops >= k)).tolist():
+                    failures[i] = DivergenceError(
                         f"state diverged at t = {times[k]:.6g}", time=float(times[k])
                     )
-                live, x, fx, stops = live[ok], x[ok], fx[ok], stops[ok]
-                model = model.take_rows(ok)
-            at = first[live] + k
+                x[bad], fx[bad], stops[bad] = 0.0, 0.0, -1
+            at = np.where(stops >= k, first + k, scratch)
             states[at] = x
             derivs[at] = fx
-            if k in retire:
-                ok = stops != k
-                live, x, fx, stops = live[ok], x[ok], fx[ok], stops[ok]
-                model = model.take_rows(ok)
-            if k < steps:
-                # x + h/2 fx, x + h/2 k2, x + h k3 and x + h/6 (fx + 2 k2 + 2 k3
-                # + k4), each product and sum in place with its operands in order
-                t = np.multiply(0.5 * h, fx)
-                k2 = f(np.add(x, t, out=t))
-                k3 = f(np.add(x, np.multiply(0.5 * h, k2, out=t), out=t))
-                k4 = f(np.add(x, np.multiply(h, k3, out=t), out=t))
-                acc = np.add(fx, np.multiply(2.0, k2, out=k2), out=k2)
-                np.add(np.add(acc, np.multiply(2.0, k3, out=k3), out=acc), k4, out=acc)
-                np.add(x, np.multiply(h / 6.0, acc, out=acc), out=x)
+            if k >= stops.max(initial=-1):
+                break  # every row has ended or blown up
+            # x + h/2 fx, x + h/2 k2, x + h k3 and x + h/6 (fx + 2 k2 + 2 k3
+            # + k4), each product and sum in place with its operands in order
+            t = np.multiply(0.5 * h, fx)
+            k2 = f(np.add(x, t, out=t))
+            k3 = f(np.add(x, np.multiply(0.5 * h, k2, out=t), out=t))
+            k4 = f(np.add(x, np.multiply(h, k3, out=t), out=t))
+            acc = np.add(fx, np.multiply(2.0, k2, out=k2), out=k2)
+            np.add(np.add(acc, np.multiply(2.0, k3, out=k3), out=acc), k4, out=acc)
+            np.add(x, np.multiply(h / 6.0, acc, out=acc), out=x)
 
     results = [
         failures[i] if i in failures

@@ -40,7 +40,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import SimConfig, Trajectory, integrate, observe, whole_steps
+from .dynamics import SimConfig, Trajectory, allocate, integrate, observe, whole_steps
 from .errors import ConfigurationError, DivergenceError, SheafSysIdError, UsageError
 from .potentials import (
     BoundedConfidence,
@@ -264,23 +264,26 @@ def force_mse(model: EdgePotential, states: np.ndarray, forces: np.ndarray) -> f
 # ---------------------------------------------------------------------------
 
 
-def _broad_initial_conditions(rng, d0: int, count: int) -> list[np.ndarray]:
+def _broad_initial_conditions(rng, d0: int, count: int) -> np.ndarray:
     # Per-coordinate std == scale on the edge states, so typical edge radii
     # sit below, near, and above the unit threshold for the three scales.
-    return [
-        BROAD_SCALES[i % len(BROAD_SCALES)] * rng.standard_normal(d0) / math.sqrt(2.0)
-        for i in range(count)
-    ]
+    # One draw of every row: the bits of count draws of d0, each row scaled
+    # by its scale and then divided, as one row at a time would be.
+    ics = rng.standard_normal((count, d0))
+    for i, scale in enumerate(BROAD_SCALES):
+        ics[i :: len(BROAD_SCALES)] *= scale
+    ics /= math.sqrt(2.0)
+    return ics
 
 
-def _localized_initial_conditions(op, rng, count: int) -> list[np.ndarray]:
+def _localized_initial_conditions(op, rng, count: int) -> np.ndarray:
     # Draw per-edge radii in a thin annulus around the cutoff and pull the
     # edge states back through the (invertible) coboundary.
     sheaf = op.sheaf
     if op.rank() != op.d0 or op.d0 != op.d1:
         raise ConfigurationError("localized coverage needs an invertible coboundary")
-    ics = []
-    for _ in range(count):
+    ics = np.empty((count, op.d0))
+    for ic in ics:
         y = np.zeros(op.d1)
         # Per edge on purpose: the draws interleave edge by edge, and this
         # scalar normalisation keeps the bits of the localized starts.
@@ -289,7 +292,7 @@ def _localized_initial_conditions(op, rng, count: int) -> list[np.ndarray]:
             gram = sheaf.edge_grams[e]
             direction /= math.sqrt(float(direction @ gram @ direction))
             y[sl] = rng.uniform(*LOCALIZED_BAND) * direction
-        ics.append(np.linalg.solve(op.B, y))
+        ic[:] = np.linalg.solve(op.B, y)
     return ics
 
 
@@ -304,7 +307,7 @@ def _limited_initial_conditions(ray: np.ndarray, count: int, offset: float = 0.0
     lo, hi = LIMITED_RADII
     span = hi - lo
     multiples = np.linspace(lo + offset * span, hi - offset * span, count)
-    return [t * ray for t in multiples]
+    return multiples[:, None] * ray
 
 
 # ---------------------------------------------------------------------------
@@ -385,15 +388,23 @@ def _horizon(cfg: ExperimentConfig, coverage: str) -> float:
 
 
 def _initial_conditions(op, coverage, seed, counts):
-    """Training and holdout starts of one seed under one coverage design."""
+    """Training and holdout starts of one seed under one coverage design, each
+    set one array (count, d0); a set too large to allocate raises
+    ParameterError naming its key."""
     cov_id = _COVERAGE_IDS[coverage]
     if coverage == "limited":
         ray = _limited_ray(op, np.random.default_rng([seed, cov_id, 0]))
-        return [_limited_initial_conditions(ray, n, off) for n, off in zip(counts, (0.0, 0.1))]
-    rngs = [np.random.default_rng([seed, cov_id, stream]) for stream in (1, 2)]
-    if coverage == "broad":
-        return [_broad_initial_conditions(rng, op.d0, n) for rng, n in zip(rngs, counts)]
-    return [_localized_initial_conditions(op, rng, n) for rng, n in zip(rngs, counts)]
+        make = [functools.partial(_limited_initial_conditions, ray, offset=o) for o in (0.0, 0.1)]
+    else:
+        rngs = [np.random.default_rng([seed, cov_id, stream]) for stream in (1, 2)]
+        if coverage == "broad":
+            make = [functools.partial(_broad_initial_conditions, rng, op.d0) for rng in rngs]
+        else:
+            make = [functools.partial(_localized_initial_conditions, op, rng) for rng in rngs]
+    return [
+        allocate(lambda: m(n), f"{key} {n} is too many starts to allocate")
+        for m, n, key in zip(make, counts, ("n_training", "n_holdout"))
+    ]
 
 
 def _rollouts(op, family, jobs) -> list[list]:
@@ -468,7 +479,7 @@ def _sweep(cfg, sheaf, conditions, fit, family, stats, noise_std, noise_tag) -> 
         if key not in starts:
             counts = (cond.n_training, cfg.n_holdout)
             starts[key] = _initial_conditions(op, cond.coverage, seed, counts)
-    jobs = [(k[2], _horizon(cfg, k[1]), train + hold) for k, (train, hold) in starts.items()]
+    jobs = [(k[2], _horizon(cfg, k[1]), np.concatenate(s)) for k, s in starts.items()]
     truth = dict(zip(starts, _rollouts(op, family, jobs)))  # the holdout records come last
 
     fits, pooled, failure = [], [], None  # per pair, in order: (key, fitted parameters, metrics)

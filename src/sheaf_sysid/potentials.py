@@ -17,9 +17,8 @@ The parametric laws also take a leading row axis on their parameters: a
 ``BoundedConfidence`` epsilon of shape (N,) or a ``LinearBasisPotential`` theta
 of shape (N, p) evaluates a batch (N, d1) with row i's own parameters, bit for
 bit as the scalar model with those parameters, and rejects any other batch.
-``take_rows`` restricts such a model to a subset of its rows (the integrator
-drops diverged and ended rows with it); on a model without row parameters it
-is the model itself.
+The integrator steps one fixed batch of all its starts, so one such model
+serves a whole rollout.
 """
 
 from __future__ import annotations
@@ -45,11 +44,6 @@ class EdgePotential:
 
     def force(self, y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def take_rows(self, rows) -> "EdgePotential":
-        """The model on the batch rows picked by ``rows`` (an index array or a
-        boolean mask); a model without row parameters is the same on every row."""
-        return self
 
     def _batch(self, y) -> np.ndarray:
         """y as a float array; with row parameters, a batch (row_count, d1)."""
@@ -153,11 +147,6 @@ class BoundedConfidence(EdgePotential):
         if np.ndim(self.epsilon) == 0:
             return self.epsilon**k
         return np.array([e**k for e in self.epsilon.tolist()])[:, None]
-
-    def take_rows(self, rows):
-        if np.ndim(self.epsilon) == 0:
-            return self
-        return BoundedConfidence(self.sheaf, self.epsilon[rows])
 
     def value(self, y):
         u = self.sheaf.edge_sq_norms(self._batch(y))
@@ -275,11 +264,6 @@ class LinearBasisPotential(EdgePotential):
         if constant.ndim == 2:
             constant[~nonzero] = -0.0
         self._constant = constant if nonzero.any() else None
-
-    def take_rows(self, rows):
-        if self.theta.ndim == 1:
-            return self
-        return LinearBasisPotential(self.sheaf, self.basis, self.theta[rows])
 
     def value(self, y):
         y = self._batch(y)

@@ -76,6 +76,10 @@ def _check_spd(mat: np.ndarray, what: str) -> np.ndarray:
         raise StructuralError(f"{what} must be a square matrix, got {mat.shape}")
     if not np.allclose(mat, mat.T, rtol=1e-10, atol=1e-12):
         raise StructuralError(f"{what} is not symmetric")
+    # The symmetric part, so that the factor, the dense Gram and the block
+    # products all read one matrix: halves, as g + g.T may overflow, and only
+    # where g is not symmetric already, so a symmetric Gram keeps its bits.
+    mat = np.where(mat == mat.T, mat, mat / 2 + mat.T / 2)
     eigs = np.linalg.eigvalsh(mat)
     if eigs[0] <= _SPD_TOL * max(1.0, abs(eigs[-1])):
         raise StructuralError(f"{what} is not positive definite (min eig {eigs[0]:g})")

@@ -734,6 +734,30 @@ def test_a_record_too_long_to_allocate_exits_1(tmp_path, capsys, command, fields
     assert err.endswith("is too long to allocate\n")
 
 
+@pytest.mark.parametrize(
+    "command, key",
+    [
+        ("simulate", "random_initial_states count"),
+        ("bounded_confidence", "n_training"),
+        ("bounded_confidence", "n_holdout"),
+        ("finite_basis", "n_training"),
+        ("finite_basis", "n_holdout"),
+    ],
+)
+def test_a_start_set_too_large_to_allocate_exits_1(tmp_path, capsys, command, key):
+    # 1e15 starts: the one array of a set is refused before anything is drawn
+    count = 10**15
+    if command == "simulate":
+        payload = _simulate_config(random_initial_states={"count": count, "scale": 0.5})
+    else:
+        payload = {"command": "experiment", "experiment": command, "seeds": [0], key: count}
+        command = "experiment"
+    cfg = write_config(tmp_path, "many.json", payload)
+    assert run_cli(command, cfg, tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {key} {count} is too many starts to allocate\n"
+
+
 def test_a_sheaf_without_vertices_simulates_and_identify_refuses_it(tmp_path, capsys):
     empty = {"vertex_count": 0, "vertex_stalk_dims": [], "edges": []}
     (tmp_path / "empty.json").write_text(json.dumps(empty))

@@ -339,7 +339,7 @@ def test_row_parameter_batches_keep_every_row_on_its_solo_bits(seed, family, n_r
     batch = integrate(op, law(params), starts, cfg)
     assert isinstance(batch[hot], DivergenceError)
     if family == "basis":
-        assert batch[hot].time > 0  # mid-run: the survivors' parameters are subset
+        assert batch[hot].time > 0  # mid-run, with the other rows still stepping
     for i, got in enumerate(batch):
         alone = _solo(op, law(params[i]), starts[i], cfg)
         assert type(got) is type(alone)
@@ -351,16 +351,69 @@ def test_row_parameter_batches_keep_every_row_on_its_solo_bits(seed, family, n_r
             assert np.array_equal(np.signbit(got.derivs), np.signbit(alone.derivs))
 
 
-def test_take_rows_subsets_row_parameters_and_keeps_scalar_models(rotated_cycle):
-    sheaf, _ = rotated_cycle
-    scalar = BoundedConfidence(sheaf, 1.0)
-    assert scalar.take_rows(np.array([True, False])) is scalar
-    rows = BoundedConfidence(sheaf, [0.5, 1.0, 2.0]).take_rows(np.array([True, False, True]))
-    assert rows.epsilon.tolist() == [0.5, 2.0]
-    basis = monomial_basis(sheaf)
-    theta = np.array([[1.0, 0.25, 0.03], [2.0, 0.0, 0.1]])
-    assert monomial_potential(sheaf, theta[0]).take_rows([0]).theta.ndim == 1
-    assert LinearBasisPotential(sheaf, basis, theta).take_rows([1]).theta.tolist() == [theta[1].tolist()]
+def _count_force_rows(monkeypatch, cls) -> list[int]:
+    """The row count of every batch cls.force evaluates from now on."""
+    rows, force = [], cls.force
+
+    def counted(self, y):
+        rows.append(len(y))
+        return force(self, y)
+
+    monkeypatch.setattr(cls, "force", counted)
+    return rows
+
+
+# Anti-diffusion: a row at theta[0] = -300 overflows within the first steps.
+_HOT = (-300.0, 0.0, 0.0)
+
+
+def _solo_blowup_step(op, sheaf, theta, x0, cfg) -> int:
+    with pytest.raises(DivergenceError) as blowup:
+        integrate(op, monomial_potential(sheaf, theta), x0, cfg)
+    return round(blowup.value.time / cfg.step)
+
+
+def test_a_row_parameter_model_sees_every_row_on_every_evaluation(rotated_cycle, monkeypatch):
+    sheaf, op = rotated_cycle
+    rng = np.random.default_rng(41)
+    starts = 0.5 * rng.standard_normal((4, op.d0))
+    theta = np.array([(1.0, 0.25, 0.03), _HOT, (0.5, 0.1, 0.2), (1.0, 0.0, 0.1)])
+    ends = [0.3, 0.3, 0.02, 0.3]  # row 2 ends early, row 1 diverges
+    rows = _count_force_rows(monkeypatch, LinearBasisPotential)
+    batch = integrate(op, monomial_potential(sheaf, theta), starts, SimConfig(horizon=0.3), ends)
+    assert isinstance(batch[1], DivergenceError) and batch[2].n_samples == 3
+    assert len(rows) == 4 * 30 + 1 and set(rows) == {4}  # stepped to the last step
+
+
+def test_rows_that_end_before_their_blowup_keep_their_solo_bits(rotated_cycle):
+    sheaf, op = rotated_cycle
+    rng = np.random.default_rng(42)
+    starts = rng.standard_normal((3, op.d0))
+    theta = np.array([_HOT, _HOT, (1.0, 0.25, 0.03)])
+    cfg = SimConfig(horizon=0.5)
+    k = _solo_blowup_step(op, sheaf, theta[0], starts[0], cfg)
+    assert k > 1
+    # row 0 ends one step before its blow-up and is stepped on past it
+    ends = [0.01 * (k - 1), 0.5, 0.5]
+    batch = integrate(op, monomial_potential(sheaf, theta), starts, cfg, ends=ends)
+    assert isinstance(batch[0], Trajectory) and isinstance(batch[1], DivergenceError)
+    for i, (got, end) in enumerate(zip(batch, ends)):
+        alone = _solo(op, monomial_potential(sheaf, theta[i]), starts[i], SimConfig(horizon=end))
+        _assert_same_record(got, alone)
+
+
+def test_the_loop_stops_once_every_row_has_blown_up(rotated_cycle, monkeypatch):
+    sheaf, op = rotated_cycle
+    rng = np.random.default_rng(43)
+    starts = rng.standard_normal((3, op.d0))
+    theta = np.array([_HOT, (-100.0, 0.0, 0.0), _HOT])
+    cfg = SimConfig(horizon=10.0)
+    k = max(_solo_blowup_step(op, sheaf, p, x0, cfg) for p, x0 in zip(theta, starts))
+    rows = _count_force_rows(monkeypatch, LinearBasisPotential)
+    batch = integrate(op, monomial_potential(sheaf, theta), starts, cfg)
+    assert all(isinstance(r, DivergenceError) for r in batch)
+    assert max(round(r.time / cfg.step) for r in batch) == k < 1000
+    assert len(rows) <= 4 * k + 4
 
 
 def _assert_same_record(got, alone):
@@ -423,8 +476,8 @@ def test_ends_must_be_whole_steps_up_to_the_horizon_one_per_row(rotated_cycle, e
 
 @pytest.mark.parametrize("family", ["threshold", "basis"])
 def test_row_parameter_models_follow_rows_that_end_and_rows_that_diverge(mixed_sheaf, family):
-    # Rows retire at their ends before and after another row's divergence;
-    # each survivor must keep its own parameters through both kinds of take_rows.
+    # Rows end before and after another row's divergence; each row must keep
+    # its own parameters in the fixed batch before and after both.
     sheaf = mixed_sheaf
     op = build_coboundary(sheaf)
     rng = np.random.default_rng(23)

@@ -12,7 +12,12 @@ import pytest
 
 from sheaf_sysid import experiments
 from sheaf_sysid.dynamics import SimConfig, integrate, observe
-from sheaf_sysid.errors import ConfigurationError, DivergenceError, UsageError
+from sheaf_sysid.errors import (
+    ConfigurationError,
+    DivergenceError,
+    ParameterError,
+    UsageError,
+)
 from sheaf_sysid.experiments import (
     BASIS_NOISE_STD,
     LOCALIZED_BAND,
@@ -143,6 +148,16 @@ def test_localized_initial_conditions_sit_in_annulus():
         y = (op.B @ x0).reshape(3, 2)
         radii = np.sqrt((y**2).sum(1))
         assert np.all(radii >= LOCALIZED_BAND[0]) and np.all(radii <= LOCALIZED_BAND[1])
+
+
+@pytest.mark.parametrize("coverage", ["broad", "localized", "limited"])
+def test_a_start_set_too_large_to_allocate_names_its_key(coverage):
+    op = build_coboundary(make_cycle_sheaf(3, "rotated"))
+    for counts, key in (((10**15, 1), "n_training"), ((1, 10**15), "n_holdout")):
+        with pytest.raises(ParameterError, match=f"^{key} {10**15} is too many starts"):
+            _initial_conditions(op, coverage, 0, counts)
+    train, hold = _initial_conditions(op, coverage, 0, (3, 2))
+    assert train.shape == (3, op.d0) and hold.shape == (2, op.d0)
 
 
 def test_limited_initial_conditions_are_collinear_and_small():

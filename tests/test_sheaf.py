@@ -249,6 +249,35 @@ def test_non_spd_gram_raises():
         )
 
 
+def _cycle_with_vertex_gram(gram) -> Sheaf:
+    """The identity 3-cycle with gram on vertex 0 and identities elsewhere."""
+    cycle = make_cycle_sheaf(3, "identity")
+    return Sheaf(
+        cycle.graph, [2] * 3, [2] * 3, head_maps=cycle.head_maps, tail_maps=cycle.tail_maps,
+        vertex_grams=[np.array(gram), np.eye(2), np.eye(2)],
+    )
+
+
+def test_an_accepted_gram_is_stored_as_its_symmetric_part():
+    # symmetric only to the acceptance tolerance: every product reads one matrix
+    op = build_coboundary(_cycle_with_vertex_gram([[2.0, 0.5 + 1e-11], [0.5, 1.0]]))
+    assert op.sheaf.vertex_grams[0][0, 1] == op.sheaf.vertex_grams[0][1, 0] == 0.5 + 0.5e-11
+    assert np.array_equal(op.M1, op.M1.T)
+    x = np.random.default_rng(8).standard_normal(op.d0)
+    sections = global_section_basis(op)
+    assert np.abs(section_part(op, x) - sections @ (sections.T @ (op.M1 @ x))).max() <= 1e-15
+    # an exactly symmetric Gram keeps its bits, at the float limits too; an
+    # unsymmetric one near them has a finite symmetric part
+    tiny = np.nextafter(0.0, 1.0)
+    for gram in ([[1e308, 1e307], [1e307, 1e308]], [[1.0, tiny], [tiny, 1.0]],
+                 [[1.0, -0.0], [-0.0, 1.0]]):
+        stored = _cycle_with_vertex_gram(gram).vertex_grams[0]
+        assert np.array_equal(stored, gram) and np.array_equal(np.signbit(stored), np.signbit(gram))
+    big = [[1e308, np.nextafter(1e307, np.inf)], [1e307, 1e308]]
+    stored = _cycle_with_vertex_gram(big).vertex_grams[0]
+    assert np.isfinite(stored).all() and stored[0, 0] == 1e308 and stored[0, 1] == stored[1, 0]
+
+
 def test_edge_referencing_missing_vertex_raises():
     with pytest.raises(StructuralError):
         DirectedGraph(vertex_count=2, edges=((0, 2),))
@@ -258,13 +287,20 @@ def test_edge_referencing_missing_vertex_raises():
 
 
 def test_sheaf_file_roundtrip_is_bit_identical(tmp_path):
-    # random floats written in their shortest repr (json.dumps) read back bit for bit
+    # random floats written in their shortest repr (json.dumps) read back bit
+    # for bit; the Grams mirror their upper triangle, since a Gram that is
+    # symmetric only to rounding is stored as its symmetric part
     rng = np.random.default_rng(31)
     ends, dims = ((0, 1), (1, 2), (2, 0), (1, 1)), [2, 3, 1]
     heads = [rng.standard_normal((2, dims[h])) for _, h in ends]
     tails = [rng.standard_normal((2, dims[t])) for t, _ in ends]
-    edge_grams = [random_spd(rng, 2) for _ in ends]
-    vertex_grams = [random_spd(rng, d) for d in dims]
+
+    def symmetric_spd(d):
+        g = random_spd(rng, d)
+        return np.triu(g) + np.triu(g, 1).T
+
+    edge_grams = [symmetric_spd(2) for _ in ends]
+    vertex_grams = [symmetric_spd(d) for d in dims]
     edges = [
         {"tail": t, "head": h, "stalk_dim": 2,
          "head_map": H.tolist(), "tail_map": T.tolist(), "gram": G.tolist()}
