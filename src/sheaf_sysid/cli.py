@@ -1,12 +1,14 @@
 """Command-line front end.
 
-Four subcommands -- cohomology, simulate, identify, experiment -- all driven
-by a single JSON config file; flags only override config fields.  Every
-output embeds the config hash and the seeds used, and reruns with an
+Four subcommands -- cohomology, simulate, identify, experiment -- each
+driven by one JSON config file, the run's whole input: every seed is a config
+key, and the flags only name the config, the output directory and quiet mode.
+Every output embeds the config hash and the seeds used, and reruns with an
 identical config produce byte-identical files.
 
 Exit codes: 0 success (a non-identifiable diagnosis is a success), 1 usage or
-configuration error, 2 numerical divergence.
+configuration error (bad arguments, or a size too large to allocate), 2
+numerical divergence.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from . import experiments
 from .dynamics import (
     SimConfig,
     Trajectory,
-    allocate,
     load_trajectory_csv,
     observe,
     save_trajectory_csv,
@@ -37,6 +38,7 @@ from .errors import (
     DivergenceError,
     SheafSysIdError,
     UsageError,
+    allocate,
 )
 from .potentials import (
     Antagonistic,
@@ -327,7 +329,7 @@ def cmd_identify(config: dict, out_dir: Path, quiet: bool) -> int:
         raise ConfigurationError("identify needs a 'family' object with a 'kind'")
     if family["kind"] == "threshold":
         _require_keys(family, {"kind", "bracket"}, "family")
-        bracket = family.get("bracket", [0.25, 4.0])
+        bracket = family.get("bracket", list(experiments.THRESHOLD_BRACKET))
         if not isinstance(bracket, list) or len(bracket) != 2:
             raise ConfigurationError("bracket must be a list [lo, hi]")
         lo, hi = (experiments.config_number(v, "bracket") for v in bracket)
@@ -420,28 +422,19 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="JSON config file")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument(
-        "--seed", type=int, default=None, help="override config seed (simulate, experiment)"
-    )
     parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
 
+    def refuse(message):
+        raise UsageError(message)
+
+    parser.error = refuse  # a bad argument list exits 1 with one error line, not 2
     try:
+        args = parser.parse_args(argv)
         config = _load_config(args.config)
         if config.get("command", args.command) != args.command:
             raise ConfigurationError(
                 f"config declares command '{config['command']}', invoked as '{args.command}'"
             )
-        if args.seed is not None:
-            if args.command == "experiment":
-                config["base_seed"] = args.seed
-                config.pop("seeds", None)
-            elif args.command == "simulate":
-                config["seed"] = args.seed
-            else:
-                raise ConfigurationError(
-                    f"--seed does not apply to {args.command}: it reads no seed"
-                )
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](config, out_dir, args.quiet)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterError, StructuralError, UsageError
+from .errors import DivergenceError, ParameterError, StructuralError, UsageError, allocate
 from .potentials import EdgePotential
 from .sheaf import CoboundaryOperator, delta_pseudoinverse_apply, section_part
 
@@ -64,14 +64,6 @@ def _laplacian(op, model, x):
     return np.einsum("...i,ji->...j", model.force(y), op.delta_star_matrix)
 
 
-def allocate(make, message: str):
-    """make(), or ParameterError(message) if the arrays it allocates do not fit."""
-    try:
-        return make()
-    except (MemoryError, ValueError):  # ValueError: past numpy's largest array size
-        raise ParameterError(message) from None
-
-
 def integrate(
     op: CoboundaryOperator,
     model: EdgePotential,
@@ -109,7 +101,8 @@ def integrate(
     too_long = f"a record of horizon {cfg.horizon:g} at step {h:g} is too long to allocate"
     # the longest record, allocated before any row's end is cast to an int
     times = allocate(lambda: h * np.arange(steps + 1), too_long)
-    stops = np.full(n, steps)  # the last step each row records; -1 once it blew up
+    # the last step each row records; -1 once it blew up
+    stops = allocate(lambda: np.full(n, steps), f"batch size {n} is too many starts to allocate")
     if ends is not None:
         ends = np.asarray(ends, dtype=float)
         if ends.shape != (n,) or not all(
@@ -178,12 +171,17 @@ def simulate_ensemble(
     """Integrate one trajectory per initial condition, as one batch.
 
     A diverging trajectory contributes its DivergenceError in place without
-    aborting the rest; results are ordered by input index.
+    aborting the rest; results are ordered by input index.  An array of
+    starts (N, d0) is passed through as it is.
     """
-    starts = [np.asarray(x0, dtype=float) for x0 in initial_conditions]
-    if any(x0.shape != (op.d0,) for x0 in starts):
+    try:
+        starts = np.asarray(initial_conditions, dtype=float)
+        fits = starts.shape[1:] == (op.d0,) or starts.shape == (0,)  # (0,): no starts
+    except ValueError:  # ragged starts
+        fits = False
+    if not fits:
         raise StructuralError(f"every initial state must have shape ({op.d0},)")
-    return integrate(op, model, x0=np.reshape(starts, (len(starts), op.d0)), cfg=cfg)
+    return integrate(op, model, x0=starts.reshape(len(starts), op.d0), cfg=cfg)
 
 
 def observe(traj: Trajectory, sigma: float, seed: int | tuple[int, ...]) -> Trajectory:

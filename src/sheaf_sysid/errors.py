@@ -30,3 +30,11 @@ class DivergenceError(SheafSysIdError):
     def __init__(self, message: str, time: float | None = None):
         super().__init__(message)
         self.time = time
+
+
+def allocate(make, message: str):
+    """make(), or ParameterError(message) if the arrays it allocates do not fit."""
+    try:
+        return make()
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest array size
+        raise ParameterError(message) from None

@@ -40,8 +40,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import SimConfig, Trajectory, allocate, integrate, observe, whole_steps
-from .errors import ConfigurationError, DivergenceError, SheafSysIdError, UsageError
+from .dynamics import SimConfig, Trajectory, integrate, observe, whole_steps
+from .errors import ConfigurationError, DivergenceError, SheafSysIdError, UsageError, allocate
 from .potentials import (
     BoundedConfidence,
     ConstantEdgeForce,

@@ -36,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import StructuralError
+from .errors import StructuralError, allocate
 
 RANK_TOL = 1e-10
 """Relative singular-value cutoff below which a direction counts as null."""
@@ -264,7 +264,8 @@ def _stalk_grams(grams, dims: tuple[int, ...], what: str) -> tuple[np.ndarray, .
     """One Gram per stalk, identities when grams is None, each checked to be
     positive definite and to match its stalk."""
     if grams is None:
-        return tuple(np.eye(d) for d in dims)
+        big = "the identity Gram of a {} stalk of dimension {} is too large to allocate"
+        return tuple(allocate(lambda: np.eye(d), big.format(what, d)) for d in dims)
     if len(grams) != len(dims):
         raise StructuralError(f"one Gram matrix required per {what}")
     grams = tuple(_check_spd(g, f"{what} Gram {i}") for i, g in enumerate(grams))
@@ -335,14 +336,14 @@ class CoboundaryOperator:
 
     @functools.cached_property
     def B(self) -> np.ndarray:
-        B = np.zeros((self.d1, self.d0))
+        B = _zeros((self.d1, self.d0), "coboundary matrix B")
         for er, _, _, vc, b in self._coupling_blocks:
             B[er, vc] = b
         return B
 
     @functools.cached_property
     def delta_star_matrix(self) -> np.ndarray:
-        ds = np.zeros((self.d0, self.d1))
+        ds = _zeros((self.d0, self.d1), "adjoint matrix delta*")
         for er, ec, vr, _, b in self._coupling_blocks:
             b_t_m2 = b.swapaxes(1, 2) @ _blocks(self.sheaf._m2, er)
             ds[vr, ec] = np.linalg.solve(_blocks(self._m1, vr), b_t_m2)
@@ -351,7 +352,7 @@ class CoboundaryOperator:
     @functools.cached_property
     def _whitened(self) -> np.ndarray:
         """L2^T B L1^{-T}, block by block; read only by the two SVDs."""
-        white = np.zeros((self.d1, self.d0))
+        white = _zeros((self.d1, self.d0), "whitened coboundary")
         for er, _, vr, vc, b in self._coupling_blocks:
             lb_t = (_blocks(self._l2, er).swapaxes(1, 2) @ b).swapaxes(1, 2)
             white[er, vc] = np.linalg.solve(_blocks(self._l1, vr), lb_t).swapaxes(1, 2)
@@ -414,10 +415,18 @@ def _blocks(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _dense(mat: np.ndarray, blocks) -> np.ndarray:
     """The dense block-diagonal matrix of a block-row matrix."""
-    out = np.zeros((mat.shape[0],) * 2)
+    out = _zeros((mat.shape[0],) * 2, "block-diagonal matrix")
     for _, rows, cols in blocks:
         out[rows, cols] = _blocks(mat, rows)
     return out
+
+
+def _zeros(shape: tuple[int, int], what: str) -> np.ndarray:
+    """np.zeros(shape), or ParameterError naming the matrix and its size if it
+    does not fit."""
+    return allocate(
+        lambda: np.zeros(shape), f"the {shape[0]} x {shape[1]} {what} is too large to allocate"
+    )
 
 
 def _block_t(factor: np.ndarray, blocks, x: np.ndarray, apply=np.linalg.solve) -> np.ndarray:

@@ -1,6 +1,9 @@
 """End-to-end CLI: commands, exit codes, file outputs, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -143,15 +146,6 @@ def test_cohomology_rejects_rank_tol_key(tmp_path, capsys):
     cfg = write_config(tmp_path, "c.json", payload)
     assert run_cli("cohomology", cfg, tmp_path / "out") == 1
     assert "rank_tol" in capsys.readouterr().err
-
-
-def test_cohomology_refuses_the_seed_flag(tmp_path, capsys):
-    sheaf = {"builtin": "cycle", "cycle_length": 3, "variant": "rotated"}
-    cfg = write_config(tmp_path, "c.json", {"command": "cohomology", "sheaf": sheaf})
-    assert run_cli("cohomology", cfg, tmp_path / "out", ("--seed", "1")) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: --seed does not apply to cohomology")
-    assert run_cli("cohomology", cfg, tmp_path / "out") == 0
 
 
 def test_cohomology_malformed_sheaf_file_exits_nonzero(tmp_path):
@@ -423,7 +417,7 @@ def test_identify_refuses_the_seed_flag_and_key(tmp_path, capsys):
     )
     cfg = _identify_config(tmp_path, data_dir)
     assert run_cli("identify", cfg, tmp_path / "o", ("--seed", "1")) == 1
-    assert capsys.readouterr().err.startswith("error: --seed does not apply to identify")
+    assert capsys.readouterr().err == "error: unrecognized arguments: --seed 1\n"
     payload = json.loads(cfg.read_text())
     for key, value in (("seed", 0), ("noise_std", 0.005)):
         keyed = write_config(tmp_path, f"id_{key}.json", {**payload, key: value})
@@ -546,20 +540,48 @@ def test_command_mismatch_rejected(tmp_path):
     assert run_cli("cohomology", cfg, tmp_path / "o") == 1
 
 
+_SEED_FLAG = "error: unrecognized arguments: --seed 1"
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["cohomology", "--config", "c.json", "--bogus"],
+         "error: unrecognized arguments: --bogus"),
+        ([], "error: the following arguments are required: command, --config"),
+        (["nosuch", "--config", "c.json"], "error: argument command: invalid choice: 'nosuch'"),
+        *(([c, "--config", "c.json", "--seed", "1"], _SEED_FLAG) for c in sorted(cli._COMMANDS)),
+    ],
+    ids=["unknown_flag", "no_arguments", "unknown_command", *sorted(cli._COMMANDS)],
+)
+def test_a_bad_argument_list_exits_1_with_one_error_line(
+    tmp_path, capsys, monkeypatch, argv, error
+):
+    # exit 2 is a divergence, so argparse's own exit 2 and usage block give
+    # way to the one error line of every other refusal; every seed is a
+    # config key, so --seed is an unknown argument to every command
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, "c.json", {"sheaf": {"builtin": "cycle", "cycle_length": 3}})
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert not out and err.startswith(error) and err.count("\n") == 1
+    with pytest.raises(SystemExit) as help_exit:
+        main(["--help"])
+    assert help_exit.value.code == 0
+
+
 def test_seed_override_changes_experiment_seeds(tmp_path):
-    cfg = write_config(
-        tmp_path,
-        "exp_seed.json",
-        {
-            "command": "experiment",
-            "experiment": "finite_basis",
-            "n_training": 4,
-            "training_horizon": 2.0,
-        },
-    )
+    payload = {
+        "command": "experiment",
+        "experiment": "finite_basis",
+        "n_training": 4,
+        "training_horizon": 2.0,
+    }
+    cfg = write_config(tmp_path, "exp_seed.json", payload)
+    cfg9 = write_config(tmp_path, "exp_seed9.json", {**payload, "base_seed": 9})
     out1, out2 = tmp_path / "s0", tmp_path / "s9"
     assert run_cli("experiment", cfg, out1) == 0
-    assert run_cli("experiment", cfg, out2, extra=["--seed", "9"]) == 0
+    assert run_cli("experiment", cfg9, out2) == 0
     # different seeds, different file tags; the deterministic augmented row
     # still reports the same parameter error, the seeded rows do not
     errors = []
@@ -579,9 +601,6 @@ def test_experiment_rejects_seeds_together_with_base_seed(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "seeds" in err and "base_seed" in err
     assert not list((tmp_path / "out").iterdir())
-    # the --seed flag replaces seeds with base_seed, so it still applies
-    seeds = write_config(tmp_path, "seeds.json", payload)
-    assert run_cli("experiment", seeds, tmp_path / "flag", extra=["--seed", "5"]) == 0
 
 
 # --- malformed numbers and files fail with a library error, not a traceback ---------
@@ -738,6 +757,7 @@ def test_a_record_too_long_to_allocate_exits_1(tmp_path, capsys, command, fields
     "command, key",
     [
         ("simulate", "random_initial_states count"),
+        ("simulate_without_vertices", "batch size"),
         ("bounded_confidence", "n_training"),
         ("bounded_confidence", "n_holdout"),
         ("finite_basis", "n_training"),
@@ -745,10 +765,17 @@ def test_a_record_too_long_to_allocate_exits_1(tmp_path, capsys, command, fields
     ],
 )
 def test_a_start_set_too_large_to_allocate_exits_1(tmp_path, capsys, command, key):
-    # 1e15 starts: the one array of a set is refused before anything is drawn
+    # 1e15 starts: the one array of a set is refused before anything is drawn;
+    # without vertices that array is empty, and the batch's per-row
+    # bookkeeping is refused instead, with no per-start list built first
     count = 10**15
-    if command == "simulate":
+    if command.startswith("simulate"):
         payload = _simulate_config(random_initial_states={"count": count, "scale": 0.5})
+        if command == "simulate_without_vertices":
+            empty = {"vertex_count": 0, "vertex_stalk_dims": [], "edges": []}
+            (tmp_path / "empty.json").write_text(json.dumps(empty))
+            payload["sheaf"] = {"path": str(tmp_path / "empty.json")}
+        command = "simulate"
     else:
         payload = {"command": "experiment", "experiment": command, "seeds": [0], key: count}
         command = "experiment"
@@ -756,6 +783,46 @@ def test_a_start_set_too_large_to_allocate_exits_1(tmp_path, capsys, command, ke
     assert run_cli(command, cfg, tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert err == f"error: {key} {count} is too many starts to allocate\n"
+
+
+_CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from sheaf_sysid.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, sheaf, error",
+    [
+        ("cohomology", {"cycle_length": 20001}, "the 40002 x 40002 whitened coboundary"),
+        ("simulate", {"cycle_length": 20001}, "the 40002 x 40002 coboundary matrix B"),
+        ("cohomology", {"vertex_stalk_dims": [10**9]},
+         "the identity Gram of a vertex stalk of dimension 1000000000"),
+    ],
+    ids=["cohomology_whitened", "simulate_coboundary", "stalk_gram"],
+)
+def test_a_sheaf_too_large_for_its_operator_exits_1(tmp_path, command, sheaf, error):
+    # a 2 GiB address space refuses the 12.8 GB dense operator at once, where
+    # without a cap the lazily zeroed matrix might be granted
+    if "cycle_length" in sheaf:
+        sheaf = {"builtin": "cycle", "variant": "rotated", **sheaf}
+    else:
+        (tmp_path / "big.json").write_text(json.dumps({"vertex_count": 1, "edges": [], **sheaf}))
+        sheaf = {"path": str(tmp_path / "big.json")}
+    payload = {"command": command, "sheaf": sheaf}
+    if command == "simulate":
+        payload = _simulate_config(sheaf=sheaf)
+    cfg = write_config(tmp_path, "big_config.json", payload)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]
+    run = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, *argv], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 1
+    assert run.stderr == f"error: {error} is too large to allocate\n"
 
 
 def test_a_sheaf_without_vertices_simulates_and_identify_refuses_it(tmp_path, capsys):
@@ -861,19 +928,16 @@ def test_formation_transfer_rejects_ignored_fields(tmp_path, capsys):
     [
         ({"seeds": [1, 2, 3]}, {"seeds": list(range(8))}),
         ({"base_seed": 3}, {"base_seed": 0}),
-        ({"--seed": 3}, {"--seed": 0}),
     ],
-    ids=["seeds", "base_seed", "seed_flag"],
+    ids=["seeds", "base_seed"],
 )
 def test_formation_transfer_refuses_a_seed_it_would_not_run(tmp_path, capsys, given, default):
     # the study runs at one fixed seed, so any other would be ignored; the
     # default seeds, in any form, are that run
     for name, fields, code in (("given", given, 1), ("default", default, 0)):
-        fields = dict(fields)
-        flag = ["--seed", str(fields.pop("--seed"))] if "--seed" in fields else []
         payload = {"command": "experiment", "experiment": "formation_transfer", **fields}
         cfg = write_config(tmp_path, f"{name}.json", payload)
-        assert run_cli("experiment", cfg, tmp_path / name, extra=flag) == code
+        assert run_cli("experiment", cfg, tmp_path / name) == code
     assert capsys.readouterr().err == "error: formation_transfer takes no seeds\n"
 
 
