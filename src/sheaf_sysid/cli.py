@@ -203,7 +203,7 @@ def cmd_cohomology(config: dict, out_dir: Path, quiet: bool) -> int:
     return 0
 
 
-def _initial_states(config: dict, d0: int) -> list[np.ndarray] | np.ndarray:
+def _initial_states(config: dict, d0: int, seed: int) -> list[np.ndarray] | np.ndarray:
     spec = config.get("initial_states")
     if spec is not None:
         if not isinstance(spec, list) or not spec:
@@ -219,7 +219,7 @@ def _initial_states(config: dict, d0: int) -> list[np.ndarray] | np.ndarray:
     if not isinstance(rand, dict):
         raise ConfigurationError("random_initial_states must be an object")
     _require_keys(rand, {"count", "scale"}, "random_initial_states")
-    rng = np.random.default_rng([_number(config, "seed", 0, low=0, integer=True), 17])
+    rng = np.random.default_rng([seed, 17])
     count = _number(rand, "count", 1, low=1, integer=True)
     scale = _number(rand, "scale", 1.0)
     states = allocate(
@@ -254,7 +254,7 @@ def cmd_simulate(config: dict, out_dir: Path, quiet: bool) -> int:
     )
     seed = _number(config, "seed", 0, low=0, integer=True)
     noise_std = _number(config, "noise_std", 0.0, low=0.0)
-    ics = _initial_states(config, op.d0)
+    ics = _initial_states(config, op.d0, seed)
     results = simulate_ensemble(op, model, ics, cfg)
 
     tag = config_hash(config)
@@ -268,7 +268,7 @@ def cmd_simulate(config: dict, out_dir: Path, quiet: bool) -> int:
             failures.append({"index": i, "time": result.time, "error": str(result)})
     manifest = {
         "config_hash": tag,
-        "seed": config.get("seed", 0),
+        "seed": seed,
         "step": cfg.step,
         "horizon": cfg.horizon,
         "noise_std": noise_std,
@@ -374,19 +374,13 @@ _EXPERIMENT_FIELDS = [
 
 
 def cmd_experiment(config: dict, out_dir: Path, quiet: bool) -> int:
-    _require_keys(config, {"command", "experiment", "base_seed", *_EXPERIMENT_FIELDS}, "config")
-    if "seeds" in config and "base_seed" in config:
-        raise ConfigurationError("config gives both seeds and base_seed; give one")
+    _require_keys(config, {"command", "experiment", *_EXPERIMENT_FIELDS}, "config")
     kwargs = {key: config[key] for key in _EXPERIMENT_FIELDS if key in config}
-    seeds = kwargs.pop("seeds", None)
-    if seeds is None:
-        base = _number(config, "base_seed", 0, low=0, integer=True)
-        seeds = list(range(base, base + 8))
-    if not isinstance(seeds, list):
-        raise ConfigurationError("seeds must be a list of integers")
-    cfg = experiments.ExperimentConfig(
-        experiment_id=str(config.get("experiment")), seeds=tuple(seeds), **kwargs
-    )
+    if "seeds" in kwargs:
+        if not isinstance(kwargs["seeds"], list):
+            raise ConfigurationError("seeds must be a list of integers")
+        kwargs["seeds"] = tuple(kwargs["seeds"])
+    cfg = experiments.ExperimentConfig(experiment_id=str(config.get("experiment")), **kwargs)
     output = experiments.run_experiment(cfg)
 
     tag = config_hash(config)

@@ -21,11 +21,14 @@ The rank, both cohomology dimensions and the spectrum come from the singular
 values alone, computed on the first query that needs them.  The singular
 vectors come from a second, full SVD that runs only for a nonempty null basis
 or a pseudoinverse solve, so a sheaf whose cohomology vanishes never computes
-them.  All objects are immutable after construction.
+them.  Both SVDs run at one thread of numpy's bundled OpenBLAS, where there is
+one, so their digits do not follow the BLAS thread count.  All objects are
+immutable after construction.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import numbers
@@ -36,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import StructuralError, allocate
+from .errors import ParameterError, StructuralError, allocate
 
 RANK_TOL = 1e-10
 """Relative singular-value cutoff below which a direction counts as null."""
@@ -361,12 +364,20 @@ class CoboundaryOperator:
     @functools.cached_property
     def _spectrum(self) -> np.ndarray:
         """Singular values of the whitened matrix, descending, without vectors."""
-        return np.linalg.svd(self._whitened, compute_uv=False)
+        with _one_blas_thread():
+            return np.linalg.svd(self._whitened, compute_uv=False)
 
     @functools.cached_property
     def _svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Full SVD (U, s, Vt) of the whitened matrix, for null bases and solves."""
-        return np.linalg.svd(self._whitened, full_matrices=True)
+        with _one_blas_thread():
+            try:
+                return np.linalg.svd(self._whitened, full_matrices=True)
+            except MemoryError:  # not allocate(): it would also catch LinAlgError, a ValueError
+                raise ParameterError(
+                    f"the {self.d1} x {self.d1} left singular vectors U of the whitened"
+                    " coboundary are too large to allocate"
+                ) from None
 
     def rank(self) -> int:
         s = self._spectrum
@@ -376,6 +387,44 @@ class CoboundaryOperator:
 
     def singular_values(self) -> np.ndarray:
         return self._spectrum.copy()
+
+
+@functools.cache
+def _openblas_threads():
+    """The thread-count getter and setter of the OpenBLAS bundled in
+    ``numpy.libs`` beside numpy, or None for a numpy build without one."""
+    import ctypes
+
+    for path in sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block at one OpenBLAS thread, so LAPACK's last digits do not
+    follow the thread count; a no-op where ``_openblas_threads`` finds none.
+    The count is process-wide, so blocks run from several Python threads at
+    once may leave it at one."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    old = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(old)
 
 
 def _coupling_values(sheaf: Sheaf, edges: np.ndarray, tail: bool, loops: np.ndarray):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from sheaf_sysid import cli
+from sheaf_sysid import sheaf as sheaf_module
 from sheaf_sysid.cli import main
 from sheaf_sysid.dynamics import SimConfig, integrate, load_trajectory_csv, observe
 from sheaf_sysid.experiments import make_cycle_sheaf
@@ -578,7 +579,7 @@ def test_seed_override_changes_experiment_seeds(tmp_path):
         "training_horizon": 2.0,
     }
     cfg = write_config(tmp_path, "exp_seed.json", payload)
-    cfg9 = write_config(tmp_path, "exp_seed9.json", {**payload, "base_seed": 9})
+    cfg9 = write_config(tmp_path, "exp_seed9.json", {**payload, "seeds": list(range(9, 17))})
     out1, out2 = tmp_path / "s0", tmp_path / "s9"
     assert run_cli("experiment", cfg, out1) == 0
     assert run_cli("experiment", cfg9, out2) == 0
@@ -593,14 +594,32 @@ def test_seed_override_changes_experiment_seeds(tmp_path):
     assert errors[0]["Correct / Broad / FD"] != errors[1]["Correct / Broad / FD"]
 
 
-def test_experiment_rejects_seeds_together_with_base_seed(tmp_path, capsys):
-    payload = {"command": "experiment", "experiment": "finite_basis", "seeds": [1]}
-    payload.update(training_horizon=0.05, n_training=2, n_holdout=1)  # a tiny sweep
-    both = write_config(tmp_path, "both.json", {**payload, "base_seed": 5})
-    assert run_cli("experiment", both, tmp_path / "out") == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "seeds" in err and "base_seed" in err
+_TINY_SWEEP = {"training_horizon": 0.05, "n_training": 2, "n_holdout": 1}
+
+
+def test_an_experiment_config_with_base_seed_exits_1_naming_it(tmp_path, capsys):
+    # seeds are given one way, by the list; base_seed was a second way to
+    # write ExperimentConfig's own default
+    payload = {"command": "experiment", "experiment": "finite_basis", **_TINY_SWEEP}
+    cfg = write_config(tmp_path, "base.json", {**payload, "base_seed": 0})
+    assert run_cli("experiment", cfg, tmp_path / "out") == 1
+    assert capsys.readouterr().err == "error: unknown keys in config: ['base_seed']\n"
     assert not list((tmp_path / "out").iterdir())
+
+
+def test_an_experiment_without_seeds_runs_seeds_0_to_7(tmp_path):
+    # the default seeds are ExperimentConfig's, and the CLI adds none of its own
+    payload = {"command": "experiment", "experiment": "finite_basis", **_TINY_SWEEP}
+    tables = []
+    for name, fields in (("default", {}), ("listed", {"seeds": list(range(8))})):
+        cfg = write_config(tmp_path, f"{name}.json", {**payload, **fields})
+        assert run_cli("experiment", cfg, tmp_path / name) == 0
+        tag = cli.config_hash({**payload, **fields})
+        tables.append({
+            path.name.replace(tag, "TAG"): path.read_text().replace(tag, "TAG")
+            for path in sorted((tmp_path / name).iterdir())
+        })
+    assert len(tables[0]) == 4 and tables[0] == tables[1]
 
 
 # --- malformed numbers and files fail with a library error, not a traceback ---------
@@ -825,6 +844,72 @@ def test_a_sheaf_too_large_for_its_operator_exits_1(tmp_path, command, sheaf, er
     assert run.stderr == f"error: {error} is too large to allocate\n"
 
 
+def test_a_full_svd_too_large_to_allocate_exits_1(tmp_path):
+    # two 1-dimensional vertices joined by 20,000 parallel edges: the whitened
+    # matrix is 320 KB, but the harmonic basis asks the full SVD for a
+    # 20,000 x 20,000 U, which a 2 GiB address space refuses
+    edge = {"tail": 0, "head": 1, "stalk_dim": 1, "head_map": [[1.0]], "tail_map": [[1.0]]}
+    sheaf = {"vertex_count": 2, "vertex_stalk_dims": [1, 1], "edges": [edge] * 20_000}
+    (tmp_path / "parallel.json").write_text(json.dumps(sheaf))
+    payload = {"command": "cohomology", "sheaf": {"path": str(tmp_path / "parallel.json")}}
+    cfg = write_config(tmp_path, "parallel_config.json", payload)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    argv = ["cohomology", "--config", str(cfg), "--out", str(tmp_path / "out"), "--quiet"]
+    run = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, *argv], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 1
+    assert run.stderr == (
+        "error: the 20000 x 20000 left singular vectors U of the whitened coboundary"
+        " are too large to allocate\n"
+    )
+
+
+@pytest.mark.parametrize("length", [401, 8])
+def test_cohomology_does_not_depend_on_the_blas_thread_count(tmp_path, length):
+    # LAPACK's SVD splits its work across OpenBLAS threads, so without the
+    # one-thread pin the 401-cycle's lambda digits follow OPENBLAS_NUM_THREADS;
+    # the 8-cycle has a harmonic basis, from the full SVD
+    sheaf = {"builtin": "cycle", "cycle_length": length, "variant": "rotated"}
+    cfg = write_config(tmp_path, "c.json", {"command": "cohomology", "sheaf": sheaf})
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        out = tmp_path / threads
+        argv = ["-m", "sheaf_sysid.cli", "cohomology", "--config", str(cfg), "--out", str(out)]
+        run = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        outputs.append((run.stdout, tree_bytes(out)))
+    assert outputs[0] == outputs[1]
+    assert ("dim H1 = 2" in outputs[0][0]) == (length == 8)
+
+
+@pytest.mark.parametrize("missing", ["library", "symbols"])
+def test_cohomology_runs_without_numpys_bundled_openblas(tmp_path, monkeypatch, missing):
+    # another numpy build has no libscipy_openblas in numpy.libs, or one
+    # without the thread symbols: the pin then does nothing
+    import ctypes
+
+    def cdll(path):
+        if missing == "library":
+            raise OSError(f"{path}: cannot open shared object file")
+        return object()
+
+    sheaf = {"builtin": "cycle", "cycle_length": 8, "variant": "rotated"}
+    cfg = write_config(tmp_path, "c.json", {"command": "cohomology", "sheaf": sheaf})
+    assert run_cli("cohomology", cfg, tmp_path / "pinned") == 0
+    sheaf_module._openblas_threads.cache_clear()
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    try:
+        assert sheaf_module._openblas_threads() is None
+        assert run_cli("cohomology", cfg, tmp_path / "unpinned") == 0
+    finally:
+        sheaf_module._openblas_threads.cache_clear()
+    assert tree_bytes(tmp_path / "unpinned") == tree_bytes(tmp_path / "pinned")
+
+
 def test_a_sheaf_without_vertices_simulates_and_identify_refuses_it(tmp_path, capsys):
     empty = {"vertex_count": 0, "vertex_stalk_dims": [], "edges": []}
     (tmp_path / "empty.json").write_text(json.dumps(empty))
@@ -925,15 +1010,12 @@ def test_formation_transfer_rejects_ignored_fields(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "given, default",
-    [
-        ({"seeds": [1, 2, 3]}, {"seeds": list(range(8))}),
-        ({"base_seed": 3}, {"base_seed": 0}),
-    ],
-    ids=["seeds", "base_seed"],
+    [({"seeds": [1, 2, 3]}, {"seeds": list(range(8))})],
+    ids=["seeds"],
 )
 def test_formation_transfer_refuses_a_seed_it_would_not_run(tmp_path, capsys, given, default):
     # the study runs at one fixed seed, so any other would be ignored; the
-    # default seeds, in any form, are that run
+    # default seeds are that run
     for name, fields, code in (("given", given, 1), ("default", default, 0)):
         payload = {"command": "experiment", "experiment": "formation_transfer", **fields}
         cfg = write_config(tmp_path, f"{name}.json", payload)

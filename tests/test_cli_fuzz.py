@@ -46,7 +46,6 @@ SIZED = {
     "experiment": {"seeds": [0], "training_horizon": 0.05, "n_training": 2, "n_holdout": 1},
 }
 for config in CONFIGS:
-    config.pop("base_seed", None)
     config.update(copy.deepcopy(SIZED.get(config["command"], {})))
 # The simulate config with a law whose force overflows at its huge starts, so
 # that examples reach the divergence exit (2) as well.
@@ -141,7 +140,7 @@ SIZE_KEYS = {
     "initial_states": st.one_of(
         st.lists(st.lists(st.floats(-2.0, 2.0), max_size=7), max_size=3), NOT_A_NUMBER
     ),
-    "base_seed": bounded(-1, 3, integer=True),  # given with seeds, it must be refused
+    "base_seed": bounded(-1, 3, integer=True),  # a removed key: it must be refused
 }
 
 
@@ -255,6 +254,12 @@ def test_every_mutated_run_exits_0_1_or_2_with_an_error_line(tmp_path, monkeypat
 
     code, err = run(command, work / "config.json", "out")
     assert code in (0, 1, 2), (code, err)
+    try:
+        top = json.loads(raw)
+    except ValueError:
+        top = None
+    if isinstance(top, dict) and "base_seed" in top:
+        assert code == 1, err
     assert "Traceback" not in err
     if code:
         assert any(line.startswith("error: ") for line in err.splitlines()), err
