@@ -6,9 +6,10 @@ key, and the flags only name the config, the output directory and quiet mode.
 Every output embeds the config hash and the seeds used, and reruns with an
 identical config produce byte-identical files.
 
-Exit codes: 0 success (a non-identifiable diagnosis is a success), 1 usage or
-configuration error (bad arguments, or a size too large to allocate), 2
-numerical divergence.
+Exit codes: 0 success (a non-identifiable diagnosis is a success), 1 a refused
+input (a UsageError: bad arguments, config or input file, or a size too large
+to allocate) or an unreadable or unwritable path, 2 numerical divergence (a
+DivergenceError).
 """
 
 from __future__ import annotations
@@ -33,13 +34,7 @@ from .dynamics import (
     save_trajectory_csv,
     simulate_ensemble,
 )
-from .errors import (
-    ConfigurationError,
-    DivergenceError,
-    SheafSysIdError,
-    UsageError,
-    allocate,
-)
+from .errors import DivergenceError, SheafSysIdError, UsageError, allocate, config_number
 from .potentials import (
     Antagonistic,
     BoundedConfidence,
@@ -66,33 +61,33 @@ def config_hash(config: dict) -> str:
 def _require_keys(d: dict, allowed: set[str], where: str) -> None:
     unknown = set(d) - allowed
     if unknown:
-        raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
+        raise UsageError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
 def _load_config(path: str) -> dict:
     try:
         config = json.loads(Path(path).read_text())
     except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}") from None
+        raise UsageError(f"config file not found: {path}") from None
     except ValueError as exc:  # not UTF-8, not JSON, or an int past the digit limit
-        raise ConfigurationError(f"config is not valid JSON: {exc}") from None
+        raise UsageError(f"config is not valid JSON: {exc}") from None
     if not isinstance(config, dict):
-        raise ConfigurationError("config must be a JSON object")
+        raise UsageError("config must be a JSON object")
     nulls = sorted(key for key, value in config.items() if value is None)
     if nulls:
-        raise ConfigurationError(f"config keys may not be null: {nulls}")
+        raise UsageError(f"config keys may not be null: {nulls}")
     return config
 
 
 def _build_sheaf(spec) -> Sheaf:
     if not isinstance(spec, dict):
-        raise ConfigurationError(f"sheaf spec must be an object, got {spec!r}")
+        raise UsageError(f"sheaf spec must be an object, got {spec!r}")
     if "path" in spec:
         _require_keys(spec, {"path"}, "sheaf")
         return load_sheaf(_path(spec["path"], "path"))
     _require_keys(spec, {"builtin", "cycle_length", "variant"}, "sheaf")
     if spec.get("builtin") != "cycle":
-        raise ConfigurationError("only the 'cycle' builtin sheaf is available")
+        raise UsageError("only the 'cycle' builtin sheaf is available")
     return experiments.make_cycle_sheaf(
         _number(spec, "cycle_length", 3, integer=True), spec.get("variant", "identity")
     )
@@ -100,19 +95,19 @@ def _build_sheaf(spec) -> Sheaf:
 
 def _number(spec: dict, key: str, default, low: float = -math.inf, integer: bool = False):
     """spec[key] (default when absent) as a checked float or int."""
-    return experiments.config_number(spec.get(key, default), key, low, integer)
+    return config_number(spec.get(key, default), key, low, integer)
 
 
 def _path(value, key: str) -> str:
     """value, a file or directory path; anything but a string without NUL
     characters that the file system can encode (a lone surrogate it cannot)
-    raises ConfigurationError naming ``key``."""
+    raises UsageError naming ``key``."""
     if not isinstance(value, str) or "\0" in value:
-        raise ConfigurationError(f"{key} must be a path string, got {value!r}")
+        raise UsageError(f"{key} must be a path string, got {value!r}")
     try:
         os.fsencode(value)
     except UnicodeEncodeError:
-        raise ConfigurationError(
+        raise UsageError(
             f"{key} must be a path string the file system can encode, got {value!r}"
         ) from None
     return value
@@ -120,11 +115,11 @@ def _path(value, key: str) -> str:
 
 def _numbers(value, key: str, integer: bool = False) -> list:
     """value, a list of numbers, as finite floats or (``integer``) whole ints;
-    anything else raises ConfigurationError naming ``key``."""
+    anything else raises UsageError naming ``key``."""
     if not isinstance(value, list):
         what = "integers" if integer else "numbers"
-        raise ConfigurationError(f"{key} must be a list of {what}, got {value!r}")
-    return [experiments.config_number(v, key, integer=integer) for v in value]
+        raise UsageError(f"{key} must be a list of {what}, got {value!r}")
+    return [config_number(v, key, integer=integer) for v in value]
 
 
 def _linear_basis(sheaf: Sheaf, spec: dict, where: str, *keys: str) -> tuple:
@@ -136,14 +131,14 @@ def _linear_basis(sheaf: Sheaf, spec: dict, where: str, *keys: str) -> tuple:
         return basis
     _require_keys(spec, {"kind", "harmonic_force", *keys}, where)
     if "harmonic_force" not in spec:
-        raise ConfigurationError(f"{where} needs a 'harmonic_force'")
+        raise UsageError(f"{where} needs a 'harmonic_force'")
     force = np.array(_numbers(spec["harmonic_force"], "harmonic_force"))
     return basis + (ConstantEdgeForce(sheaf, force),)
 
 
 def _build_potential(sheaf: Sheaf, spec: dict):
     if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigurationError("potential spec must be an object with a 'kind'")
+        raise UsageError("potential spec must be an object with a 'kind'")
     kind = spec["kind"]
     if kind == "quadratic":
         _require_keys(spec, {"kind"}, "potential")
@@ -161,7 +156,7 @@ def _build_potential(sheaf: Sheaf, spec: dict):
     if kind in ("monomial", "harmonic_augmented"):
         basis = _linear_basis(sheaf, spec, "potential", "theta")
         return LinearBasisPotential(sheaf, basis, _numbers(spec.get("theta"), "theta"))
-    raise ConfigurationError(f"unknown potential kind '{kind}'")
+    raise UsageError(f"unknown potential kind '{kind}'")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -207,17 +202,17 @@ def _initial_states(config: dict, d0: int, seed: int) -> list[np.ndarray] | np.n
     spec = config.get("initial_states")
     if spec is not None:
         if not isinstance(spec, list) or not spec:
-            raise ConfigurationError(f"initial_states must be a non-empty list, got {spec!r}")
+            raise UsageError(f"initial_states must be a non-empty list, got {spec!r}")
         states = [np.array(_numbers(x, "initial_states")) for x in spec]
         for x in states:
             if x.shape != (d0,):
-                raise ConfigurationError("initial state has the wrong length")
+                raise UsageError("initial state has the wrong length")
         return states
     rand = config.get("random_initial_states")
     if rand is None:
-        raise ConfigurationError("simulate needs initial_states or random_initial_states")
+        raise UsageError("simulate needs initial_states or random_initial_states")
     if not isinstance(rand, dict):
-        raise ConfigurationError("random_initial_states must be an object")
+        raise UsageError("random_initial_states must be an object")
     _require_keys(rand, {"count", "scale"}, "random_initial_states")
     rng = np.random.default_rng([seed, 17])
     count = _number(rand, "count", 1, low=1, integer=True)
@@ -297,7 +292,7 @@ def _read_manifest(path: Path) -> tuple[Path, list[str]]:
     the trajectory file names it lists."""
     found = sorted(path.glob("manifest_*.json")) if path.is_dir() else [path]
     if len(found) != 1:
-        raise ConfigurationError(f"{path} holds {[p.name for p in found]}, not one manifest")
+        raise UsageError(f"{path} holds {[p.name for p in found]}, not one manifest")
     try:
         manifest = json.loads(found[0].read_text())
     except ValueError:  # not UTF-8 or not JSON
@@ -326,13 +321,13 @@ def cmd_identify(config: dict, out_dir: Path, quiet: bool) -> int:
 
     family = config.get("family")
     if not isinstance(family, dict) or "kind" not in family:
-        raise ConfigurationError("identify needs a 'family' object with a 'kind'")
+        raise UsageError("identify needs a 'family' object with a 'kind'")
     if family["kind"] == "threshold":
         _require_keys(family, {"kind", "bracket"}, "family")
         bracket = family.get("bracket", list(experiments.THRESHOLD_BRACKET))
         if not isinstance(bracket, list) or len(bracket) != 2:
-            raise ConfigurationError("bracket must be a list [lo, hi]")
-        lo, hi = (experiments.config_number(v, "bracket") for v in bracket)
+            raise UsageError("bracket must be a list [lo, hi]")
+        lo, hi = (config_number(v, "bracket") for v in bracket)
         result = fit_threshold(op, data, (lo, hi))
         estimate = {"epsilon_hat": float(result.theta_hat[0])}
         criterion = {"information": result.report.lambda_min}
@@ -345,7 +340,7 @@ def cmd_identify(config: dict, out_dir: Path, quiet: bool) -> int:
             "lambda_max": result.report.lambda_max,
         }
     else:
-        raise ConfigurationError(f"unknown family kind '{family['kind']}'")
+        raise UsageError(f"unknown family kind '{family['kind']}'")
 
     tag = config_hash(config)
     report = {
@@ -378,7 +373,7 @@ def cmd_experiment(config: dict, out_dir: Path, quiet: bool) -> int:
     kwargs = {key: config[key] for key in _EXPERIMENT_FIELDS if key in config}
     if "seeds" in kwargs:
         if not isinstance(kwargs["seeds"], list):
-            raise ConfigurationError("seeds must be a list of integers")
+            raise UsageError("seeds must be a list of integers")
         kwargs["seeds"] = tuple(kwargs["seeds"])
     cfg = experiments.ExperimentConfig(experiment_id=str(config.get("experiment")), **kwargs)
     output = experiments.run_experiment(cfg)
@@ -426,7 +421,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         config = _load_config(args.config)
         if config.get("command", args.command) != args.command:
-            raise ConfigurationError(
+            raise UsageError(
                 f"config declares command '{config['command']}', invoked as '{args.command}'"
             )
         out_dir = Path(args.out)

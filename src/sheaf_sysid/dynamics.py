@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, ParameterError, StructuralError, UsageError, allocate
+from .errors import DivergenceError, UsageError, allocate
 from .potentials import EdgePotential
 from .sheaf import CoboundaryOperator, delta_pseudoinverse_apply, section_part
 
@@ -37,11 +37,11 @@ class SimConfig:
 
     def __post_init__(self):
         if not self.step > 0:
-            raise ParameterError("step must be positive")
+            raise UsageError("step must be positive")
         if not self.horizon >= self.step:
-            raise ParameterError("horizon must cover at least one step")
+            raise UsageError("horizon must cover at least one step")
         if not whole_steps(self.horizon, self.step):
-            raise ParameterError(
+            raise UsageError(
                 f"horizon {self.horizon!r} is not a whole number of steps of {self.step!r}"
             )
 
@@ -86,12 +86,12 @@ def integrate(
     from zero, so that one finiteness check covers the batch), is stepped on
     into a scratch sample until every row has ended or blown up.  So a model
     with row parameters (see ``potentials``) has one row per start, or its
-    first evaluation raises StructuralError.
+    first evaluation raises UsageError.
     """
     x = np.array(x0, dtype=float)
     single = x.ndim == 1
     if x.ndim not in (1, 2) or x.shape[-1] != op.d0:
-        raise StructuralError(
+        raise UsageError(
             f"initial states have shape {x.shape}, expected ({op.d0},) or (N, {op.d0})"
         )
     x = x.reshape(1 if single else len(x), op.d0)  # not -1, which fails at d0 = 0
@@ -108,7 +108,7 @@ def integrate(
         if ends.shape != (n,) or not all(
             h <= e <= cfg.horizon and whole_steps(e, h) for e in ends.tolist()
         ):
-            raise ParameterError(
+            raise UsageError(
                 f"ends must be {n} whole numbers of steps of {h!r} up to {cfg.horizon!r}"
             )
         stops = np.rint(ends / h).astype(int)
@@ -180,7 +180,7 @@ def simulate_ensemble(
     except ValueError:  # ragged starts
         fits = False
     if not fits:
-        raise StructuralError(f"every initial state must have shape ({op.d0},)")
+        raise UsageError(f"every initial state must have shape ({op.d0},)")
     return integrate(op, model, x0=starts.reshape(len(starts), op.d0), cfg=cfg)
 
 

@@ -1,24 +1,17 @@
-"""Exception types shared across the package."""
+"""The package's errors and input checks: a refused input raises UsageError (the
+CLI exits 1), a blow-up DivergenceError (exit 2), and both are a SheafSysIdError."""
+
+import math
+import numbers
+import sys
 
 
 class SheafSysIdError(Exception):
     """Base class for all library errors."""
 
 
-class StructuralError(SheafSysIdError):
-    """Matrices, dimensions, or block layouts are inconsistent."""
-
-
-class ParameterError(SheafSysIdError):
-    """A model or solver parameter is out of its valid range."""
-
-
 class UsageError(SheafSysIdError):
-    """An operation was called on inputs it is not defined for."""
-
-
-class ConfigurationError(SheafSysIdError):
-    """A run configuration or builder request failed validation."""
+    """An input was refused: out of range, inconsistent, or too large to allocate."""
 
 
 class DivergenceError(SheafSysIdError):
@@ -33,8 +26,24 @@ class DivergenceError(SheafSysIdError):
 
 
 def allocate(make, message: str):
-    """make(), or ParameterError(message) if the arrays it allocates do not fit."""
+    """make(), or UsageError(message) if the arrays it allocates do not fit."""
     try:
         return make()
     except (MemoryError, ValueError):  # ValueError: past numpy's largest array size
-        raise ParameterError(message) from None
+        raise UsageError(message) from None
+
+
+def config_number(value, key: str, low: float = -math.inf, integer: bool = False):
+    """value as a finite float, or an int if ``integer``, that is at least low.
+
+    Anything else (a string, a bool, inf, nan, a fraction where an integer is
+    due) raises UsageError naming ``key``.
+    """
+    kind = numbers.Integral if integer else numbers.Real
+    # the bound also refuses nan, and an int that no float can hold
+    finite = isinstance(value, kind) and (integer or abs(value) <= sys.float_info.max)
+    if isinstance(value, bool) or not finite or not value >= low:
+        bound = f" >= {low:g}" if low > -math.inf else ""
+        what = "an integer" if integer else "a finite number"
+        raise UsageError(f"{key} must be {what}{bound}, got {value!r}")
+    return int(value) if integer else float(value)

@@ -33,15 +33,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-import sys
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .dynamics import SimConfig, Trajectory, integrate, observe, whole_steps
-from .errors import ConfigurationError, DivergenceError, SheafSysIdError, UsageError, allocate
+from .errors import DivergenceError, SheafSysIdError, UsageError, allocate, config_number
 from .potentials import (
     BoundedConfidence,
     ConstantEdgeForce,
@@ -115,22 +113,6 @@ _SWEEPS = {
 }
 
 
-def config_number(value, key: str, low: float = -math.inf, integer: bool = False):
-    """value as a finite float, or an int if ``integer``, that is at least low.
-
-    Anything else (a string, a bool, inf, nan, a fraction where an integer is
-    due) raises ConfigurationError naming ``key``.
-    """
-    kind = numbers.Integral if integer else numbers.Real
-    # the bound also refuses nan, and an int that no float can hold
-    finite = isinstance(value, kind) and (integer or abs(value) <= sys.float_info.max)
-    if isinstance(value, bool) or not finite or not value >= low:
-        bound = f" >= {low:g}" if low > -math.inf else ""
-        what = "an integer" if integer else "a finite number"
-        raise ConfigurationError(f"{key} must be {what}{bound}, got {value!r}")
-    return int(value) if integer else float(value)
-
-
 # Fields formation_transfer does not read (its cycles, horizon and seed are
 # fixed); a value other than the default is rejected rather than ignored.
 _FORMATION_FIXED = ("cycle_length", "seeds", "n_training", "n_holdout", "training_horizon")
@@ -158,11 +140,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.experiment_id not in ("formation_transfer", *_SWEEPS):
-            raise ConfigurationError(f"unknown experiment '{self.experiment_id}'")
+            raise UsageError(f"unknown experiment '{self.experiment_id}'")
         config_number(self.cycle_length, "cycle_length", 3, integer=True)
         # the threshold study's quarter-pi rotated cycle has H^1 != 0 when 8 | n
         if self.experiment_id == "bounded_confidence" and self.cycle_length % 8 == 0:
-            raise ConfigurationError(
+            raise UsageError(
                 f"bounded_confidence cycle_length {self.cycle_length} is a multiple of 8,"
                 " where the rotated cycle has a nonzero harmonic space"
             )
@@ -171,18 +153,18 @@ class ExperimentConfig:
             config_number(self.n_training, "n_training", 1, integer=True)
         config_number(self.training_horizon, "training_horizon")
         if not self.seeds:
-            raise ConfigurationError("at least one seed required")
+            raise UsageError("at least one seed required")
         for seed in self.seeds:
             config_number(seed, "seeds", 0, integer=True)
         if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigurationError(f"seeds must not repeat a seed, got {list(self.seeds)}")
+            raise UsageError(f"seeds must not repeat a seed, got {list(self.seeds)}")
         if self.experiment_id == "formation_transfer":
             for f in fields(self):
                 if f.name in _FORMATION_FIXED and getattr(self, f.name) != f.default:
-                    raise ConfigurationError(f"formation_transfer takes no {f.name}")
+                    raise UsageError(f"formation_transfer takes no {f.name}")
         horizon = self.training_horizon
         if not (horizon >= STEP and whole_steps(horizon, STEP)):
-            raise ConfigurationError(
+            raise UsageError(
                 f"training_horizon must be a whole number (at least 1) of steps of {STEP:g},"
                 f" got {horizon!r}"
             )
@@ -206,9 +188,9 @@ def make_cycle_sheaf(n: int, variant: str) -> Sheaf:
     bounded_confidence, which needs H^1 = 0, refuses those lengths itself.
     """
     if n < 3:
-        raise ConfigurationError("cycle length must be at least 3")
+        raise UsageError("cycle length must be at least 3")
     if variant not in ("identity", "rotated"):
-        raise ConfigurationError(f"unknown sheaf variant '{variant}'")
+        raise UsageError(f"unknown sheaf variant '{variant}'")
     graph = DirectedGraph(
         vertex_count=n, edges=tuple((i, (i + 1) % n) for i in range(n))
     )
@@ -281,7 +263,7 @@ def _localized_initial_conditions(op, rng, count: int) -> np.ndarray:
     # edge states back through the (invertible) coboundary.
     sheaf = op.sheaf
     if op.rank() != op.d0 or op.d0 != op.d1:
-        raise ConfigurationError("localized coverage needs an invertible coboundary")
+        raise UsageError("localized coverage needs an invertible coboundary")
     ics = np.empty((count, op.d0))
     for ic in ics:
         y = np.zeros(op.d1)
@@ -325,7 +307,7 @@ def run_formation_transfer(cfg: ExperimentConfig) -> ExperimentOutput:
     the max rollout difference and the force MSE between the two laws.
     """
     if cfg.experiment_id != "formation_transfer":
-        raise ConfigurationError("config is not for formation_transfer")
+        raise UsageError("config is not for formation_transfer")
     beta = FORMATION_PERTURBATION
     rows = []
     for n in (3, 5):
@@ -390,7 +372,7 @@ def _horizon(cfg: ExperimentConfig, coverage: str) -> float:
 def _initial_conditions(op, coverage, seed, counts):
     """Training and holdout starts of one seed under one coverage design, each
     set one array (count, d0); a set too large to allocate raises
-    ParameterError naming its key."""
+    UsageError naming its key."""
     cov_id = _COVERAGE_IDS[coverage]
     if coverage == "limited":
         ray = _limited_ray(op, np.random.default_rng([seed, cov_id, 0]))
@@ -561,7 +543,7 @@ def run_bounded_confidence(cfg: ExperimentConfig) -> ExperimentOutput:
     the fitted threshold on the training edge states.
     """
     if cfg.experiment_id != "bounded_confidence":
-        raise ConfigurationError("config is not for bounded_confidence")
+        raise UsageError("config is not for bounded_confidence")
     sheaf = make_cycle_sheaf(cfg.cycle_length, "rotated")
 
     def fit(cond, op, data):
@@ -604,7 +586,7 @@ def run_finite_basis(cfg: ExperimentConfig) -> ExperimentOutput:
     leaves its force bits as they are.
     """
     if cfg.experiment_id != "finite_basis":
-        raise ConfigurationError("config is not for finite_basis")
+        raise UsageError("config is not for finite_basis")
     sheaf = make_cycle_sheaf(cfg.cycle_length, "identity")
     basis = monomial_basis(sheaf)
     harmonic = ConstantEdgeForce(sheaf, constant_edge_cochain(sheaf, EDGE_CONSTANT))

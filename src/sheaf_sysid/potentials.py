@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, StructuralError
+from .errors import UsageError
 from .sheaf import Sheaf
 
 
@@ -50,9 +50,7 @@ class EdgePotential:
         y = np.asarray(y, dtype=float)
         if self.row_count is not None and (y.ndim != 2 or len(y) != self.row_count):
             batch = f"{len(y)} rows" if y.ndim == 2 else f"shape {y.shape}"
-            raise StructuralError(
-                f"model has {self.row_count} parameter rows for a batch of {batch}"
-            )
+            raise UsageError(f"model has {self.row_count} parameter rows for a batch of {batch}")
         return y
 
 
@@ -73,7 +71,7 @@ class ShiftedQuadratic(EdgePotential):
         super().__init__(sheaf)
         self.target = np.asarray(target, dtype=float)
         if self.target.shape != (sheaf.d1,):
-            raise ParameterError("target must be a 1-cochain")
+            raise UsageError("target must be a 1-cochain")
 
     def value(self, y):
         return 0.5 * self.sheaf.edge_sq_norms(y - self.target).sum(-1)
@@ -95,7 +93,7 @@ class Antagonistic(EdgePotential):
         self.negative_edges = frozenset(int(e) for e in negative_edges)
         for e in self.negative_edges:
             if not 0 <= e < sheaf.graph.edge_count:
-                raise ParameterError(f"no edge with index {e}")
+                raise UsageError(f"no edge with index {e}")
         negative = np.zeros(sheaf.graph.edge_count, dtype=bool)
         negative[list(self.negative_edges)] = True
         self._value_weights = np.where(negative, -1.0, 0.5)
@@ -131,7 +129,7 @@ class BoundedConfidence(EdgePotential):
         super().__init__(sheaf)
         eps = np.asarray(epsilon, dtype=float)
         if eps.ndim > 1 or not np.all((eps >= self.MIN_EPSILON) & (eps <= self.MAX_EPSILON)):
-            raise ParameterError(
+            raise UsageError(
                 f"epsilon must be positive, at least 1e-100 and at most 1e100, got {epsilon}"
             )
         self.epsilon = eps if eps.ndim else float(eps)
@@ -194,7 +192,7 @@ class RadialMonomialForce(EdgePotential):
     def __init__(self, sheaf: Sheaf, degree: int):
         super().__init__(sheaf)
         if degree < 0:
-            raise ParameterError("degree must be nonnegative")
+            raise UsageError("degree must be nonnegative")
         self.degree = int(degree)
 
     def value(self, y):
@@ -213,7 +211,7 @@ class ConstantEdgeForce(EdgePotential):
         super().__init__(sheaf)
         self.cochain = np.asarray(cochain, dtype=float)
         if self.cochain.shape != (sheaf.d1,):
-            raise ParameterError("constant force must be a 1-cochain")
+            raise UsageError("constant force must be a 1-cochain")
 
     def value(self, y):
         return np.asarray(y, dtype=float) @ (self.sheaf.M2 @ self.cochain)
@@ -236,7 +234,7 @@ class LinearBasisPotential(EdgePotential):
         self.basis = tuple(basis)
         self.theta = np.asarray(theta, dtype=float)
         if self.theta.ndim not in (1, 2) or self.theta.shape[-1] != len(self.basis):
-            raise ParameterError(
+            raise UsageError(
                 f"theta has shape {self.theta.shape}, basis has {len(self.basis)} forces"
             )
         self.row_count = len(self.theta) if self.theta.ndim == 2 else None
@@ -254,7 +252,7 @@ class LinearBasisPotential(EdgePotential):
             elif isinstance(bf, ConstantEdgeForce):
                 constant = constant + coef * bf.cochain
             else:
-                raise ParameterError(
+                raise UsageError(
                     f"unsupported basis force {type(bf).__name__}: expected "
                     "RadialMonomialForce or ConstantEdgeForce"
                 )

@@ -39,7 +39,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParameterError, StructuralError, allocate
+from .errors import UsageError, allocate, config_number
 
 RANK_TOL = 1e-10
 """Relative singular-value cutoff below which a direction counts as null."""
@@ -63,10 +63,10 @@ class DirectedGraph:
             self, "edges", tuple((int(t), int(h)) for t, h in self.edges)
         )
         if self.vertex_count < 0:
-            raise StructuralError("vertex_count must be nonnegative")
+            raise UsageError("vertex_count must be nonnegative")
         for t, h in self.edges:
             if not (0 <= t < self.vertex_count and 0 <= h < self.vertex_count):
-                raise StructuralError(f"edge ({t}, {h}) references a missing vertex")
+                raise UsageError(f"edge ({t}, {h}) references a missing vertex")
 
     @property
     def edge_count(self) -> int:
@@ -76,16 +76,16 @@ class DirectedGraph:
 def _check_spd(mat: np.ndarray, what: str) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise StructuralError(f"{what} must be a square matrix, got {mat.shape}")
+        raise UsageError(f"{what} must be a square matrix, got {mat.shape}")
     if not np.allclose(mat, mat.T, rtol=1e-10, atol=1e-12):
-        raise StructuralError(f"{what} is not symmetric")
+        raise UsageError(f"{what} is not symmetric")
     # The symmetric part, so that the factor, the dense Gram and the block
     # products all read one matrix: halves, as g + g.T may overflow, and only
     # where g is not symmetric already, so a symmetric Gram keeps its bits.
     mat = np.where(mat == mat.T, mat, mat / 2 + mat.T / 2)
     eigs = np.linalg.eigvalsh(mat)
     if eigs[0] <= _SPD_TOL * max(1.0, abs(eigs[-1])):
-        raise StructuralError(f"{what} is not positive definite (min eig {eigs[0]:g})")
+        raise UsageError(f"{what} is not positive definite (min eig {eigs[0]:g})")
     return mat
 
 
@@ -94,7 +94,7 @@ def _spd_factor(mats: np.ndarray, what: str) -> np.ndarray:
     try:
         return np.linalg.cholesky(mats)
     except np.linalg.LinAlgError:
-        raise StructuralError(f"{what} is not positive definite") from None
+        raise UsageError(f"{what} is not positive definite") from None
 
 
 def _block_index(starts: np.ndarray, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -152,21 +152,21 @@ class Sheaf:
         self.vertex_stalk_dims = tuple(int(d) for d in vertex_stalk_dims)
         self.edge_stalk_dims = tuple(int(d) for d in edge_stalk_dims)
         if len(self.vertex_stalk_dims) != graph.vertex_count:
-            raise StructuralError("one stalk dimension required per vertex")
+            raise UsageError("one stalk dimension required per vertex")
         if len(self.edge_stalk_dims) != graph.edge_count:
-            raise StructuralError("one stalk dimension required per edge")
+            raise UsageError("one stalk dimension required per edge")
         if any(d <= 0 for d in self.vertex_stalk_dims + self.edge_stalk_dims):
-            raise StructuralError("stalk dimensions must be positive")
+            raise UsageError("stalk dimensions must be positive")
 
         if len(head_maps) != graph.edge_count or len(tail_maps) != graph.edge_count:
-            raise StructuralError("one head map and one tail map required per edge")
+            raise UsageError("one head map and one tail map required per edge")
         self.head_maps = tuple(np.asarray(m, dtype=float) for m in head_maps)
         self.tail_maps = tuple(np.asarray(m, dtype=float) for m in tail_maps)
         for e, (tail, head) in enumerate(graph.edges):
             for end, maps, v in (("head", self.head_maps, head), ("tail", self.tail_maps, tail)):
                 want = (self.edge_stalk_dims[e], self.vertex_stalk_dims[v])
                 if maps[e].shape != want:
-                    raise StructuralError(
+                    raise UsageError(
                         f"{end} map of edge {e} has shape {maps[e].shape}, expected {want}"
                     )
         self.vertex_grams = _stalk_grams(vertex_grams, self.vertex_stalk_dims, "vertex")
@@ -270,11 +270,11 @@ def _stalk_grams(grams, dims: tuple[int, ...], what: str) -> tuple[np.ndarray, .
         big = "the identity Gram of a {} stalk of dimension {} is too large to allocate"
         return tuple(allocate(lambda: np.eye(d), big.format(what, d)) for d in dims)
     if len(grams) != len(dims):
-        raise StructuralError(f"one Gram matrix required per {what}")
+        raise UsageError(f"one Gram matrix required per {what}")
     grams = tuple(_check_spd(g, f"{what} Gram {i}") for i, g in enumerate(grams))
     for i, g in enumerate(grams):
         if g.shape[0] != dims[i]:
-            raise StructuralError(f"{what} Gram {i} does not match its stalk")
+            raise UsageError(f"{what} Gram {i} does not match its stalk")
     return grams
 
 
@@ -374,7 +374,7 @@ class CoboundaryOperator:
             try:
                 return np.linalg.svd(self._whitened, full_matrices=True)
             except MemoryError:  # not allocate(): it would also catch LinAlgError, a ValueError
-                raise ParameterError(
+                raise UsageError(
                     f"the {self.d1} x {self.d1} left singular vectors U of the whitened"
                     " coboundary are too large to allocate"
                 ) from None
@@ -471,7 +471,7 @@ def _dense(mat: np.ndarray, blocks) -> np.ndarray:
 
 
 def _zeros(shape: tuple[int, int], what: str) -> np.ndarray:
-    """np.zeros(shape), or ParameterError naming the matrix and its size if it
+    """np.zeros(shape), or UsageError naming the matrix and its size if it
     does not fit."""
     return allocate(
         lambda: np.zeros(shape), f"the {shape[0]} x {shape[1]} {what} is too large to allocate"
@@ -503,7 +503,7 @@ def build_coboundary(sheaf: Sheaf) -> CoboundaryOperator:
 def _check_len(x: np.ndarray, n: int, what: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape[-1:] != (n,):
-        raise StructuralError(f"{what} has shape {x.shape}, expected a last axis of length {n}")
+        raise UsageError(f"{what} has shape {x.shape}, expected a last axis of length {n}")
     return x
 
 
@@ -556,18 +556,16 @@ def hodge_project(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Split y into its im-delta and harmonic components, given the harmonic
     basis (d1, dim H1) of ``harmonic_basis``; anything not 2-D with d1 rows
-    raises StructuralError.
+    raises UsageError.
 
     Returns (im_delta_part, harmonic_part); the two are M2-orthogonal.
     """
     y = _check_len(y, op.d1, "1-cochain")
     if y.ndim != 1:
-        raise StructuralError(f"1-cochain has shape {y.shape}, expected ({op.d1},)")
+        raise UsageError(f"1-cochain has shape {y.shape}, expected ({op.d1},)")
     harmonic = np.asarray(harmonic, dtype=float)
     if harmonic.ndim != 2 or harmonic.shape[0] != op.d1:
-        raise StructuralError(
-            f"harmonic basis has shape {harmonic.shape}, expected ({op.d1}, dim H1)"
-        )
+        raise UsageError(f"harmonic basis has shape {harmonic.shape}, expected ({op.d1}, dim H1)")
     m2_y = _block_t(op.sheaf._m2, op._edge_blocks, y, np.matmul)
     harmonic_part = harmonic @ (harmonic.T @ m2_y)
     return y - harmonic_part, harmonic_part
@@ -578,7 +576,7 @@ def section_part(op: CoboundaryOperator, x: np.ndarray) -> np.ndarray:
     sections, with M1 applied block by block."""
     x = np.asarray(x, dtype=float)
     if x.shape != (op.d0,):
-        raise StructuralError(f"0-cochain has shape {x.shape}, expected ({op.d0},)")
+        raise UsageError(f"0-cochain has shape {x.shape}, expected ({op.d0},)")
     sections = global_section_basis(op)
     return sections @ (sections.T @ _block_t(op._m1, op._vertex_blocks, x, np.matmul))
 
@@ -623,27 +621,30 @@ _EDGE_KEYS = {"tail", "head", "stalk_dim", "head_map", "tail_map", "gram"}
 
 def sheaf_from_dict(data: dict) -> Sheaf:
     if not isinstance(data, dict):
-        raise StructuralError("sheaf description must be a JSON object")
+        raise UsageError("sheaf description must be a JSON object")
     unknown = set(data) - _SHEAF_KEYS
     if unknown:
-        raise StructuralError(f"unknown sheaf keys: {sorted(unknown)}")
+        raise UsageError(f"unknown sheaf keys: {sorted(unknown)}")
     for key in ("vertex_count", "vertex_stalk_dims", "edges"):
         if key not in data:
-            raise StructuralError(f"sheaf description missing '{key}'")
+            raise UsageError(f"sheaf description missing '{key}'")
     edges = data["edges"]
     if not isinstance(edges, list) or not all(isinstance(e, dict) for e in edges):
-        raise StructuralError("sheaf 'edges' must be a list of objects")
+        raise UsageError("sheaf 'edges' must be a list of objects")
     ends, dims, heads, tails, grams = [], [], [], [], []
     for e, entry in enumerate(edges):
         bad = set(entry) - _EDGE_KEYS
         if bad:
-            raise StructuralError(f"unknown edge keys: {sorted(bad)}")
+            raise UsageError(f"unknown edge keys: {sorted(bad)}")
         for key in ("tail", "head", "stalk_dim", "head_map", "tail_map"):
             if key not in entry:
-                raise StructuralError(f"edge entry missing '{key}'")
+                raise UsageError(f"edge entry missing '{key}'")
         at = f"edge {e}"
-        ends.append((_whole(entry["tail"], f"{at} tail"), _whole(entry["head"], f"{at} head")))
-        dims.append(_whole(entry["stalk_dim"], f"{at} stalk_dim", low=1))
+        tail, head = (
+            config_number(entry[k], f"sheaf {at} {k}", 0, integer=True) for k in ("tail", "head")
+        )
+        ends.append((tail, head))
+        dims.append(config_number(entry["stalk_dim"], f"sheaf {at} stalk_dim", 1, integer=True))
         heads.append(_matrix(entry["head_map"], f"{at} head_map"))
         tails.append(_matrix(entry["tail_map"], f"{at} tail_map"))
         if "gram" in entry:
@@ -652,16 +653,19 @@ def sheaf_from_dict(data: dict) -> Sheaf:
             grams.append(np.eye(dims[-1]))
     vertex_dims = data["vertex_stalk_dims"]
     if not isinstance(vertex_dims, list):
-        raise StructuralError("sheaf vertex_stalk_dims must be a list")
+        raise UsageError("sheaf vertex_stalk_dims must be a list")
     vertex_grams = data.get("vertex_grams")
     if vertex_grams is not None:
         if not isinstance(vertex_grams, list):
-            raise StructuralError("sheaf vertex_grams must be a list")
+            raise UsageError("sheaf vertex_grams must be a list")
         vertex_grams = [_matrix(g, f"vertex_grams[{v}]") for v, g in enumerate(vertex_grams)]
     return Sheaf(
-        graph=DirectedGraph(_whole(data["vertex_count"], "vertex_count"), tuple(ends)),
+        graph=DirectedGraph(
+            config_number(data["vertex_count"], "sheaf vertex_count", 0, integer=True), tuple(ends)
+        ),
         vertex_stalk_dims=[
-            _whole(d, f"vertex_stalk_dims[{v}]", low=1) for v, d in enumerate(vertex_dims)
+            config_number(d, f"sheaf vertex_stalk_dims[{v}]", 1, integer=True)
+            for v, d in enumerate(vertex_dims)
         ],
         edge_stalk_dims=dims,
         head_maps=heads,
@@ -669,13 +673,6 @@ def sheaf_from_dict(data: dict) -> Sheaf:
         vertex_grams=vertex_grams,
         edge_grams=grams if any("gram" in entry for entry in edges) else None,
     )
-
-
-def _whole(value, what: str, low: int = 0) -> int:
-    """A count, dimension or endpoint of a sheaf file: an integer >= low."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        raise StructuralError(f"sheaf {what} must be an integer >= {low}, got {value!r}")
-    return int(value)
 
 
 def _matrix(value, what: str) -> np.ndarray:
@@ -692,7 +689,7 @@ def _matrix(value, what: str) -> np.ndarray:
         )
         for row in rows
     ):
-        raise StructuralError(f"sheaf {what} must be a rectangular array of finite numbers")
+        raise UsageError(f"sheaf {what} must be a rectangular array of finite numbers")
     return np.array(rows, dtype=float)
 
 
@@ -700,5 +697,5 @@ def load_sheaf(path: str | Path) -> Sheaf:
     try:
         data = json.loads(Path(path).read_text())
     except ValueError as exc:  # not UTF-8, not JSON, or an int past the digit limit
-        raise StructuralError(f"malformed sheaf file {path}: {exc}") from exc
+        raise UsageError(f"malformed sheaf file {path}: {exc}") from exc
     return sheaf_from_dict(data)

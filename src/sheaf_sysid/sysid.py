@@ -44,7 +44,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .dynamics import Trajectory
-from .errors import ConfigurationError, ParameterError, UsageError
+from .errors import UsageError
 from .potentials import BoundedConfidence, EdgePotential, confidence_gain
 from .sheaf import RANK_TOL, CoboundaryOperator
 
@@ -133,7 +133,7 @@ def residual_dataset(
     elif mode == "finite_difference":
         parts = [residuals_fd(op, t) for t in trajectories]
     else:
-        raise ConfigurationError(f"unknown residual mode '{mode}'")
+        raise UsageError(f"unknown residual mode '{mode}'")
     return merge_datasets(parts)
 
 
@@ -255,7 +255,7 @@ def threshold_objective(terms: ThresholdTerms, epsilon: float) -> float:
     The gain is the law's own (``confidence_gain`` at the Python float
     epsilon**2), with no model built per evaluation."""
     if not epsilon > 0:
-        raise ParameterError(f"epsilon must be positive, got {epsilon}")
+        raise UsageError(f"epsilon must be positive, got {epsilon}")
     forces = confidence_gain(terms.sq_norms, float(epsilon) ** 2)
     forces *= terms.edge_states
     misfit = forces @ terms.sensitivity
@@ -276,7 +276,7 @@ def fit_threshold(
     """
     lo, hi = bracket
     if not (BoundedConfidence.MIN_EPSILON <= lo < hi <= BoundedConfidence.MAX_EPSILON):
-        raise ParameterError(f"invalid bracket {bracket}: need 1e-100 <= lo < hi <= 1e100")
+        raise UsageError(f"invalid bracket {bracket}: need 1e-100 <= lo < hi <= 1e100")
     if data.n_samples == 0:
         raise UsageError("empty dataset")
 

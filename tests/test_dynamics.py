@@ -20,7 +20,7 @@ from sheaf_sysid.dynamics import (
     save_trajectory_csv,
     simulate_ensemble,
 )
-from sheaf_sysid.errors import DivergenceError, ParameterError, StructuralError, UsageError
+from sheaf_sysid.errors import DivergenceError, UsageError
 from sheaf_sysid.experiments import make_cycle_sheaf
 from sheaf_sysid.potentials import (
     Antagonistic,
@@ -470,7 +470,7 @@ def test_a_divergence_after_a_rows_end_is_never_seen(rotated_cycle):
 )
 def test_ends_must_be_whole_steps_up_to_the_horizon_one_per_row(rotated_cycle, ends):
     sheaf, op = rotated_cycle
-    with pytest.raises(ParameterError, match="ends must be 2 whole numbers of steps"):
+    with pytest.raises(UsageError, match="ends must be 2 whole numbers of steps"):
         integrate(op, Quadratic(sheaf), np.ones((2, op.d0)), SimConfig(horizon=0.2), ends=ends)
 
 
@@ -517,9 +517,9 @@ def test_integrate_rejects_misshapen_starts(identity_cycle):
     sheaf, op = identity_cycle
     cfg = SimConfig(horizon=0.1)
     for bad in (np.zeros(op.d0 + 1), np.zeros((2, op.d0 - 1)), np.zeros((1, 1, op.d0))):
-        with pytest.raises(StructuralError):
+        with pytest.raises(UsageError, match=re.escape(f"initial states have shape {bad.shape}")):
             integrate(op, Quadratic(sheaf), bad, cfg)
-    with pytest.raises(StructuralError):
+    with pytest.raises(UsageError, match=r"every initial state must have shape \(6,\)"):
         simulate_ensemble(op, Quadratic(sheaf), [np.zeros(op.d0), np.zeros(2)], cfg)
     assert integrate(op, Quadratic(sheaf), np.zeros((0, op.d0)), cfg) == []
 
@@ -534,7 +534,7 @@ def test_a_record_too_long_to_allocate_raises_parameter_error(identity_cycle, ho
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for x0, ends in ((np.zeros(op.d0), None), (np.zeros((2, op.d0)), [horizon] * 2)):
-            with pytest.raises(ParameterError, match=message):
+            with pytest.raises(UsageError, match=message):
                 integrate(op, Quadratic(sheaf), x0, cfg, ends=ends)
 
 
@@ -545,7 +545,7 @@ def test_sample_buffers_too_large_raise_parameter_error(identity_cycle, monkeypa
         raise MemoryError(f"cannot allocate {shape}")
 
     monkeypatch.setattr(np, "empty", refuse)
-    with pytest.raises(ParameterError, match="horizon 0.1 at step 0.01 is too long"):
+    with pytest.raises(UsageError, match="horizon 0.1 at step 0.01 is too long"):
         integrate(op, Quadratic(sheaf), np.zeros((3, op.d0)), SimConfig(horizon=0.1))
 
 
@@ -661,10 +661,32 @@ def test_trajectory_csv_without_derivs(tmp_path):
 def test_malformed_trajectory_files_raise_usage_errors(tmp_path, body, complaint):
     path = tmp_path / "bad.csv"
     path.write_text(body)
-    with pytest.raises(UsageError) as info:
+    with pytest.raises(UsageError, match=complaint) as info:
         load_trajectory_csv(path)
     assert str(path) in str(info.value)
-    assert complaint in str(info.value)
+
+
+def _written(path, data: bytes):
+    path.write_bytes(data)
+    return path
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda path: SimConfig(horizon=1.0, step=0.0), "step must be positive"),
+        (lambda path: SimConfig(horizon=0.001), "horizon must cover at least one step"),
+        (
+            lambda path: load_trajectory_csv(_written(path, b"time,x0\n\xff\n")),
+            "{path} is not a text file",
+        ),
+        (lambda path: load_trajectory_csv(_written(path, b"")), "empty trajectory file {path}"),
+    ],
+)
+def test_dynamics_refusals_raise_usage_error(tmp_path, call, message):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(UsageError, match=f"^{re.escape(message.format(path=path))}$"):
+        call(path)
 
 
 @pytest.mark.parametrize("family", ["threshold", "basis"])
@@ -677,7 +699,7 @@ def test_row_parameters_must_match_the_batch(rotated_cycle, family):
         model = LinearBasisPotential(sheaf, basis, np.full((2, len(basis)), 0.5))
     cfg = SimConfig(horizon=0.1)
     for starts, n in ((np.zeros((3, op.d0)), 3), (np.zeros(op.d0), 1)):
-        with pytest.raises(StructuralError, match=f"2 parameter rows for a batch of {n} "):
+        with pytest.raises(UsageError, match=f"2 parameter rows for a batch of {n} "):
             integrate(op, model, starts, cfg)
     assert len(integrate(op, model, np.zeros((2, op.d0)), cfg)) == 2
 
@@ -687,7 +709,7 @@ def test_row_parameters_must_match_the_batch(rotated_cycle, family):
     [(0.105, 0.01), (1.0, 0.3), (0.5, 0.2), (2.0, 0.3), (1e12, 1e-300)],  # the last: inf steps
 )
 def test_horizon_must_be_a_whole_number_of_steps(horizon, step):
-    with pytest.raises(ParameterError, match="not a whole number of steps"):
+    with pytest.raises(UsageError, match="not a whole number of steps"):
         SimConfig(horizon=horizon, step=step)
 
 

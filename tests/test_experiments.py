@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -12,12 +13,7 @@ import pytest
 
 from sheaf_sysid import experiments
 from sheaf_sysid.dynamics import SimConfig, integrate, observe
-from sheaf_sysid.errors import (
-    ConfigurationError,
-    DivergenceError,
-    ParameterError,
-    UsageError,
-)
+from sheaf_sysid.errors import DivergenceError, UsageError
 from sheaf_sysid.experiments import (
     BASIS_NOISE_STD,
     LOCALIZED_BAND,
@@ -71,9 +67,9 @@ def test_cycle_sheaf_closed_form_check_agrees_with_the_svd(n, variant):
 
 
 def test_cycle_sheaf_rejects_bad_args():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError, match="cycle length must be at least 3"):
         make_cycle_sheaf(2, "identity")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError, match="unknown sheaf variant 'twisted'"):
         make_cycle_sheaf(3, "twisted")
 
 
@@ -81,7 +77,7 @@ def test_constant_cochain_layout():
     sheaf = make_cycle_sheaf(4, "identity")
     c = constant_edge_cochain(sheaf, (2.0, -1.0))
     assert np.array_equal(c, np.tile([2.0, -1.0], 4))
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="block does not match the edge stalk dimension"):
         constant_edge_cochain(sheaf, (1.0, 2.0, 3.0))
 
 
@@ -108,7 +104,7 @@ def test_force_mse_rejects_empty_set():
     sheaf = make_cycle_sheaf(3, "identity")
     model = monomial_potential(sheaf, [1.0, 0.25, 0.03])
     empty = np.zeros((0, sheaf.d1))
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="evaluation set is empty"):
         force_mse(model, empty, model.force(empty))
 
 
@@ -154,7 +150,7 @@ def test_localized_initial_conditions_sit_in_annulus():
 def test_a_start_set_too_large_to_allocate_names_its_key(coverage):
     op = build_coboundary(make_cycle_sheaf(3, "rotated"))
     for counts, key in (((10**15, 1), "n_training"), ((1, 10**15), "n_holdout")):
-        with pytest.raises(ParameterError, match=f"^{key} {10**15} is too many starts"):
+        with pytest.raises(UsageError, match=f"^{key} {10**15} is too many starts"):
             _initial_conditions(op, coverage, 0, counts)
     train, hold = _initial_conditions(op, coverage, 0, (3, 2))
     assert train.shape == (3, op.d0) and hold.shape == (2, op.d0)
@@ -437,7 +433,7 @@ def test_the_two_diverging_fits_blow_up_in_the_opposite_order_of_time():
     ],
 )
 def test_formation_transfer_rejects_fields_it_does_not_read(key, value):
-    with pytest.raises(ConfigurationError, match=f"formation_transfer takes no {key}"):
+    with pytest.raises(UsageError, match=f"formation_transfer takes no {key}"):
         ExperimentConfig(experiment_id="formation_transfer", **{key: value})
 
 
@@ -458,7 +454,7 @@ def test_training_horizon_of_whole_steps_up_to_rounding_is_accepted():
 
 @pytest.mark.parametrize("n", [8, 16, 64])
 def test_threshold_study_rejects_a_rotated_cycle_with_harmonic_space(n):
-    with pytest.raises(ConfigurationError, match=f"cycle_length {n} is a multiple of 8"):
+    with pytest.raises(UsageError, match=f"cycle_length {n} is a multiple of 8"):
         ExperimentConfig(experiment_id="bounded_confidence", cycle_length=n)
     # the basis study runs the identity cycle, which exists at every length
     ExperimentConfig(experiment_id="finite_basis", cycle_length=n)
@@ -470,7 +466,7 @@ def test_rotated_cycle_check_agrees_with_the_sheaf_it_builds():
     for n in range(3, 26):
         if harmonic_basis(build_coboundary(make_cycle_sheaf(n, "rotated"))).shape[1]:
             refused.append(n)
-            with pytest.raises(ConfigurationError, match="cycle_length"):
+            with pytest.raises(UsageError, match="cycle_length"):
                 ExperimentConfig(experiment_id="bounded_confidence", cycle_length=n)
         else:
             ExperimentConfig(experiment_id="bounded_confidence", cycle_length=n)
@@ -506,7 +502,7 @@ def test_rotated_cycle_check_agrees_with_the_sheaf_it_builds():
     ],
 )
 def test_experiment_config_rejects_bad_numbers(key, value):
-    with pytest.raises(ConfigurationError, match=key):
+    with pytest.raises(UsageError, match=key):
         ExperimentConfig(experiment_id="finite_basis", **{key: value})
 
 
@@ -523,10 +519,33 @@ def test_experiment_config_accepts_edge_numbers():
 
 
 def test_experiment_config_validation():
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError, match="unknown experiment 'mystery'"):
         ExperimentConfig(experiment_id="mystery")
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(UsageError, match="at least one seed required"):
         ExperimentConfig(experiment_id="finite_basis", seeds=())
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda sheaf: reference_grid(sheaf), "reference grid requires 2-D edge stalks"),
+        (
+            lambda sheaf: run_formation_transfer(ExperimentConfig("finite_basis")),
+            "config is not for formation_transfer",
+        ),
+        (
+            lambda sheaf: run_bounded_confidence(ExperimentConfig("finite_basis")),
+            "config is not for bounded_confidence",
+        ),
+        (
+            lambda sheaf: run_finite_basis(ExperimentConfig("bounded_confidence")),
+            "config is not for finite_basis",
+        ),
+    ],
+)
+def test_experiment_refusals_raise_usage_error(mixed_sheaf, call, message):
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        call(mixed_sheaf)
 
 
 def test_table_rendering_roundtrip():

@@ -5,10 +5,13 @@ usage line), the three default-config experiments, cohomology on the rotated
 301- and 401-cycles and the identity 9-cycle, and a rotated 101-cycle
 simulate (four starts, horizon 5) read by identify for the threshold,
 monomial and harmonic_augmented families.  The commands run in one
-subprocess at one BLAS thread: cohomology's spectrum comes from LAPACK,
-whose last digits follow the thread count.  Every path in a config is
-relative to the run directory, so the config hashes in the file names do not
-depend on where it is.  Regenerate ``tests/data/output_hashes.json`` with
+subprocess at one BLAS thread.  Cohomology's spectrum comes from LAPACK,
+whose last digits follow the thread count on a numpy build that the
+one-thread pin in ``sheaf`` does not cover (the README names the builds it
+covers); running at one thread keeps the hashes valid on those builds too.
+Every path in a config is relative to the run directory, so the config
+hashes in the file names do not depend on where it is.  Regenerate
+``tests/data/output_hashes.json`` with
 
     PYTHONPATH=src python tests/test_output_hashes.py
 

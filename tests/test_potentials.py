@@ -1,12 +1,13 @@
 """Potential families: values, forces, parameter Jacobians, conservativity."""
 
+import re
 import warnings
 
 import numpy as np
 import pytest
 from conftest import random_sheaf
 
-from sheaf_sysid.errors import ParameterError, StructuralError
+from sheaf_sysid.errors import UsageError
 from sheaf_sysid.experiments import make_cycle_sheaf
 from sheaf_sysid.potentials import (
     Antagonistic,
@@ -132,9 +133,9 @@ def test_bounded_confidence_slope_positive_below_threshold(identity_cycle):
 
 def test_bounded_confidence_rejects_bad_epsilon(identity_cycle):
     sheaf, _ = identity_cycle
-    with pytest.raises(ParameterError):
+    with pytest.raises(UsageError, match="epsilon must be positive.*, got 0.0"):
         BoundedConfidence(sheaf, 0.0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(UsageError, match="epsilon must be positive.*, got -1.0"):
         BoundedConfidence(sheaf, -1.0)
 
 
@@ -183,7 +184,7 @@ def test_threshold_jacobian_far_above_threshold_warns_not_and_keeps_its_bits(rot
 @pytest.mark.parametrize("epsilon", [1e-101, 1e-200, [1.0, 1e-101]])
 def test_threshold_below_1e_minus_100_is_refused(identity_cycle, epsilon):
     sheaf, _ = identity_cycle
-    with pytest.raises(ParameterError, match="at least 1e-100"):
+    with pytest.raises(UsageError, match="at least 1e-100"):
         BoundedConfidence(sheaf, epsilon)
 
 
@@ -308,9 +309,24 @@ def test_batched_evaluation_matches_loop(identity_cycle):
             assert np.isclose(values[i], model.value(batch[i]))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda sheaf: ShiftedQuadratic(sheaf, np.zeros(7)), "target must be a 1-cochain"),
+        (lambda sheaf: Antagonistic(sheaf, [0, 3]), "no edge with index 3"),
+        (lambda sheaf: RadialMonomialForce(sheaf, -1), "degree must be nonnegative"),
+        (lambda sheaf: ConstantEdgeForce(sheaf, np.ones(7)), "constant force must be a 1-cochain"),
+    ],
+)
+def test_potential_refusals_raise_usage_error(identity_cycle, call, message):
+    sheaf, _ = identity_cycle
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        call(sheaf)
+
+
 def test_linear_basis_theta_length_mismatch(identity_cycle):
     sheaf, _ = identity_cycle
-    with pytest.raises(ParameterError):
+    with pytest.raises(UsageError, match=r"theta has shape \(2,\), basis has 3 forces"):
         LinearBasisPotential(sheaf, monomial_basis(sheaf), [1.0, 2.0])
 
 
@@ -455,14 +471,14 @@ def test_row_epsilon_gives_each_row_its_scalar_bits(mixed_sheaf):
 @pytest.mark.parametrize("epsilon", [[1.0, 0.0], [[1.0]], [1.0, np.nan]])
 def test_row_epsilon_must_be_positive_per_row(identity_cycle, epsilon):
     sheaf, _ = identity_cycle
-    with pytest.raises(ParameterError, match="epsilon must be positive"):
+    with pytest.raises(UsageError, match="epsilon must be positive"):
         BoundedConfidence(sheaf, epsilon)
 
 
 @pytest.mark.parametrize("theta", [1.0, [[[1.0, 0.0, 0.0]]], [[1.0, 0.0]]])
 def test_linear_basis_rejects_theta_of_the_wrong_shape(identity_cycle, theta):
     sheaf, _ = identity_cycle
-    with pytest.raises(ParameterError, match="theta has shape"):
+    with pytest.raises(UsageError, match="theta has shape"):
         LinearBasisPotential(sheaf, monomial_basis(sheaf), theta)
 
 
@@ -473,7 +489,7 @@ def test_linear_basis_rejects_unsupported_family(identity_cycle):
         def force(self, y):
             return np.asarray(y, dtype=float) ** 3
 
-    with pytest.raises(ParameterError):
+    with pytest.raises(UsageError, match="unsupported basis force CubicForce"):
         LinearBasisPotential(sheaf, (CubicForce(sheaf),), [1.0])
 
 
@@ -608,6 +624,6 @@ def test_a_row_parameter_model_takes_only_its_own_batch(rotated_cycle, family):
     names = ("force", "value", "param_jacobian") if family == "threshold" else ("force", "value")
     for name in names:
         for y in wrong:
-            with pytest.raises(StructuralError, match="2 parameter rows for a batch of "):
+            with pytest.raises(UsageError, match="2 parameter rows for a batch of "):
                 getattr(model, name)(y)
         assert len(getattr(model, name)(np.ones((2, sheaf.d1)))) == 2

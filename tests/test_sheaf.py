@@ -2,6 +2,7 @@
 
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from sheaf_sysid import experiments
 from sheaf_sysid.dynamics import equilibrium_projection
-from sheaf_sysid.errors import StructuralError
+from sheaf_sysid.errors import UsageError
 from sheaf_sysid.experiments import make_cycle_sheaf
 from sheaf_sysid.sheaf import (
     CoboundaryOperator,
@@ -96,9 +97,9 @@ def test_apply_delta_star_zero(identity_cycle):
 
 def test_shape_mismatch_raises(identity_cycle):
     _, op = identity_cycle
-    with pytest.raises(StructuralError):
+    with pytest.raises(UsageError, match=r"0-cochain has shape \(7,\), expected a last axis of"):
         apply_delta(op, np.zeros(op.d0 + 1))
-    with pytest.raises(StructuralError):
+    with pytest.raises(UsageError, match=r"1-cochain has shape \(5,\), expected a last axis of"):
         apply_delta_star(op, np.zeros(op.d1 - 1))
 
 
@@ -190,7 +191,7 @@ def test_hodge_project_takes_only_a_basis_of_d1_rows(identity_cycle, rotated_cyc
     harm = harmonic_basis(op)
     y = np.arange(op.d1, dtype=float)
     for bad in (harm[:, 0], harm[:-1], harm[None], np.float64(1.0), harm.T):
-        with pytest.raises(StructuralError, match="harmonic basis has shape"):
+        with pytest.raises(UsageError, match="harmonic basis has shape"):
             hodge_project(op, bad, y)
     # an empty basis (d1, 0) is a basis: nothing of y is harmonic
     _, rotated = rotated_cycle
@@ -231,14 +232,14 @@ def test_pseudoinverse_range_is_m1_orthogonal_to_sections():
 
 def test_invalid_restriction_map_shape_raises():
     graph = DirectedGraph(vertex_count=2, edges=((0, 1),))
-    with pytest.raises(StructuralError):
+    with pytest.raises(UsageError, match=r"head map of edge 0 has shape \(3, 3\), expected \(2,"):
         Sheaf(graph, [2, 2], [2], head_maps=[np.eye(3)], tail_maps=[np.eye(2)])
 
 
 def test_non_spd_gram_raises():
     graph = DirectedGraph(vertex_count=2, edges=((0, 1),))
     bad = np.array([[1.0, 0.0], [0.0, -1.0]])
-    with pytest.raises(StructuralError):
+    with pytest.raises(UsageError, match="edge Gram 0 is not positive definite"):
         Sheaf(
             graph,
             [2, 2],
@@ -279,7 +280,7 @@ def test_an_accepted_gram_is_stored_as_its_symmetric_part():
 
 
 def test_edge_referencing_missing_vertex_raises():
-    with pytest.raises(StructuralError):
+    with pytest.raises(UsageError, match=r"edge \(0, 2\) references a missing vertex"):
         DirectedGraph(vertex_count=2, edges=((0, 2),))
 
 
@@ -341,14 +342,14 @@ def test_sheaf_dict_omitted_grams_default_to_identity():
 
 def test_sheaf_dict_rejects_unknown_keys():
     data = {**TWO_VERTEX, "extra": 1}
-    with pytest.raises(StructuralError):
+    with pytest.raises(UsageError, match=r"unknown sheaf keys: \['extra'\]"):
         sheaf_from_dict(data)
 
 
 def test_malformed_sheaf_file_raises(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
-    with pytest.raises(StructuralError):
+    with pytest.raises(UsageError, match="malformed sheaf file .*bad.json: Expecting property"):
         load_sheaf(path)
 
 
@@ -391,7 +392,7 @@ def test_edge_primitive_on_edgeless_sheaf():
 
 
 def test_edge_sq_norms_rejects_wrong_length(mixed_sheaf):
-    with pytest.raises(StructuralError):
+    with pytest.raises(UsageError, match=r"1-cochain has shape \(14,\), expected a last axis"):
         mixed_sheaf.edge_sq_norms(np.zeros(mixed_sheaf.d1 + 1))
 
 
@@ -533,7 +534,7 @@ def test_a_scalar_is_not_a_cochain(identity_cycle):
     ]
     for call, what in calls:
         for scalar in (1.0, np.float64(2.0), np.array(3.0)):
-            with pytest.raises(StructuralError, match=f"{what} has shape .*, expected a last axis"):
+            with pytest.raises(UsageError, match=f"{what} has shape .*, expected a last axis"):
                 call(scalar)
 
 
@@ -660,7 +661,7 @@ def test_a_gram_that_is_not_positive_definite_fails_its_cholesky_factor(mixed_sh
     # one (here slipped past the Sheaf's check) is refused
     negated = copy.copy(mixed_sheaf)
     negated.vertex_grams = tuple(-g for g in mixed_sheaf.vertex_grams)
-    with pytest.raises(StructuralError, match="M1 is not positive definite"):
+    with pytest.raises(UsageError, match="M1 is not positive definite"):
         CoboundaryOperator(negated)
 
 
@@ -699,9 +700,9 @@ def test_the_projections_apply_the_grams_block_by_block():
         want = harm @ (harm.T @ (op.M2 @ y))
         assert np.allclose(hodge_project(op, harm, y)[1], want, rtol=0.0, atol=1e-12)
     for bad in (np.ones((2, op.d0)), np.ones(op.d0 + 1)):
-        with pytest.raises(StructuralError, match="0-cochain has shape"):
+        with pytest.raises(UsageError, match="0-cochain has shape"):
             section_part(op, bad)
-    with pytest.raises(StructuralError, match="1-cochain has shape"):
+    with pytest.raises(UsageError, match="1-cochain has shape"):
         hodge_project(op, harm, np.ones((op.d1 + 1, op.d1)))
 
 
@@ -725,7 +726,7 @@ def test_null_bases_on_the_identity_cycle_are_orthonormal_kernels():
 
 @pytest.mark.parametrize("edges", [[1], ["tail"], [[0, 1]], 5])
 def test_sheaf_from_dict_rejects_edges_that_are_not_objects(edges):
-    with pytest.raises(StructuralError, match="edges"):
+    with pytest.raises(UsageError, match="edges"):
         sheaf_from_dict({"vertex_count": 2, "vertex_stalk_dims": [2, 2], "edges": edges})
 
 
@@ -761,7 +762,7 @@ def test_sheaf_from_dict_rejects_malformed_fields(field, value, key):
         data = {**_one_edge_description(), field: value}
     else:
         data = _one_edge_description(**{field: value})
-    with pytest.raises(StructuralError, match=key):
+    with pytest.raises(UsageError, match=key):
         sheaf_from_dict(data)
 
 
@@ -770,3 +771,82 @@ def test_sheaf_from_dict_reads_integers_and_rectangular_maps():
     assert sheaf.graph.edges == ((0, 1),)
     assert sheaf.edge_grams[0].dtype == float
     assert np.array_equal(sheaf.edge_grams[0], [[2.0, 0.5], [0.5, 1.0]])
+
+
+_EDGE = DirectedGraph(vertex_count=2, edges=((0, 1),))
+_EYE = [np.eye(2)]
+
+
+def _without(field):
+    data = _one_edge_description()
+    del data["edges"][0][field]
+    return data
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: DirectedGraph(vertex_count=-1, edges=()), "vertex_count must be nonnegative"),
+        (lambda: Sheaf(_EDGE, [2], [2], _EYE, _EYE), "one stalk dimension required per vertex"),
+        (lambda: Sheaf(_EDGE, [2, 2], [], _EYE, _EYE), "one stalk dimension required per edge"),
+        (lambda: Sheaf(_EDGE, [2, 0], [2], _EYE, _EYE), "stalk dimensions must be positive"),
+        (
+            lambda: Sheaf(_EDGE, [2, 2], [2], [], _EYE),
+            "one head map and one tail map required per edge",
+        ),
+        (
+            lambda: Sheaf(_EDGE, [2, 2], [2], _EYE, _EYE, edge_grams=[np.ones((1, 2))]),
+            "edge Gram 0 must be a square matrix, got (1, 2)",
+        ),
+        (
+            lambda: Sheaf(_EDGE, [2, 2], [2], _EYE, _EYE, edge_grams=[[[1.0, 1.0], [0.0, 1.0]]]),
+            "edge Gram 0 is not symmetric",
+        ),
+        (
+            lambda: Sheaf(_EDGE, [2, 2], [2], _EYE, _EYE, vertex_grams=_EYE),
+            "one Gram matrix required per vertex",
+        ),
+        (
+            lambda: Sheaf(_EDGE, [2, 2], [2], _EYE, _EYE, vertex_grams=[np.eye(3), np.eye(2)]),
+            "vertex Gram 0 does not match its stalk",
+        ),
+        (lambda: sheaf_from_dict([]), "sheaf description must be a JSON object"),
+        (
+            lambda: sheaf_from_dict({"vertex_count": 2, "vertex_stalk_dims": [2, 2]}),
+            "sheaf description missing 'edges'",
+        ),
+        (
+            lambda: sheaf_from_dict(_one_edge_description(twist=1)),
+            "unknown edge keys: ['twist']",
+        ),
+        (lambda: sheaf_from_dict(_without("head_map")), "edge entry missing 'head_map'"),
+        (
+            lambda: sheaf_from_dict({**_one_edge_description(), "vertex_grams": "I"}),
+            "sheaf vertex_grams must be a list",
+        ),
+        # the integer fields read by config_number, message bytes included
+        (
+            lambda: sheaf_from_dict(_one_edge_description(tail=0.5)),
+            "sheaf edge 0 tail must be an integer >= 0, got 0.5",
+        ),
+        (
+            lambda: sheaf_from_dict(_one_edge_description(head=-1)),
+            "sheaf edge 0 head must be an integer >= 0, got -1",
+        ),
+        (
+            lambda: sheaf_from_dict(_one_edge_description(stalk_dim=0)),
+            "sheaf edge 0 stalk_dim must be an integer >= 1, got 0",
+        ),
+        (
+            lambda: sheaf_from_dict({**_one_edge_description(), "vertex_count": True}),
+            "sheaf vertex_count must be an integer >= 0, got True",
+        ),
+        (
+            lambda: sheaf_from_dict({**_one_edge_description(), "vertex_stalk_dims": [2, 0]}),
+            "sheaf vertex_stalk_dims[1] must be an integer >= 1, got 0",
+        ),
+    ],
+)
+def test_sheaf_refusals_raise_usage_error(call, message):
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        call()

@@ -1,6 +1,7 @@
 """Residual extraction, identifiability matrices, and the two estimators."""
 
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -20,7 +21,7 @@ from sheaf_sysid.dynamics import (
     equilibrium_projection,
     integrate,
 )
-from sheaf_sysid.errors import ConfigurationError, ParameterError, UsageError
+from sheaf_sysid.errors import UsageError
 from sheaf_sysid.experiments import make_cycle_sheaf
 from sheaf_sysid.potentials import (
     BoundedConfidence,
@@ -94,7 +95,7 @@ def test_residuals_vanish_at_equilibrium(identity_cycle):
 def test_exact_residuals_require_derivatives(identity_cycle):
     _, op = identity_cycle
     traj = Trajectory(times=np.array([0.0, 0.1]), states=np.zeros((2, op.d0)))
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="trajectory has no recorded derivatives"):
         residuals_exact(op, traj)
 
 
@@ -141,9 +142,9 @@ def test_fd_requires_uniform_times(identity_cycle):
     traj = Trajectory(
         times=np.array([0.0, 0.01, 0.05]), states=np.zeros((3, op.d0))
     )
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="finite differences require uniform sampling"):
         residuals_fd(op, traj)
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="finite differences need at least 3 samples"):
         residuals_fd(
             op, Trajectory(times=np.array([0.0, 0.01]), states=np.zeros((2, op.d0)))
         )
@@ -327,8 +328,26 @@ def test_fit_linear_rejects_empty_dataset(identity_cycle):
         edge_states=np.zeros((0, op.d1)),
         source="exact",
     )
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="empty dataset"):
         fit_linear(op, monomial_basis(sheaf), empty)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda op, make: merge_datasets([]), "cannot merge zero datasets"),
+        (lambda op, make: fit_linear(op, (), make(2)), "empty basis"),
+        (lambda op, make: fit_threshold(op, make(0), (0.5, 2.0)), "empty dataset"),
+    ],
+)
+def test_sysid_refusals_raise_usage_error(identity_cycle, call, message):
+    sheaf, op = identity_cycle
+
+    def make(n):
+        return forward_dataset(op, Quadratic(sheaf), np.ones((n, op.d0)))
+
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        call(op, make)
 
 
 @pytest.mark.parametrize("eps_true", [0.7, 1.6])
@@ -363,9 +382,9 @@ def test_fit_threshold_flags_missing_excitation(rotated_cycle):
 def test_fit_threshold_validates_bracket(rotated_cycle):
     sheaf, op = rotated_cycle
     data = forward_dataset(op, BoundedConfidence(sheaf, 1.0), np.zeros((1, op.d0)))
-    with pytest.raises(ParameterError):
+    with pytest.raises(UsageError, match=r"invalid bracket \(1.0, 0.5\)"):
         fit_threshold(op, data, (1.0, 0.5))
-    with pytest.raises(ParameterError, match="hi <= 1e100"):
+    with pytest.raises(UsageError, match="hi <= 1e100"):
         fit_threshold(op, data, (0.25, 1e200))  # its square overflows a float
 
 
@@ -377,7 +396,7 @@ def test_fit_threshold_takes_brackets_from_1e_minus_100(rotated_cycle):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for bracket in ((1e-200, 1e-150), (1e-101, 1.0)):
-            with pytest.raises(ParameterError, match="1e-100 <= lo"):
+            with pytest.raises(UsageError, match="1e-100 <= lo"):
                 fit_threshold(op, data, bracket)
         result = fit_threshold(op, data, (BoundedConfidence.MIN_EPSILON, 4.0))
     assert np.isfinite(result.theta_hat[0]) and np.isfinite(result.objective_value)
@@ -476,7 +495,7 @@ def test_merge_datasets_rejects_mixed_sources(identity_cycle):
     sheaf, op = identity_cycle
     rng = np.random.default_rng(20)
     traj = integrate(op, Quadratic(sheaf), rng.standard_normal(op.d0), SimConfig(horizon=0.1))
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="cannot merge datasets of mixed source"):
         merge_datasets([residuals_exact(op, traj), residuals_fd(op, traj)])
 
 
@@ -489,7 +508,7 @@ def test_residual_dataset_merges_per_trajectory_residuals(identity_cycle):
         parts = [one(op, t) for t in trajs]
         assert data.source == parts[0].source
         assert np.array_equal(data.residuals, np.concatenate([d.residuals for d in parts]))
-    with pytest.raises(ConfigurationError, match="residual mode"):
+    with pytest.raises(UsageError, match="residual mode"):
         residual_dataset(op, trajs, "smoothed")
 
 
@@ -767,5 +786,5 @@ def test_a_threshold_fit_norms_its_samples_once_and_runs_no_force(rotated_cycle,
 def test_threshold_objective_rejects_a_nonpositive_threshold(rotated_cycle, epsilon):
     sheaf, op = rotated_cycle
     data = forward_dataset(op, BoundedConfidence(sheaf, 1.0), np.ones((2, op.d0)))
-    with pytest.raises(ParameterError, match="epsilon must be positive"):
+    with pytest.raises(UsageError, match="epsilon must be positive"):
         threshold_objective(threshold_terms(op, data), epsilon)
